@@ -38,8 +38,8 @@ from repro.stats import StatsBuildConfig, build_statistics  # noqa: E402
 
 #: Catalog files whose bytes must not depend on jobs/resume.  The
 #: manifest is excluded (it records timings and resume provenance);
-#: the flat layout packs every catalog into one deterministic NPZ plus
-#: its metadata sidecar, so these two cover markov/degrees/sumrdf.
+#: a generation image packs every catalog into one deterministic NPZ
+#: plus its metadata sidecar, so these two cover markov/degrees/sumrdf.
 COMPARED_FILES = ["catalogs.npz", "catalogs.meta.json"]
 
 
@@ -52,10 +52,8 @@ def _available_cores() -> int:
 
 def _catalog_bytes(store, directory: Path) -> dict[str, bytes]:
     directory.mkdir(parents=True, exist_ok=True)
-    store.save(directory)
-    return {
-        name: (directory / name).read_bytes() for name in COMPARED_FILES
-    }
+    image = store.save(directory) / store.manifest.image
+    return {name: (image / name).read_bytes() for name in COMPARED_FILES}
 
 
 def run(quick: bool = False) -> dict:

@@ -13,7 +13,6 @@ Usage::
     python -m repro batch --file queries.txt --dataset hetionet --repeat 3
     python -m repro updates apply --stats-dir stats/example --updates ops.json
     python -m repro updates replay --stats-dir stats/example --verify
-    python -m repro updates compact stats/example
     python -m repro serve --tenant example=stats/example --port 7421
     python -m repro query --port 7421 --tenant example -q "a -[A]-> b"
     python -m repro query --port 7421 --tenant example --apply-deltas
@@ -45,14 +44,13 @@ the per-request deadline), the server is shutting down, or it cannot be
 reached at all — where a retry may succeed.
 
 ``updates`` is the dynamic-graph plane: ``apply`` maintains an
-artifact's catalogs incrementally under an edge-update batch (appending
-a versioned ``deltas/NNNN.json`` a live server picks up via ``query
---apply-deltas``), ``replay`` verifies the delta lineage (and, with
-``--verify``, bit-compares against a cold rebuild), and ``compact``
-folds a delta chain into the base files.
+artifact's catalogs incrementally under an edge-update batch and
+publishes the result as a new generation image (a live server swaps to
+it via ``query --apply-deltas``), and ``replay`` verifies the delta
+lineage (and, with ``--verify``, bit-compares against a cold rebuild).
 
-The batch verbs (``stats build``, ``stats repack``, ``updates
-apply``/``replay``) share the offline observability flags
+The batch verbs (``stats build``, ``updates apply``/``replay``) share
+the offline observability flags
 ``--trace-log`` / ``--trace-log-keep`` / ``--metrics-out``: job traces
 land in the same NDJSON shape the server writes and metrics land as a
 Prometheus textfile-collector exposition.  ``obs`` analyses those logs
@@ -370,8 +368,8 @@ def run_batch(argv: list[str]) -> int:
 def _add_job_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     """The offline-plane observability flags shared by the batch verbs.
 
-    ``repro stats build``, ``repro updates apply``/``replay`` and
-    ``repro stats repack`` all take the same three switches so one
+    ``repro stats build`` and ``repro updates apply``/``replay`` all
+    take the same three switches so one
     ``repro obs`` toolkit (and one Prometheus textfile collector) reads
     every plane's output.
     """
@@ -497,9 +495,9 @@ def _build_workload(args: argparse.Namespace, graph) -> list | None:
 
 def run_stats(argv: list[str]) -> int:
     """The ``repro stats`` subcommand; returns a process exit code."""
-    if not argv or argv[0] not in ("build", "inspect", "repack"):
+    if not argv or argv[0] not in ("build", "inspect"):
         print(
-            "repro stats: expected a subcommand: build | inspect | repack DIR",
+            "repro stats: expected a subcommand: build | inspect DIR",
             file=sys.stderr,
         )
         return 2
@@ -514,8 +512,6 @@ def run_stats(argv: list[str]) -> int:
             return 2
         print(json.dumps(report, indent=2))
         return 0
-    if argv[0] == "repack":
-        return _run_stats_repack(argv[1:])
     args = build_stats_parser().parse_args(argv[1:])
     if args.cycle_rates and args.workload == "full":
         print(
@@ -602,85 +598,6 @@ def run_stats(argv: list[str]) -> int:
     return 0
 
 
-def build_stats_repack_parser() -> argparse.ArgumentParser:
-    """The ``repro stats repack`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro stats repack",
-        description=(
-            "Convert a legacy JSON-layout artifact to the flat "
-            "(mmap-capable) layout in place."
-        ),
-    )
-    parser.add_argument("directory", type=Path, metavar="DIR",
-                        help="statistics artifact directory to repack")
-    _add_job_telemetry_flags(parser)
-    return parser
-
-
-def _run_stats_repack(argv: list[str]) -> int:
-    """Convert a legacy JSON-layout artifact to the flat layout in place."""
-    from repro.stats.artifact import CATALOG_FILES, StoreManifest
-
-    args = build_stats_repack_parser().parse_args(argv)
-    directory = args.directory
-    telemetry = _job_telemetry(args, "stats.repack")
-    try:
-        manifest = StoreManifest.load(directory)
-        if manifest.generation > manifest.compacted_generation:
-            if telemetry is not None:
-                telemetry.finish(ok=False, error="unfolded deltas")
-            print(
-                f"repro stats repack: {directory} has "
-                f"{manifest.generation - manifest.compacted_generation} "
-                "unfolded delta generation(s); fold them first with "
-                "'repro updates compact DIR' so the repacked base files "
-                "carry the current state",
-                file=sys.stderr,
-            )
-            return 2
-        load_began = time.perf_counter()
-        store = StatisticsStore.load(directory)
-        save_began = time.perf_counter()
-        store.save(directory, layout="flat")
-        save_done = time.perf_counter()
-        if telemetry is not None:
-            telemetry.trace.add_span("load", load_began, save_began - load_began)
-            telemetry.trace.add_span("save", save_began, save_done - save_began)
-    except ReproError as error:
-        if telemetry is not None:
-            telemetry.finish(ok=False, error=str(error))
-        print(f"repro stats repack: {error}", file=sys.stderr)
-        return 2
-    removed = []
-    for name in ("markov", "degrees", "sumrdf"):
-        legacy = directory / CATALOG_FILES[name]
-        if legacy.exists():
-            legacy.unlink()
-            removed.append(legacy.name)
-    total_bytes = inspect_artifact(directory)["total_bytes"]
-    if telemetry is not None:
-        telemetry.registry.gauge(
-            "repro_repack_total_bytes",
-            "Artifact size after repacking to the flat layout.",
-        ).set(total_bytes)
-        telemetry.finish(
-            ok=True, directory=str(directory), removed=len(removed)
-        )
-    print(
-        json.dumps(
-            {
-                "directory": str(directory),
-                "layout": "flat",
-                "removed": removed,
-                "total_bytes": total_bytes,
-                "mmap_capable": True,
-            },
-            indent=2,
-        )
-    )
-    return 0
-
-
 def build_updates_apply_parser() -> argparse.ArgumentParser:
     """The ``repro updates apply`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -688,8 +605,9 @@ def build_updates_apply_parser() -> argparse.ArgumentParser:
         description=(
             "Apply one edge-update batch to a statistics artifact: the "
             "catalogs are maintained incrementally (bit-identical to a "
-            "cold rebuild on the mutated graph) and a versioned "
-            "deltas/NNNN.json patch is appended for graph-free replay."
+            "cold rebuild on the mutated graph), a versioned "
+            "deltas/NNNN.json update log is appended, and the result is "
+            "published as the artifact's next generation image."
         ),
     )
     parser.add_argument("--stats-dir", type=Path, required=True, metavar="DIR",
@@ -704,8 +622,8 @@ def build_updates_apply_parser() -> argparse.ArgumentParser:
                         help="base dataset scale (default: from the manifest)")
     parser.add_argument("--compact-threshold", type=float, default=0.2,
                         metavar="FRACTION",
-                        help="fall back to a cold rebuild (compacting the "
-                             "artifact) when the effective update volume "
+                        help="fall back to a cold rebuild when the "
+                             "effective update volume "
                              "exceeds this fraction of the graph's edges "
                              "(default 0.2; artifacts with workload-primed "
                              "cycle rates/entropy stay incremental — the "
@@ -757,29 +675,17 @@ def _updates_base_graph(args: argparse.Namespace, manifest):
 
 def run_updates(argv: list[str]) -> int:
     """The ``repro updates`` subcommand; returns a process exit code."""
-    from repro.delta import apply_updates, compact_artifact, replay_graph
+    from repro.delta import apply_updates, replay_graph
     from repro.delta.maintain import config_from_manifest
     from repro.delta.updates import UpdateBatch
     from repro.stats.artifact import StoreManifest
 
-    if not argv or argv[0] not in ("apply", "replay", "compact"):
+    if not argv or argv[0] not in ("apply", "replay"):
         print(
-            "repro updates: expected a subcommand: apply | replay | "
-            "compact DIR",
+            "repro updates: expected a subcommand: apply | replay",
             file=sys.stderr,
         )
         return 2
-    if argv[0] == "compact":
-        if len(argv) != 2:
-            print("repro updates compact: expected one DIR", file=sys.stderr)
-            return 2
-        try:
-            summary = compact_artifact(argv[1])
-        except ReproError as error:
-            print(f"repro updates compact: {error}", file=sys.stderr)
-            return 2
-        print(json.dumps(summary, indent=2))
-        return 0
     if argv[0] == "apply":
         args = build_updates_apply_parser().parse_args(argv[1:])
         telemetry = _job_telemetry(args, "updates.apply")
@@ -829,7 +735,7 @@ def run_updates(argv: list[str]) -> int:
         "base_fingerprint": manifest.base_fingerprint,
         "fingerprint": manifest.dataset_fingerprint,
         "generation": manifest.generation,
-        "compacted_generation": manifest.compacted_generation,
+        "image": manifest.image,
         "deltas": [
             {
                 "generation": entry.get("generation"),
@@ -942,16 +848,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "sharing the port (SO_REUSEPORT), artifacts "
                              "loaded once pre-fork; 0 (default) serves "
                              "single-process in this process")
-    parser.add_argument("--mmap", action="store_true",
-                        help="memory-map flat-layout artifacts zero-copy "
-                             "instead of parsing them into private pages "
-                             "(legacy JSON layouts are refused with a "
-                             "pointer at 'repro stats repack')")
-    parser.add_argument("--no-shared-plane", action="store_true",
-                        help="fleet mode only: disable the /dev/shm shared "
-                             "statistics plane (one parsed artifact image "
-                             "per host) and give every worker its own "
-                             "private parse")
     parser.add_argument("--trace-log", default=None, metavar="PATH",
                         help="write per-request trace + slow-query records "
                              "as NDJSON to PATH (size-rotated at 32 MiB; "
@@ -996,14 +892,7 @@ def run_serve(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    plane = None
-    if args.workers > 0 and not args.no_shared_plane:
-        # Fleet mode: reloads fan out across N workers, so route them
-        # through the per-host shared image — one parse, N attaches.
-        from repro.stats.shm import SharedArtifactPlane
-
-        plane = SharedArtifactPlane.create()
-    registry = StoreRegistry(plane=plane, mmap=args.mmap)
+    registry = StoreRegistry()
     for item in args.tenant:
         name, separator, path = item.partition("=")
         if not separator or not name or not path:
@@ -1039,14 +928,13 @@ def run_serve(argv: list[str]) -> int:
         return 2
     if args.workers:
         # Fleet mode: the registry above was loaded pre-fork on purpose —
-        # workers inherit the artifact pages copy-on-write.
+        # workers inherit the mapped generation images.
         from repro.server import FleetSupervisor
 
         supervisor = FleetSupervisor(registry, config, workers=args.workers)
         try:
             supervisor.start()
         except (ReproError, OSError, RuntimeError) as error:
-            registry.release_shared()
             print(f"repro serve: {error}", file=sys.stderr)
             return 1
         return supervisor.run()

@@ -11,12 +11,12 @@ to ship — this package makes the repo's serving stack dynamic:
   the touched edges, plus discovery of newly non-empty patterns;
 * :mod:`repro.delta.maintain` — :func:`apply_updates`, the incremental
   maintainer producing catalogs bit-identical to a cold rebuild on the
-  mutated graph (with a compaction fallback past a volume threshold);
-* :mod:`repro.delta.deltafile` — versioned ``deltas/NNNN.json`` patch
-  artifacts that :meth:`~repro.stats.store.StatisticsStore.load`
-  replays graph-free and
-  :meth:`~repro.server.registry.StoreRegistry.apply_deltas` applies to
-  live tenants without dropping in-flight requests.
+  mutated graph (with a cold-rebuild fallback past a volume threshold),
+  which publishes every generation as a complete image that
+  :meth:`~repro.server.registry.StoreRegistry.apply_deltas` swaps live
+  tenants onto without dropping in-flight requests;
+* :mod:`repro.delta.deltafile` — versioned ``deltas/NNNN.json`` update
+  logs, the lineage and audit record of each generation.
 """
 
 from repro.delta.counting import (
@@ -27,15 +27,12 @@ from repro.delta.counting import (
 )
 from repro.delta.deltafile import (
     DELTA_FORMAT_VERSION,
-    apply_delta_payload,
-    clone_store,
     read_delta,
     write_delta,
 )
 from repro.delta.maintain import (
     MaintenanceOutcome,
     apply_updates,
-    compact_artifact,
     replay_graph,
 )
 from repro.delta.overlay import MutableGraphOverlay
@@ -64,9 +61,6 @@ __all__ = [
     "MaintenanceOutcome",
     "apply_updates",
     "replay_graph",
-    "compact_artifact",
     "read_delta",
     "write_delta",
-    "apply_delta_payload",
-    "clone_store",
 ]

@@ -1,62 +1,47 @@
-"""Versioned delta artifacts: one JSON patch file per update generation.
+"""Versioned delta files: one JSON update log per generation.
 
-A dynamic statistics artifact is its base catalog files plus a chain of
-``deltas/NNNN.json`` patch files, each produced by one applied update
-batch.  A delta file carries
+Every generation ``repro updates apply`` publishes is a complete image
+(see :mod:`repro.stats.artifact`); beside it the writer appends a
+``deltas/NNNN.json`` file, the lineage and audit record of that
+generation.  A delta file carries
 
 * **lineage** — generation number, parent → child dataset fingerprints
   and the applied-at timestamp (the manifest mirrors these, so a chain
   is verifiable from the manifest alone);
 * the **edge-update log** of the generation (``[op, src, dst, label]``
   rows), from which the mutated graph is re-derivable given the base
-  dataset;
-* **catalog patches** — Markov entries set/deleted, degree relations
-  replaced/deleted, entropy entries recomputed, resampled cycle rates
-  and rebuilt baseline summaries — everything
-  :meth:`~repro.stats.store.StatisticsStore.load` needs to replay the
-  generation *without* the graph;
+  dataset (:func:`repro.delta.maintain.replay_graph`);
+* the **catalog patches** the incremental maintainer computed — Markov
+  entries set/deleted, degree relations replaced/deleted, entropy
+  entries recomputed, resampled cycle rates and rebuilt baseline
+  summaries;
 * the **staleness ledger** recording, per catalog, whether the patch is
   exact (bit-identical to a cold rebuild) or merely refreshed (e.g.
   resampled cycle rates).
-
-:func:`apply_delta_payload` is the one replay routine, shared by
-graph-free loading and the server registry's live refresh;
-:func:`clone_store` supports the registry's copy-on-write refresh (the
-published store is never mutated while in-flight requests read it).
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.baselines.characteristic_sets import CharacteristicSetsEstimator
 from repro.baselines.sumrdf import SumRdfEstimator
-from repro.catalog.cycle_rates import CycleClosingRates
-from repro.catalog.degrees import DegreeCatalog, StatRelation
-from repro.catalog.entropy import EntropyCatalog
-from repro.catalog.markov import MarkovTable
 from repro.errors import DatasetError, check_format_version
-from repro.obs.offline import JobTelemetry
-from repro.query.canonical import canonical_key
-from repro.stats.artifact import DELTAS_DIR, StoreManifest, delta_file_name
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.stats.store import StatisticsStore
+from repro.stats.artifact import (
+    DELTAS_DIR,
+    delta_file_name,
+    fsync_dir,
+    fsync_file,
+    write_file_durably,
+)
 
 __all__ = [
     "DELTA_FORMAT_VERSION",
     "encode_keys",
-    "decode_keys",
     "read_delta",
     "write_delta",
-    "apply_delta_payload",
-    "replay_delta_chain",
-    "clone_store",
 ]
 
 DELTA_FORMAT_VERSION = 1
@@ -65,14 +50,6 @@ DELTA_FORMAT_VERSION = 1
 def encode_keys(keys) -> list:
     """Canonical pattern keys → JSON nested lists (sorted, stable)."""
     return [[list(atom) for atom in key] for key in sorted(keys)]
-
-
-def decode_keys(rows) -> list[tuple]:
-    """JSON nested lists → canonical pattern keys."""
-    return [
-        tuple((int(s), int(d), str(label)) for s, d, label in key)
-        for key in rows
-    ]
 
 
 def sumrdf_file_name(generation: int) -> str:
@@ -102,7 +79,7 @@ def write_delta(
     payload: dict,
     sumrdf: SumRdfEstimator | None = None,
 ) -> Path:
-    """Write one generation's patch file (plus SumRDF sibling) to disk."""
+    """Durably write one generation's update log (plus SumRDF sibling)."""
     directory = Path(directory)
     generation = int(payload["generation"])
     (directory / DELTAS_DIR).mkdir(parents=True, exist_ok=True)
@@ -111,224 +88,8 @@ def write_delta(
         np.savez_compressed(
             directory / sumrdf_file_name(generation), **sumrdf.to_artifact()
         )
+        fsync_file(directory / sumrdf_file_name(generation))
     path = directory / delta_file_name(generation)
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    write_file_durably(path, json.dumps(payload).encode("utf-8"))
+    fsync_dir(directory / DELTAS_DIR)
     return path
-
-
-def apply_delta_payload(
-    store: "StatisticsStore", payload: dict, directory: str | Path
-) -> None:
-    """Replay one delta patch onto an in-memory store (in place).
-
-    ``directory`` resolves patch-sibling files (the rebuilt SumRDF
-    summary).  Only catalog state is touched; manifest lineage is the
-    caller's concern (the on-disk manifest already reflects the chain).
-    """
-    try:
-        markov_patch = payload["markov"]
-        degrees_patch = payload["degrees"]
-        labels = payload["labels"]
-    except KeyError as error:
-        raise DatasetError(f"invalid statistics delta: missing {error}")
-    # Flat-backed catalogs must fold their array backing into the cache
-    # before set/delete below — a delete against the cache alone would
-    # leave the entry visible through the arrays.
-    store.markov.materialize()
-    store.degrees.materialize()
-    store.markov.labels = tuple(str(label) for label in labels)
-    store.markov.complete = bool(
-        markov_patch.get("complete", store.markov.complete)
-    )
-    for entry in markov_patch.get("set", []):
-        key = tuple(
-            (int(s), int(d), str(label)) for s, d, label in entry["key"]
-        )
-        store.markov._cache[key] = float(entry["count"])
-    for key in decode_keys(markov_patch.get("delete", [])):
-        store.markov._cache.pop(key, None)
-    store.degrees.complete = bool(
-        degrees_patch.get("complete", store.degrees.complete)
-    )
-    for artifact in degrees_patch.get("set", []):
-        relation = StatRelation.from_artifact(artifact)
-        store.degrees._cache[canonical_key(relation.pattern)] = relation
-    for key in decode_keys(degrees_patch.get("delete", [])):
-        store.degrees._cache.pop(key, None)
-    entropy_patch = payload.get("entropy")
-    if entropy_patch is not None and store.entropy is not None:
-        for entry in entropy_patch.get("set", []):
-            pattern_key = tuple(
-                (int(s), int(d), str(label)) for s, d, label in entry["key"]
-            )
-            variables = tuple(str(v) for v in entry["vars"])
-            store.entropy._cache[(pattern_key, variables)] = float(
-                entry["value"]
-            )
-    rates_patch = payload.get("cycle_rates")
-    if rates_patch is not None and store.cycle_rates is not None:
-        store.cycle_rates = CycleClosingRates.from_artifact(
-            rates_patch["replace"], store.cycle_rates.graph
-        )
-    cs_patch = payload.get("characteristic_sets")
-    if cs_patch is not None and store.characteristic_sets is not None:
-        store.characteristic_sets = CharacteristicSetsEstimator.from_artifact(
-            cs_patch["replace"]
-        )
-    sumrdf_file = payload.get("sumrdf_file")
-    if sumrdf_file is not None and store.sumrdf is not None:
-        try:
-            with np.load(Path(directory) / sumrdf_file) as data:
-                store.sumrdf = SumRdfEstimator.from_artifact(dict(data.items()))
-        except OSError as error:
-            raise DatasetError(
-                f"statistics delta is missing or has a corrupt "
-                f"{sumrdf_file}: {error}"
-            )
-
-
-def replay_delta_chain(
-    store: "StatisticsStore",
-    manifest: StoreManifest,
-    directory: str | Path,
-    from_generation: int = 0,
-    expected_fingerprint: str | None = None,
-    telemetry: JobTelemetry | None = None,
-) -> int:
-    """Verify a manifest's delta lineage and apply the unseen patches.
-
-    The one replay routine behind graph-free loading *and* the
-    registry's live refresh, so both enforce the same checks: every
-    entry must chain from its parent's fingerprint (starting at
-    ``base_fingerprint``), each applied patch file must claim the
-    generation the manifest records for it, and the chain must end on
-    the manifest's current ``dataset_fingerprint``.  Entries with
-    generation ≤ ``from_generation`` (already folded into the base
-    files, or already served) are chain-checked but not applied;
-    ``expected_fingerprint``, when given, asserts the chain passes
-    through the store's current fingerprint at exactly
-    ``from_generation``.  Returns the number of generations applied.
-
-    With ``telemetry``, every applied generation lands as a timed
-    ``generation`` span on the job trace plus a replayed-generations
-    counter — the per-generation visibility the offline ``repro obs``
-    toolkit reads.
-    """
-    fingerprint = manifest.base_fingerprint
-    if (
-        expected_fingerprint is not None
-        and from_generation == 0
-        and fingerprint != expected_fingerprint
-    ):
-        raise DatasetError(
-            f"store fingerprint {expected_fingerprint} does not match the "
-            f"artifact's base fingerprint {fingerprint}"
-        )
-    applied = 0
-    for entry in sorted(
-        manifest.deltas, key=lambda e: e.get("generation", 0)
-    ):
-        generation = int(entry.get("generation", 0))
-        if entry.get("parent_fingerprint") != fingerprint:
-            raise DatasetError(
-                f"broken delta lineage at generation {generation}: parent "
-                f"fingerprint {entry.get('parent_fingerprint')} != "
-                f"{fingerprint}"
-            )
-        fingerprint = str(entry.get("fingerprint", ""))
-        if generation <= from_generation:
-            if (
-                expected_fingerprint is not None
-                and generation == from_generation
-                and fingerprint != expected_fingerprint
-            ):
-                raise DatasetError(
-                    f"store fingerprint {expected_fingerprint} does not "
-                    f"match the lineage fingerprint {fingerprint} at "
-                    f"generation {generation}"
-                )
-            continue
-        file = entry.get("file")
-        if not file:
-            raise DatasetError(
-                f"generation {generation} has no persisted patch file "
-                "(applied in-memory); reload from the base catalog files "
-                "instead"
-            )
-        began = time.perf_counter()
-        payload = read_delta(directory, str(file))
-        if payload.get("generation") != generation:
-            raise DatasetError(
-                f"delta file {file} claims generation "
-                f"{payload.get('generation')}, manifest expects {generation}"
-            )
-        apply_delta_payload(store, payload, directory)
-        applied += 1
-        if telemetry is not None:
-            telemetry.trace.add_span(
-                "generation",
-                began,
-                time.perf_counter() - began,
-                generation=generation,
-                file=str(file),
-                inserts=int(entry.get("inserts", 0)),
-                deletes=int(entry.get("deletes", 0)),
-            )
-            telemetry.registry.counter(
-                "repro_delta_replayed_generations_total",
-                "Delta generations re-derived during graph replay.",
-            ).inc()
-    if manifest.deltas and fingerprint != manifest.dataset_fingerprint:
-        raise DatasetError(
-            f"delta chain ends at fingerprint {fingerprint} but the "
-            f"manifest claims {manifest.dataset_fingerprint}"
-        )
-    return applied
-
-
-def clone_store(store: "StatisticsStore") -> "StatisticsStore":
-    """A copy-on-write clone safe to patch while the original serves.
-
-    Catalog caches are copied; the heavyweight immutable values
-    (:class:`StatRelation` objects, baseline summaries) are shared —
-    patches only ever *replace* them, never mutate them in place.
-    """
-    from repro.stats.store import StatisticsStore
-
-    markov = MarkovTable(
-        store.markov.graph,
-        h=store.markov.h,
-        count_budget=store.markov.count_budget,
-        labels=store.markov.labels,
-        complete=store.markov.complete,
-        count_impl=store.markov.count_impl,
-    )
-    markov._cache = dict(store.markov._cache)
-    # Share the (read-only) flat array backing rather than materialising
-    # the *source* — decoding into a live store's cache would race its
-    # readers.  Whoever mutates the clone materialises the clone.
-    markov._flat = store.markov._flat
-    degrees = DegreeCatalog(
-        store.degrees.graph,
-        h=store.degrees.h,
-        max_rows=store.degrees.max_rows,
-        complete=store.degrees.complete,
-    )
-    degrees._cache = dict(store.degrees._cache)
-    degrees._flat = store.degrees._flat
-    entropy = None
-    if store.entropy is not None:
-        entropy = EntropyCatalog(
-            store.entropy.graph, max_rows=store.entropy.max_rows
-        )
-        entropy._cache = dict(store.entropy._cache)
-    return StatisticsStore(
-        manifest=StoreManifest.from_payload(store.manifest.to_payload()),
-        markov=markov,
-        degrees=degrees,
-        characteristic_sets=store.characteristic_sets,
-        sumrdf=store.sumrdf,
-        cycle_rates=store.cycle_rates,
-        entropy=entropy,
-        graph=store.graph,
-    )

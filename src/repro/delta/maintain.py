@@ -23,11 +23,12 @@ mutated graph — without rebuilding from scratch:
 
 When the effective update volume crosses ``compact_threshold`` of the
 graph, incremental bookkeeping stops paying for itself and
-:func:`apply_updates` falls back to a cold rebuild that also *compacts*
-the artifact (base files rewritten, earlier deltas folded in).
+:func:`apply_updates` falls back to a cold rebuild (mode
+``"compacted"``).  Either way, an apply with a ``directory`` appends
+the generation's ``deltas/NNNN.json`` update log and publishes the
+post-apply store as a new immutable generation image.
 :func:`replay_graph` re-derives the mutated graph from the base dataset
-plus the recorded update logs; :func:`compact_artifact` folds a delta
-chain into the base files without recounting anything.
+plus the recorded update logs.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ __all__ = [
     "config_from_manifest",
     "apply_updates",
     "replay_graph",
-    "compact_artifact",
 ]
 
 
@@ -286,13 +286,14 @@ def apply_updates(
     mutated graph (or falls back to an actual cold rebuild past
     ``compact_threshold``), swaps ``store.graph`` to the new generation
     and, when ``directory`` is given, appends the versioned
-    ``deltas/NNNN.json`` patch file and rewrites the manifest lineage.
+    ``deltas/NNNN.json`` update log and publishes the store as the
+    artifact's next generation image (:meth:`StatisticsStore.save`).
 
     ``telemetry`` (optional) records the apply as an offline-plane
     trace — a ``maintain`` span (the IVM / cold-rebuild work), a
-    ``persist`` span (patch file + manifest I/O), decision counters and
-    a lineage-age gauge — without perturbing the outcome or any
-    artifact bytes.
+    ``persist`` span (update log + generation image I/O), decision
+    counters and a lineage-age gauge — without perturbing the outcome or
+    any catalog bytes.
     """
     if store.graph is None:
         raise DatasetError(
@@ -394,11 +395,8 @@ def apply_updates(
     manifest.last_delta_at = applied_at
     manifest.complete = store.markov.complete and store.degrees.complete
     lineage = {
-        # In-memory applies (directory=None) persist no patch file; the
-        # entry still records the fingerprint chain, and the generation
-        # is marked compacted so a later store.save() yields an artifact
-        # whose base files already contain the patches and whose load
-        # replays nothing.
+        # In-memory applies (directory=None) persist no update log; the
+        # entry still records the fingerprint chain.
         "file": delta_file_name(generation) if directory is not None else None,
         "generation": generation,
         "parent_fingerprint": parent_fingerprint,
@@ -406,11 +404,9 @@ def apply_updates(
         "applied_at": applied_at,
         "inserts": len(inserts),
         "deletes": len(deletes),
-        "compacted": outcome.mode == "compacted" or directory is None,
+        "compacted": outcome.mode == "compacted",
     }
     manifest.deltas.append(lineage)
-    if outcome.mode == "compacted" or directory is None:
-        manifest.compacted_generation = generation
 
     persist_began = time.perf_counter()
     if directory is not None:
@@ -448,13 +444,9 @@ def apply_updates(
         )
         path = write_delta(directory, payload, sumrdf=sumrdf)
         outcome.delta_file = str(path.relative_to(directory))
-        if outcome.mode == "compacted":
-            # The base catalog files themselves are superseded: rewrite
-            # them so loads replay nothing and still land on this
-            # generation's catalogs.
-            store.save(directory)
-        else:
-            manifest.save(directory)
+        # The update log lands first: a crash before the swap leaves a
+        # log the manifest does not list, and readers keep the old image.
+        store.save(directory)
         if telemetry is not None:
             telemetry.trace.add_span(
                 "persist",
@@ -753,27 +745,3 @@ def replay_graph(
             f"manifest's current {manifest.dataset_fingerprint}"
         )
     return graph
-
-
-def compact_artifact(
-    directory: str | Path, graph: LabeledDiGraph | None = None
-) -> dict:
-    """Fold an artifact's delta chain into its base catalog files.
-
-    No recounting happens — the replayed in-memory catalogs are exact —
-    so compaction is pure I/O.  Delta files are kept for audit and graph
-    replay; ``compacted_generation`` tells loaders to skip them.
-    """
-    from repro.stats.store import StatisticsStore
-
-    directory = Path(directory)
-    store = StatisticsStore.load(directory, graph)
-    folded = store.manifest.generation - store.manifest.compacted_generation
-    store.manifest.compacted_generation = store.manifest.generation
-    store.save(directory)
-    return {
-        "directory": str(directory),
-        "generation": store.manifest.generation,
-        "folded_generations": folded,
-        "fingerprint": store.manifest.dataset_fingerprint,
-    }

@@ -19,9 +19,8 @@ sampling rate without touching the request path:
 The reference graph is resolved from the audited tenant's artifact
 manifest (``dataset_name`` + build ``scale``) through
 :func:`repro.datasets.presets.load_dataset`, so the probe needs no
-extra configuration beyond a rate.  It is fork-safe the same way the
-shared-memory plane is: the worker thread is keyed to the owning pid
-and restarts lazily in a forked child.
+extra configuration beyond a rate.  It is fork-safe: the worker thread
+is keyed to the owning pid and restarts lazily in a forked child.
 """
 
 from __future__ import annotations

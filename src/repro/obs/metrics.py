@@ -25,8 +25,7 @@ Design points:
   enough for the worker-thread stage histograms (a lost increment under
   a torn race costs one sample, never a crash).
 * **Callback metrics** export values owned elsewhere (the coalescer's
-  counters, ``stats.store.parse_count``, the shared-plane
-  publish/attach counts) without double accounting: the callback is
+  counters, ``stats.store.parse_count``) without double accounting: the callback is
   polled at render time and returns either a scalar or a
   ``{label_values_tuple: value}`` map.
 * **Quantiles from buckets**: :func:`quantile_from_buckets` linearly

@@ -1,8 +1,8 @@
 """Offline-plane telemetry: batch jobs emit the server's record shape.
 
 The serving tier threads a :class:`~repro.obs.telemetry.Telemetry`
-through every request; the offline jobs — ``repro stats build``,
-``repro updates apply``/``replay``, ``repro stats repack`` — thread a
+through every request; the offline jobs — ``repro stats build`` and
+``repro updates apply``/``replay`` — thread a
 :class:`JobTelemetry` through one *job*.  The contract is deliberately
 identical: spans land in the same NDJSON record shape
 (``type: "trace"``, ``trace_id``, ``verb``, ``spans: [...]``) so one

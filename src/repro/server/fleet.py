@@ -35,12 +35,12 @@ consistent-hash assignment (shape caches warm once, not N times), and
 workers use it to fan ``reload``/``apply_deltas``/``shutdown``/``stats``
 out to their peers.
 
-**Zero-copy statistics.**  The registry — every tenant's NPZ-backed
-arrays — is loaded exactly once, in the supervisor, before any fork.
-Workers never write to store pages (serving is read-only; hot reloads
-build *new* pages), so Linux copy-on-write keeps one physical copy of
-the artifact shared by all N workers: per-worker unique RSS stays near
-flat as N grows (the load benchmark measures this via
+**Zero-copy statistics.**  The registry — every tenant's memory-mapped
+generation image — is loaded once, in the supervisor, before any fork.
+A hot swap maps the new generation's immutable ``catalogs.npz`` in each
+worker; mappings of one file share the page cache, so the artifact has
+one physical copy however many workers serve it, and per-worker unique
+RSS stays near flat as N grows (the load benchmark measures this via
 ``/proc/<pid>/smaps_rollup``).
 
 **Supervision.**  The supervisor's only job after the fork is
@@ -50,8 +50,8 @@ exponential backoff on the *same* inherited sockets — the listening fds
 the supervisor, so a crash loses in-flight requests at most once, typed
 as transients, never silently.  A restarted worker calls
 :meth:`~repro.server.registry.StoreRegistry.refresh_if_stale` per tenant
-before accepting, catching its fork-time registry snapshot up with delta
-batches its peers already absorbed.  Workers exiting 0 (the ``shutdown``
+before accepting, catching its fork-time registry snapshot up with the
+generations its peers already swapped to.  Workers exiting 0 (the ``shutdown``
 verb, or a SIGTERM drain) are not restarted.
 """
 
@@ -333,14 +333,8 @@ class FleetSupervisor:
         for position, sock in enumerate(self._direct_sockets):
             if position != index:
                 sock.close()
-        # Count this worker as its own user of every inherited shared
-        # segment (fork copies the mapping, not the registration) —
-        # before refresh_if_stale, which may attach/publish segments of
-        # its own.  A restarted worker's refresh attaches the *live*
-        # image its peers already published rather than re-parsing.
-        self.registry.reattach_shared()
         # A restarted worker inherits the registry as of the original
-        # fork; catch up with any delta batches applied on disk since.
+        # fork; catch up with any generations published on disk since.
         # Failures here are survivable: the worker serves its fork-time
         # snapshot and a fleet-wide apply_deltas can still converge it.
         for name in self.registry.names():
@@ -371,12 +365,7 @@ class FleetSupervisor:
             os.close(ready_fd)
             await server.run_until_shutdown()
 
-        try:
-            asyncio.run(main())
-        finally:
-            # Deregister from every shared segment on the way out so the
-            # last process of the fleet unlinks them (no /dev/shm leak).
-            self.registry.release_shared()
+        asyncio.run(main())
         return 0
 
     # ------------------------------------------------------------------
@@ -493,9 +482,6 @@ class FleetSupervisor:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
             self._close_sockets()
-            # The supervisor is usually the last registrant standing;
-            # releasing here unlinks every surviving shared segment.
-            self.registry.release_shared()
         self.emit({"event": "stopped"})
         return exit_code
 

@@ -12,13 +12,22 @@ a tenant's artifact mid-traffic can never fail a request that was
 already admitted: old and new sessions coexist until the last reader of
 the old one finishes.
 
-Hot-reload validates the incoming artifact before the swap: the
-manifest must parse (format-version checked by
-:meth:`StatisticsStore.load`) and its dataset fingerprint must match the
-version currently served — a registry refuses to silently repoint a
-tenant at statistics of a *different* dataset unless the caller passes
-``allow_fingerprint_change=True`` (the "this tenant's data really was
-regenerated" escape hatch).
+Every write goes through one path: memory-map the generation image an
+artifact's manifest names (:meth:`StatisticsStore.load` with
+``mmap=True``) and publish it.  Images are immutable, so the mapped
+pages are the page cache's — forked workers serving the same
+generation share them — and an image is never rewritten under a
+reader.  The three write verbs differ only in the check they run
+before publishing:
+
+* :meth:`reload` (any directory) requires the dataset fingerprint to
+  match the version currently served — a registry refuses to silently
+  repoint a tenant at statistics of a *different* dataset unless the
+  caller passes ``allow_fingerprint_change=True`` (the "this tenant's
+  data really was regenerated" escape hatch);
+* :meth:`apply_deltas` and :meth:`refresh_if_stale` (the tenant's own
+  directory) require the new generation's delta lineage to pass
+  through the served fingerprint at the served generation.
 """
 
 from __future__ import annotations
@@ -63,11 +72,6 @@ class TenantEntry:
     #: ``time.monotonic()`` at publication — the clock behind the
     #: ``generation_age_seconds`` staleness signal (wall-clock-safe).
     loaded_monotonic: float = field(default_factory=time.monotonic)
-    #: The shared-memory segment this entry's arrays view into (a
-    #: :class:`repro.stats.shm.SegmentHandle`), or None for a private
-    #: disk parse.  Kept on the entry so the mapping outlives every
-    #: in-flight request against this generation.
-    shm: Any = None
 
     @property
     def fingerprint(self) -> str:
@@ -93,7 +97,7 @@ class TenantEntry:
             "molp_h": manifest.molp_h,
             "complete": manifest.complete,
             "catalogs": list(manifest.catalogs),
-            "shm_segment": self.shm.name if self.shm is not None else None,
+            "image": manifest.image,
             "cache": self.session.stats().as_dict(),
         }
 
@@ -101,22 +105,11 @@ class TenantEntry:
 class StoreRegistry:
     """Named, hot-reloadable statistics stores for a serving process."""
 
-    def __init__(
-        self,
-        plane: Any = None,
-        mmap: bool = False,
-        **session_kwargs: Any,
-    ):
+    def __init__(self, **session_kwargs: Any):
         #: Keyword arguments forwarded to every ``store.session(...)``
         #: (e.g. LRU capacities); fixed for the registry's lifetime so
         #: a reloaded tenant serves with the same cache configuration.
         self._session_kwargs = dict(session_kwargs)
-        #: Optional :class:`repro.stats.shm.SharedArtifactPlane`: loads
-        #: and reloads go through one shared per-host image instead of a
-        #: private parse per process (see :meth:`_load_store`).
-        self._plane = plane
-        #: Whether disk parses memory-map flat artifacts zero-copy.
-        self._mmap = bool(mmap)
         self._lock = threading.Lock()
         self._tenants: dict[str, TenantEntry] = {}
 
@@ -142,51 +135,28 @@ class StoreRegistry:
     # ------------------------------------------------------------------
     # Writes (atomic publication)
     # ------------------------------------------------------------------
-    def _load_store(self, path: Path) -> tuple[StatisticsStore, Any]:
-        """A store for ``path``, through the shared plane when present.
-
-        With a plane, the first process on the host parses the artifact
-        once and publishes its image; everyone else (this call included,
-        when a peer won) attaches the same shared pages and rebuilds the
-        store zero-copy.  Any shared-memory trouble falls back to an
-        ordinary private parse — the plane is an optimisation, never a
-        availability dependency.
-        """
-        plane = self._plane
-        if plane is None:
-            return StatisticsStore.load(path, mmap=self._mmap), None
-        from repro.stats.flatpack import store_from_image, store_to_image
-
-        key = plane.store_key(path)
-
-        def build() -> tuple[dict, dict]:
-            return store_to_image(
-                StatisticsStore.load(path, mmap=self._mmap)
-            )
-
-        try:
-            meta, arrays, handle = plane.acquire(key, build)
-            return store_from_image(meta, arrays), handle
-        except DatasetError:
-            # Either the plane itself failed (fall back to a private
-            # parse) or the artifact is invalid (the parse below raises
-            # the same validation error the caller expects).
-            return StatisticsStore.load(path, mmap=self._mmap), None
-
     def _build_entry(
         self, name: str, path: str | Path, generation: int
     ) -> TenantEntry:
+        """Map the newest generation image under ``path``."""
         path = Path(path)
-        store, handle = self._load_store(path)
-        session = store.session(**self._session_kwargs)
+        store = StatisticsStore.load(path, mmap=True)
         return TenantEntry(
             name=name,
             path=path,
             store=store,
-            session=session,
+            session=store.session(**self._session_kwargs),
             generation=generation,
-            shm=handle,
         )
+
+    def _current(self, name: str, action: str) -> TenantEntry:
+        current = self._tenants.get(name)
+        if current is None:
+            raise DatasetError(
+                f"cannot {action} unknown tenant {name!r}; "
+                f"registered tenants: {self.names()}"
+            )
+        return current
 
     def load(self, name: str, path: str | Path) -> TenantEntry:
         """Register a tenant from an artifact directory (generation 1).
@@ -211,19 +181,14 @@ class StoreRegistry:
         path: str | Path | None = None,
         allow_fingerprint_change: bool = False,
     ) -> TenantEntry:
-        """Atomically swap a tenant to a (possibly new) artifact version.
+        """Atomically swap a tenant to an artifact's newest generation.
 
         The replacement is loaded and validated entirely before the
         swap, so a bad artifact leaves the old version serving
         untouched.  ``path=None`` re-reads the tenant's current
-        directory (picking up an in-place artifact refresh).
+        directory.
         """
-        current = self._tenants.get(name)
-        if current is None:
-            raise DatasetError(
-                f"cannot reload unknown tenant {name!r}; "
-                f"registered tenants: {self.names()}"
-            )
+        current = self._current(name, "reload")
         target = Path(path) if path is not None else current.path
         entry = self._build_entry(name, target, current.generation + 1)
         if (
@@ -253,203 +218,72 @@ class StoreRegistry:
         return entry
 
     def apply_deltas(self, name: str) -> tuple[TenantEntry, int]:
-        """Refresh a tenant from its artifact's on-disk delta chain.
+        """Swap a tenant to the newest generation of its own directory.
 
-        The live-refresh path of the dynamic-graph subsystem: instead of
-        re-reading the whole artifact, the tenant's current in-memory
-        store is cloned copy-on-write and only the delta generations it
-        has not seen yet are replayed onto the clone, which is then
-        published as a new entry — in-flight requests keep the entry
-        they captured, exactly as with :meth:`reload`.  Fingerprint
-        continuity is enforced by the delta chain itself (each patch
-        names its parent), so no ``allow_fingerprint_change`` escape
-        hatch exists on this path.
+        The live-refresh path of the dynamic-graph subsystem: the
+        offline writer published each applied update batch as a new
+        generation image, so refreshing is one manifest read plus, when
+        the artifact moved, one memory-mapped load — in-flight requests
+        keep the entry they captured, exactly as with :meth:`reload`.
+        The new generation's delta lineage must pass through the served
+        fingerprint at the served generation (a rebuilt or foreign
+        artifact needs :meth:`reload` with ``allow_fingerprint_change``).
 
         Returns ``(entry, applied)`` where ``applied`` counts the
-        generations replayed (0 means the tenant was already current
-        and no new entry was published).  Falls back to a full
-        :meth:`reload` when the artifact was compacted past the served
-        generation (the base files superseded the patches).
+        generations the swap advanced (0 means the tenant was already
+        current and no new entry was published).
         """
-        from repro.delta.deltafile import clone_store, replay_delta_chain
-
-        current = self._tenants.get(name)
-        if current is None:
-            raise DatasetError(
-                f"cannot apply deltas to unknown tenant {name!r}; "
-                f"registered tenants: {self.names()}"
-            )
-        manifest = StoreManifest.load(current.path)
-        served = current.store.manifest.generation
-        if manifest.generation <= served:
-            return current, 0
-        if manifest.compacted_generation > served:
-            # The patches the tenant is missing were folded into the
-            # base files; replaying is impossible, so load those.  The
-            # fingerprint moved, but legitimately — require the served
-            # fingerprint to appear in the recorded lineage before
-            # waiving reload's continuity check.
-            lineage = {manifest.base_fingerprint} | {
-                str(entry.get(field, ""))
-                for entry in manifest.deltas
-                for field in ("parent_fingerprint", "fingerprint")
-            }
-            if current.fingerprint not in lineage:
-                raise DatasetError(
-                    f"tenant {name!r} serves fingerprint "
-                    f"{current.fingerprint}, which is not in the compacted "
-                    f"artifact's delta lineage; use reload with "
-                    "allow_fingerprint_change to repoint it"
-                )
-            entry = self.reload(name, allow_fingerprint_change=True)
-            return entry, manifest.generation - served
-        store = None
-        handle = None
-        applied = manifest.generation - served
-        if self._plane is not None:
-            # A sibling worker may already have replayed this batch and
-            # published the refreshed image — attach its shared pages
-            # instead of paying a per-process clone-and-replay.
-            attached = self._attach_image(
-                current.path, min_generation=manifest.generation
-            )
-            if attached is not None:
-                store, handle = attached
-        if store is None:
-            store = clone_store(current.store)
-            applied = replay_delta_chain(
-                store,
-                manifest,
-                current.path,
-                from_generation=served,
-                expected_fingerprint=store.manifest.dataset_fingerprint,
-            )
-            store.manifest = manifest
-            if self._plane is not None:
-                store, handle = self._publish_image(current.path, store)
-        session = store.session(**self._session_kwargs)
-        replacement = TenantEntry(
-            name=name,
-            path=current.path,
-            store=store,
-            session=session,
-            generation=current.generation + 1,
-            shm=handle,
-        )
-        with self._lock:
-            live = self._tenants.get(name)
-            if live is None:
-                raise DatasetError(
-                    f"tenant {name!r} was removed during delta refresh"
-                )
-            if live is not current:
-                # Unlike reload (whose entry is freshly read from disk),
-                # this clone derives from the entry captured *before*
-                # the replay — publishing it over a concurrent
-                # reload/refresh would silently revert the tenant.
-                raise DatasetError(
-                    f"tenant {name!r} changed during the delta refresh "
-                    "(concurrent reload?); retry apply_deltas"
-                )
-            self._publish(name, replacement)
-        return replacement, applied
+        return self._swap_to_newest(name, "apply deltas to")
 
     def refresh_if_stale(self, name: str) -> tuple[TenantEntry, int]:
         """Catch a tenant up with its on-disk artifact, if it moved.
 
         The restart-convergence path of the worker fleet: a worker
         re-forked after a crash inherits the supervisor's registry
-        snapshot from fork time, which may predate ``apply_deltas``
-        batches its peers already absorbed.  Compares the on-disk
-        manifest against the served store and delegates to
-        :meth:`apply_deltas` when the artifact advanced; a tenant that
-        is already current costs one manifest read and publishes
-        nothing.  Returns ``(entry, applied)`` like :meth:`apply_deltas`.
+        snapshot from fork time, which may predate generations its
+        peers already swapped to.  Same swap and checks as
+        :meth:`apply_deltas`; a tenant that is already current costs
+        one manifest read and publishes nothing.
         """
-        current = self._tenants.get(name)
-        if current is None:
-            raise DatasetError(
-                f"cannot refresh unknown tenant {name!r}; "
-                f"registered tenants: {self.names()}"
-            )
-        manifest = StoreManifest.load(current.path)
-        if manifest.generation <= current.store.manifest.generation:
+        return self._swap_to_newest(name, "refresh")
+
+    def _swap_to_newest(
+        self, name: str, action: str
+    ) -> tuple[TenantEntry, int]:
+        current = self._current(name, action)
+        served = current.store.manifest.generation
+        if StoreManifest.load(current.path).generation <= served:
             return current, 0
-        return self.apply_deltas(name)
-
-    def _attach_image(
-        self, path: Path, min_generation: int
-    ) -> tuple[StatisticsStore, Any] | None:
-        """A (store, handle) over a peer's published image, or None."""
-        from repro.stats.flatpack import store_from_image
-
-        plane = self._plane
-        try:
-            handle = plane.try_attach(plane.store_key(path))
-            if handle is None:
-                return None
-            store = store_from_image(handle.meta, handle.arrays())
-        except (OSError, DatasetError):
-            return None
-        if store.manifest.generation < min_generation:
-            handle.close()
-            return None
-        return store, handle
-
-    def _publish_image(
-        self, path: Path, store: StatisticsStore
-    ) -> tuple[StatisticsStore, Any]:
-        """Publish a refreshed in-memory store; serve the shared copy.
-
-        Sibling processes refreshing the same tenant then attach instead
-        of replaying; on plane failure the private store serves as-is.
-        """
-        from repro.stats.flatpack import store_from_image, store_to_image
-
-        plane = self._plane
-        try:
-            meta, arrays, handle = plane.acquire(
-                plane.store_key(path), lambda: store_to_image(store)
+        entry = self._build_entry(name, current.path, current.generation + 1)
+        manifest = entry.store.manifest
+        if manifest.lineage_fingerprint(served) != current.fingerprint:
+            raise DatasetError(
+                f"tenant {name!r} serves fingerprint {current.fingerprint} "
+                f"at generation {served}, which is not in the delta lineage "
+                f"of {current.path}; use reload with "
+                "allow_fingerprint_change to repoint it"
             )
-            return store_from_image(meta, arrays), handle
-        except (OSError, DatasetError):
-            return store, None
-
-    # ------------------------------------------------------------------
-    # Shared-segment lifecycle (worker fleet hooks)
-    # ------------------------------------------------------------------
-    def reattach_shared(self) -> None:
-        """Register this process on every inherited segment (post-fork).
-
-        A forked worker inherits the supervisor's mappings but not its
-        refcount registration; each worker must count as its own user so
-        the segment survives the supervisor or any sibling exiting.
-        """
-        for entry in self._tenants.values():
-            if entry.shm is not None:
-                entry.shm.reattach()
-
-    def release_shared(self) -> None:
-        """Deregister every segment; the last process out unlinks them."""
-        for entry in self._tenants.values():
-            if entry.shm is not None:
-                entry.shm.close()
-
-    def plane_stats(self) -> dict[str, Any] | None:
-        """The shared plane's publish/attach counters, or None."""
-        return self._plane.stats() if self._plane is not None else None
+        with self._lock:
+            live = self._tenants.get(name)
+            if live is None:
+                raise DatasetError(
+                    f"tenant {name!r} was removed during the delta refresh"
+                )
+            if live is not current:
+                # A concurrent reload may have repointed the tenant at
+                # another directory; publishing this generation of the
+                # old one over it would silently revert that.
+                raise DatasetError(
+                    f"tenant {name!r} changed during the delta refresh "
+                    "(concurrent reload?); retry apply_deltas"
+                )
+            self._publish(name, entry)
+        return entry, manifest.generation - served
 
     def _publish(self, name: str, entry: TenantEntry) -> None:
-        old = self._tenants.get(name)
         # Replace the whole dict so readers only ever see a fully
         # consistent mapping (dict reads are atomic under the GIL, but
         # swapping the reference keeps the invariant obvious).
         tenants = dict(self._tenants)
         tenants[name] = entry
         self._tenants = tenants
-        if old is not None and old.shm is not None and old.shm is not entry.shm:
-            # Deregister this process from the replaced generation's
-            # segment.  The mapping itself stays valid for in-flight
-            # requests (an unlinked tmpfs file lives until the last map
-            # closes); only the /dev/shm name is allowed to disappear.
-            old.shm.close()

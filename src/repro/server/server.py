@@ -70,6 +70,7 @@ from repro.server.coalescer import SingleFlight
 from repro.server.protocol import ProtocolError, Request
 from repro.server.registry import StoreRegistry, TenantEntry
 from repro.service.session import EstimatorSpec
+from repro.stats.artifact import CATALOG_ARRAYS_FILE, image_sequence
 from repro.stats.store import parse_count as stats_parse_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -205,7 +206,7 @@ class EstimationServer:
 
         Built in ``__init__`` — which fleet workers run *post-fork* —
         so every process opens its own trace-log fd and owns its own
-        registry.  Counters owned elsewhere (coalescer, artifact plane,
+        registry.  Counters owned elsewhere (coalescer, artifact loads,
         admission state) export through render-time callbacks instead
         of double accounting.
         """
@@ -285,50 +286,8 @@ class EstimationServer:
         )
         registry.counter(
             "repro_artifact_disk_parses_total",
-            "Statistics artifacts parsed from disk in this process.",
+            "Statistics generation images loaded from disk in this process.",
             callback=stats_parse_count,
-        )
-        registry.counter(
-            "repro_artifact_plane_publishes_total",
-            "Artifact images published to the shared-memory plane.",
-            callback=lambda: (self.registry.plane_stats() or {}).get(
-                "publishes", 0
-            ),
-        )
-        registry.counter(
-            "repro_artifact_plane_attaches_total",
-            "Artifact images attached from the shared-memory plane.",
-            callback=lambda: (self.registry.plane_stats() or {}).get(
-                "attaches", 0
-            ),
-        )
-        registry.counter(
-            "repro_artifact_plane_steals_total",
-            "Dead builders' claims stolen (crash-safe publish recovery).",
-            callback=lambda: (self.registry.plane_stats() or {}).get(
-                "steals", 0
-            ),
-        )
-        registry.counter(
-            "repro_artifact_plane_prunes_total",
-            "Dead pids swept from segment refcount tables.",
-            callback=lambda: (self.registry.plane_stats() or {}).get(
-                "prunes", 0
-            ),
-        )
-        registry.gauge(
-            "repro_artifact_plane_segments",
-            "Published shared-memory images currently on this host.",
-            callback=lambda: (self.registry.plane_stats() or {}).get(
-                "segments", 0
-            ),
-        )
-        registry.gauge(
-            "repro_artifact_plane_segment_bytes",
-            "Total bytes of the published shared-memory images.",
-            callback=lambda: (self.registry.plane_stats() or {}).get(
-                "segment_bytes", 0
-            ),
         )
         registry.counter(
             "repro_admission_shed_total",
@@ -1222,11 +1181,13 @@ class EstimationServer:
         }
         result["memory"] = _process_memory()
         result["memory"]["mapped"] = _mapped_statistics_memory()
-        plane = self.registry.plane_stats()
+        # Every load memory-maps a generation image from disk, so
+        # nothing is published or attached any more; the two fields stay
+        # at 0 for readers of the older shape.
         result["artifact_plane"] = {
             "disk_parses": stats_parse_count(),
-            "shared": plane is not None,
-            **(plane or {}),
+            "publishes": 0,
+            "attaches": 0,
         }
         if self.fleet is not None:
             result["worker"] = {
@@ -1244,7 +1205,7 @@ def _process_memory() -> dict[str, float]:
     """This process's RSS/PSS/USS in kB (Linux ``smaps_rollup``).
 
     USS (private pages only) is the honest marginal cost of one worker
-    under the shared statistics plane; platforms without smaps_rollup
+    whose statistics pages are shared mappings; platforms without smaps_rollup
     report zeros rather than failing the stats verb.
     """
     fields: dict[str, float] = {}
@@ -1275,10 +1236,13 @@ _SMAPS_HEADER = None
 def _mapped_statistics_memory() -> list[dict[str, Any]]:
     """Mapped-vs-resident bytes of this process's statistics mappings.
 
-    Walks ``/proc/self/smaps`` for shared-plane segments (``repro-img-*``)
-    and mmap-ed flat artifacts (``catalogs.npz``): ``mapped_kb`` is the
-    address-space reservation, ``rss_kb`` the pages actually resident —
-    the operator's view of how much of a catalog a worker has touched.
+    Walks ``/proc/self/smaps`` for memory-mapped generation images
+    (``.../gen-NNNN/catalogs.npz``), one row per image path:
+    ``mapped_kb`` is the address-space reservation, ``rss_kb`` the pages
+    actually resident — the operator's view of how much of a catalog a
+    worker has touched.  ``deleted`` marks an image the writer already
+    pruned that this process still maps (an in-flight or fork-time
+    generation).
     """
     global _SMAPS_HEADER
     if _SMAPS_HEADER is None:
@@ -1289,18 +1253,27 @@ def _mapped_statistics_memory() -> list[dict[str, Any]]:
         lines = Path("/proc/self/smaps").read_text().splitlines()
     except OSError:  # pragma: no cover - non-Linux
         return []
-    segments: dict[str, dict[str, Any]] = {}
+    images: dict[str, dict[str, Any]] = {}
     current: dict[str, Any] | None = None
     for line in lines:
         if _SMAPS_HEADER.match(line):
+            fields = line.split(maxsplit=5)
+            path = fields[5] if len(fields) == 6 else ""
+            deleted = path.endswith(" (deleted)")
+            path = path.removesuffix(" (deleted)")
+            mapped = Path(path)
             current = None
-            name = line.split()[-1] if line.count(" ") >= 5 else ""
-            base = name.rsplit("/", 1)[-1]
-            if base.startswith("repro-img-") or base.endswith(
-                "catalogs.npz"
+            if mapped.name == CATALOG_ARRAYS_FILE and (
+                image_sequence(mapped.parent.name) is not None
             ):
-                current = segments.setdefault(
-                    base, {"name": base, "mapped_kb": 0.0, "rss_kb": 0.0}
+                current = images.setdefault(
+                    path,
+                    {
+                        "name": path,
+                        "deleted": deleted,
+                        "mapped_kb": 0.0,
+                        "rss_kb": 0.0,
+                    },
                 )
         elif current is not None:
             parts = line.split()
@@ -1308,7 +1281,7 @@ def _mapped_statistics_memory() -> list[dict[str, Any]]:
                 current["mapped_kb"] += float(parts[1])
             elif parts and parts[0] == "Rss:":
                 current["rss_kb"] += float(parts[1])
-    return sorted(segments.values(), key=lambda s: s["name"])
+    return sorted(images.values(), key=lambda s: s["name"])
 
 
 def _aggregate_fleet_stats(
@@ -1323,16 +1296,7 @@ def _aggregate_fleet_stats(
         "deadline_exceeded_total": 0,
         "abandoned": 0,
     }
-    # Summable plane counters only: segments/segment_bytes are per-host
-    # point-in-time readings every worker reports identically, so a sum
-    # would multiply them by the fleet size.
-    plane = {
-        "disk_parses": 0,
-        "publishes": 0,
-        "attaches": 0,
-        "steals": 0,
-        "prunes": 0,
-    }
+    loads = {"disk_parses": 0, "publishes": 0, "attaches": 0}
     memory = {"uss_kb_total": 0.0, "uss_kb_max": 0.0, "rss_kb_max": 0.0}
     reporting = 0
     for _index, slot in sorted(workers.items(), key=lambda kv: int(kv[0])):
@@ -1343,9 +1307,9 @@ def _aggregate_fleet_stats(
         requests = stats.get("requests") or {}
         totals["requests_total"] += int(requests.get("total", 0))
         by_verb.update(requests.get("by_verb") or {})
-        worker_plane = stats.get("artifact_plane") or {}
-        for field in plane:
-            plane[field] += int(worker_plane.get(field, 0))
+        worker_loads = stats.get("artifact_plane") or {}
+        for field in loads:
+            loads[field] += int(worker_loads.get(field, 0))
         worker_memory = stats.get("memory") or {}
         memory["uss_kb_total"] += float(worker_memory.get("uss_kb", 0.0))
         memory["uss_kb_max"] = max(
@@ -1378,7 +1342,7 @@ def _aggregate_fleet_stats(
         "workers_reporting": reporting,
         "by_verb": dict(by_verb),
         "tenants": tenants,
-        "artifact_plane": plane,
+        "artifact_plane": loads,
         "memory": memory,
         **totals,
     }

@@ -8,8 +8,9 @@ estimation time.  This package is that separation:
 * :func:`build_statistics` — the **build plane**: bulk-enumerate and
   batch-count every summary a configured estimator suite needs;
 * :class:`StatisticsStore` — the artifact facade: one versioned
-  directory (`manifest.json` + JSON/NPZ per catalog) written by
-  :meth:`~StatisticsStore.save` and reloaded by
+  directory of immutable generation images (see
+  :mod:`repro.stats.artifact`) published by
+  :meth:`~StatisticsStore.save` and memory-mapped by
   :meth:`~StatisticsStore.load`;
 * the **serve plane**: ``store.session()`` (or
   ``EstimationSession(store=...)``) serves estimates bit-identical to

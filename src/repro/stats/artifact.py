@@ -1,55 +1,72 @@
 """Versioned on-disk layout for statistics artifacts.
 
-One artifact directory holds everything the serving plane needs.  The
-default ``layout: "flat"`` keeps the array-heavy catalogs columnar and
-mmap-able::
+An artifact directory holds one immutable *generation image* per
+published state, plus the manifest naming the current one::
 
     <dir>/
-      manifest.json             # format version, fingerprint, layout, config
-      catalogs.npz              # markov/degrees/sumrdf as aligned arrays
-      catalogs.meta.json        # vocabularies, flags, irregular fallbacks
-      cycle_rates.json          # optional: CycleClosingRates.to_artifact()
-      entropy.json              # optional: EntropyCatalog.to_artifact()
-      characteristic_sets.json  # CharacteristicSetsEstimator.to_artifact()
+      manifest.json               # format version, fingerprint, lineage,
+                                  # config, and "image": the current one
+      gen-0003/                   # the current generation image
+        manifest.json             # the same manifest, frozen with it
+        catalogs.npz              # markov/degrees/sumrdf as aligned arrays
+        catalogs.meta.json        # vocabularies, flags, irregular fallbacks
+        cycle_rates.json          # optional: CycleClosingRates.to_artifact()
+        entropy.json              # optional: EntropyCatalog.to_artifact()
+        characteristic_sets.json  # CharacteristicSetsEstimator.to_artifact()
+      gen-0002/                   # the previous image (in-flight readers)
+      deltas/0001.json ...        # lineage: one update log per generation
 
-The legacy ``layout: "json"`` spells the same catalogs as one file each
-(``markov.json`` / ``degrees.json`` / ``sumrdf.npz``); loads accept
-both, ``repro stats repack`` converts old artifacts in place.
+A writer (``repro stats build``, ``repro updates apply``) never touches
+a published image: it writes the next one under a temporary name,
+fsyncs it, renames it into place and only then replaces the root
+``manifest.json`` (tmp + ``os.replace``).  A reader therefore sees the
+old generation or the new one, never a mix, and a memory-mapped image
+never changes under it.  Images older than the previous one are
+deleted after the swap.
 
 The manifest carries a *dataset fingerprint* — a content hash of the
 graph's relations — so a serving process can refuse statistics built
-from a different dataset, and a ``format_version`` checked with the same
-friendly :class:`~repro.errors.DatasetError` the per-catalog artifacts
-use.
+from a different dataset, and a ``format_version`` checked with a
+friendly :class:`~repro.errors.DatasetError`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import DatasetError, check_format_version
+from repro.errors import DatasetError
 from repro.graph.digraph import LabeledDiGraph
 
 __all__ = [
     "STORE_FORMAT_VERSION",
     "CHECKPOINT_FORMAT_VERSION",
     "MANIFEST_FILE",
-    "CATALOG_FILES",
     "CATALOG_ARRAYS_FILE",
     "CATALOG_META_FILE",
-    "SIDECAR_CATALOGS",
+    "SIDECAR_FILES",
     "DELTAS_DIR",
     "BUILD_STATE_DIR",
     "CHECKPOINT_FILE",
     "delta_file_name",
+    "image_name",
+    "image_sequence",
+    "image_dir",
+    "write_file_durably",
+    "fsync_file",
+    "fsync_dir",
     "StoreManifest",
     "dataset_fingerprint",
 ]
 
-STORE_FORMAT_VERSION = 1
+#: Version 2: one immutable image directory per generation.  Version 1
+#: artifacts (catalog files in the root, a JSON layout, or a delta chain
+#: replayed at load) are refused with a pointer at ``repro stats build``.
+STORE_FORMAT_VERSION = 2
 
 #: Format of the mid-build resume checkpoint under BUILD_STATE_DIR.
 CHECKPOINT_FORMAT_VERSION = 1
@@ -71,26 +88,67 @@ def delta_file_name(generation: int) -> str:
     """Relative path of one delta generation's patch file."""
     return f"{DELTAS_DIR}/{generation:04d}.json"
 
-CATALOG_FILES = {
-    "markov": "markov.json",
-    "degrees": "degrees.json",
-    "cycle_rates": "cycle_rates.json",
-    "entropy": "entropy.json",
-    "characteristic_sets": "characteristic_sets.json",
-    "sumrdf": "sumrdf.npz",
-}
-
-#: The ``layout: "flat"`` files replacing markov/degrees/sumrdf: one
-#: uncompressed, mmap-able NPZ of columnar arrays plus its JSON metadata
+#: The array-backed catalogs (markov/degrees/sumrdf): one uncompressed,
+#: mmap-able NPZ of columnar arrays plus its JSON metadata
 #: (vocabularies, completeness flags, irregular-entry fallbacks).
 CATALOG_ARRAYS_FILE = "catalogs.npz"
 CATALOG_META_FILE = "catalogs.meta.json"
 
-#: Small dict-shaped catalogs that stay lazy JSON sidecar files in both
-#: layouts (they are dwarfed by the array-backed ones).
-SIDECAR_CATALOGS = frozenset(
-    {"cycle_rates", "entropy", "characteristic_sets"}
-)
+#: Small dict-shaped catalogs kept as JSON sidecar files of an image
+#: (they are dwarfed by the array-backed ones).
+SIDECAR_FILES = {
+    "cycle_rates": "cycle_rates.json",
+    "entropy": "entropy.json",
+    "characteristic_sets": "characteristic_sets.json",
+}
+
+_IMAGE_NAME = re.compile(r"^gen-(\d+)$")
+
+
+def image_name(sequence: int) -> str:
+    """Directory name of the ``sequence``-th generation image."""
+    return f"gen-{sequence:04d}"
+
+
+def image_sequence(name: str) -> int | None:
+    """The sequence number of an image directory name (None if not one)."""
+    match = _IMAGE_NAME.match(name)
+    return int(match.group(1)) if match else None
+
+
+def image_dir(directory: str | Path, manifest: "StoreManifest") -> Path:
+    """The image a manifest read from ``directory`` names.
+
+    ``directory`` is either an artifact root (the image is a child) or
+    an image itself (its frozen manifest names the directory).
+    """
+    directory = Path(directory)
+    if directory.name == manifest.image:
+        return directory
+    return directory / manifest.image
+
+
+def fsync_dir(directory: str | Path) -> None:
+    """Make a directory's entries (creates, renames) durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def fsync_file(path: str | Path) -> None:
+    """Make a written file's contents durable."""
+    with open(path, "rb") as handle:
+        os.fsync(handle.fileno())
+
+
+def write_file_durably(path: Path, data: bytes) -> None:
+    """Write ``data`` to a new file and fsync it."""
+    with open(path, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def dataset_fingerprint(graph: LabeledDiGraph) -> str:
@@ -112,18 +170,18 @@ def dataset_fingerprint(graph: LabeledDiGraph) -> str:
 
 @dataclass
 class StoreManifest:
-    """Metadata of one statistics artifact directory.
+    """Metadata of one statistics generation.
 
-    The delta-lineage fields make an artifact *dynamic*: ``generation``
+    ``image`` names the generation image directory the manifest
+    describes; the root ``manifest.json`` is a copy of the current
+    image's, so reading it names the generation to serve.  The
+    delta-lineage fields make an artifact *dynamic*: ``generation``
     counts applied update generations, ``base_fingerprint`` is the
-    dataset the base catalog files were built from, ``deltas`` lists one
-    entry per applied generation (file name, parent/child fingerprints,
-    update counts, timestamp), and ``compacted_generation`` marks how
-    many of those generations are already folded into the base files —
-    :meth:`repro.stats.store.StatisticsStore.load` replays only the
-    rest.  ``dataset_fingerprint`` always names the *current* (post-
-    delta) dataset, so fingerprint validation works against the mutated
-    graph.
+    dataset the artifact was first built from, and ``deltas`` lists one
+    entry per applied generation (update-log file, parent/child
+    fingerprints, update counts, timestamp).  ``dataset_fingerprint``
+    always names the *current* (post-delta) dataset, so fingerprint
+    validation works against the mutated graph.
     """
 
     dataset_fingerprint: str
@@ -134,13 +192,9 @@ class StoreManifest:
     build_config: dict = field(default_factory=dict)
     catalogs: list[str] = field(default_factory=list)
     complete: bool = False
-    #: On-disk encoding: "json" (one JSON/NPZ file per catalog, the
-    #: pre-flat layout) or "flat" (columnar catalogs.npz + meta, the
-    #: mmap-able default).  Absent from old manifests -> "json".
-    layout: str = "json"
+    image: str = ""
     generation: int = 0
     base_fingerprint: str = ""
-    compacted_generation: int = 0
     deltas: list[dict] = field(default_factory=list)
     last_delta_at: str | None = None
 
@@ -161,10 +215,9 @@ class StoreManifest:
             "complete": self.complete,
             "build_config": self.build_config,
             "catalogs": sorted(self.catalogs),
-            "layout": self.layout,
+            "image": self.image,
             "generation": self.generation,
             "base_fingerprint": self.base_fingerprint,
-            "compacted_generation": self.compacted_generation,
             "deltas": list(self.deltas),
             "last_delta_at": self.last_delta_at,
         }
@@ -172,9 +225,14 @@ class StoreManifest:
     @classmethod
     def from_payload(cls, payload: dict) -> "StoreManifest":
         """Parse and version-check a ``manifest.json`` body."""
-        check_format_version(
-            payload, STORE_FORMAT_VERSION, "statistics store manifest"
-        )
+        found = payload.get("format_version")
+        if found != STORE_FORMAT_VERSION:
+            raise DatasetError(
+                f"statistics store manifest: format_version {found!r} is "
+                f"not supported (this build reads version "
+                f"{STORE_FORMAT_VERSION}, one immutable image per "
+                "generation); rebuild the artifact with 'repro stats build'"
+            )
         try:
             last_delta_at = payload.get("last_delta_at")
             return cls(
@@ -186,12 +244,9 @@ class StoreManifest:
                 complete=bool(payload.get("complete", False)),
                 build_config=dict(payload.get("build_config", {})),
                 catalogs=list(payload.get("catalogs", [])),
-                layout=str(payload.get("layout", "json")),
+                image=str(payload["image"]),
                 generation=int(payload.get("generation", 0)),
                 base_fingerprint=str(payload.get("base_fingerprint", "")),
-                compacted_generation=int(
-                    payload.get("compacted_generation", 0)
-                ),
                 deltas=[dict(entry) for entry in payload.get("deltas", [])],
                 last_delta_at=(
                     str(last_delta_at) if last_delta_at is not None else None
@@ -200,16 +255,50 @@ class StoreManifest:
         except (KeyError, ValueError, TypeError) as error:
             raise DatasetError(f"invalid statistics manifest: {error}")
 
+    def lineage_fingerprint(self, generation: int) -> str | None:
+        """The dataset fingerprint the lineage records at ``generation``.
+
+        Walks the delta chain from ``base_fingerprint``, requiring every
+        entry to name its predecessor as parent and the chain to end on
+        ``dataset_fingerprint``; returns None when the chain never
+        reaches ``generation``.
+        """
+        fingerprint = self.base_fingerprint
+        found = fingerprint if generation == 0 else None
+        for entry in sorted(self.deltas, key=lambda e: e.get("generation", 0)):
+            if entry.get("parent_fingerprint") != fingerprint:
+                raise DatasetError(
+                    f"broken delta lineage at generation "
+                    f"{entry.get('generation')}: parent fingerprint "
+                    f"{entry.get('parent_fingerprint')} != {fingerprint}"
+                )
+            fingerprint = str(entry.get("fingerprint", ""))
+            if int(entry.get("generation", 0)) == generation:
+                found = fingerprint
+        if self.deltas and fingerprint != self.dataset_fingerprint:
+            raise DatasetError(
+                f"delta chain ends at fingerprint {fingerprint} but the "
+                f"manifest claims {self.dataset_fingerprint}"
+            )
+        return found
+
     def save(self, directory: str | Path) -> None:
-        """Write ``manifest.json`` into the artifact directory."""
-        path = Path(directory) / MANIFEST_FILE
-        path.write_text(
-            json.dumps(self.to_payload(), indent=2), encoding="utf-8"
-        )
+        """Atomically replace ``manifest.json`` in ``directory``.
+
+        The body goes to a temporary file, is fsynced, and is renamed
+        over the old manifest, so a concurrent reader sees the old or
+        the new manifest and never a truncated one.
+        """
+        directory = Path(directory)
+        temporary = directory / f".{MANIFEST_FILE}.tmp-{os.getpid()}"
+        body = json.dumps(self.to_payload(), indent=2).encode("utf-8")
+        write_file_durably(temporary, body)
+        os.replace(temporary, directory / MANIFEST_FILE)
+        fsync_dir(directory)
 
     @classmethod
     def load(cls, directory: str | Path) -> "StoreManifest":
-        """Read ``manifest.json`` from an artifact directory."""
+        """Read ``manifest.json`` from an artifact or image directory."""
         path = Path(directory) / MANIFEST_FILE
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))

@@ -1,12 +1,9 @@
-"""Flat columnar catalog images: one codec, two transports.
+"""Flat columnar catalog images: the codec of a generation image.
 
 The serving plane wants every catalog as a handful of contiguous numpy
-arrays so a statistics generation can be (a) written as an uncompressed,
-64-byte-aligned NPZ that :func:`repro.graph.io._mmap_npz_arrays` opens
-zero-copy, and (b) published once per host into a shared-memory segment
-that sibling workers attach instead of re-parsing (see
-:mod:`repro.stats.shm`).  This module is the codec both transports
-share:
+arrays, so a statistics generation is written as an uncompressed,
+64-byte-aligned NPZ that :func:`repro.graph.io._mmap_npz_arrays` maps
+zero-copy.  This module is that codec:
 
 * **Canonical keys** — a Markov/degree canonical key (a tuple of
   ``(src_index, dst_index, label)`` triples) packs into a fixed-width
@@ -23,11 +20,8 @@ share:
 * **Deterministic NPZ** — :func:`write_stored_npz` emits a byte-stable
   uncompressed archive (fixed timestamps, sorted members, aligned data)
   because CI byte-compares serial vs parallel vs resumed builds.
-* **Store images** — :func:`store_to_image` / :func:`store_from_image`
-  round-trip a whole :class:`~repro.stats.store.StatisticsStore` through
-  ``(meta dict, named float/byte arrays)``, the unit both the flat disk
-  layout and the shm plane move around.  Floats pass through untouched
-  (float64 in, float64 out), so served estimates stay bit-identical.
+  Floats pass through untouched (float64 in, float64 out), so served
+  estimates stay bit-identical.
 """
 
 from __future__ import annotations
@@ -56,8 +50,6 @@ __all__ = [
     "sumrdf_to_flat",
     "sumrdf_from_flat",
     "catalogs_to_flat",
-    "store_to_image",
-    "store_from_image",
     "write_stored_npz",
 ]
 
@@ -454,13 +446,13 @@ def sumrdf_from_flat(meta: dict, arrays: dict):
 
 
 # ----------------------------------------------------------------------
-# Whole-store images
+# Whole-store catalogs
 # ----------------------------------------------------------------------
 def catalogs_to_flat(store) -> tuple[dict, dict[str, np.ndarray]]:
     """The array-backed catalogs (markov/degrees/sumrdf) of a store.
 
-    This is the ``catalogs.meta.json`` / ``catalogs.npz`` content of the
-    flat disk layout; the small dict-shaped catalogs stay JSON sidecars.
+    This is the ``catalogs.meta.json`` / ``catalogs.npz`` content of a
+    generation image; the small dict-shaped catalogs stay JSON sidecars.
     """
     markov_meta, arrays = markov_to_flat(store.markov)
     degrees_meta, degree_arrays = degrees_to_flat(store.degrees)
@@ -477,67 +469,6 @@ def catalogs_to_flat(store) -> tuple[dict, dict[str, np.ndarray]]:
         meta["sumrdf"] = sumrdf_meta
         arrays.update(sumrdf_arrays)
     return meta, arrays
-
-
-def store_to_image(store) -> tuple[dict, dict[str, np.ndarray]]:
-    """One ``(meta, arrays)`` image of a whole store, shm-publishable.
-
-    Unlike the disk layout, the image carries *everything* — manifest and
-    small catalogs included — so an attaching worker reconstructs the
-    store without touching the artifact directory at all.
-    """
-    meta, arrays = catalogs_to_flat(store)
-    meta["kind"] = "statistics_image"
-    meta["manifest"] = store.manifest.to_payload()
-    meta["characteristic_sets"] = (
-        store.characteristic_sets.to_artifact()
-        if store.characteristic_sets is not None
-        else None
-    )
-    meta["cycle_rates"] = (
-        store.cycle_rates.to_artifact()
-        if store.cycle_rates is not None
-        else None
-    )
-    meta["entropy"] = (
-        store.entropy.to_artifact() if store.entropy is not None else None
-    )
-    return meta, arrays
-
-
-def store_from_image(meta: dict, arrays: dict, max_rows=5_000_000):
-    """Rebuild a graph-free store from :func:`store_to_image` output."""
-    from repro.baselines.characteristic_sets import CharacteristicSetsEstimator
-    from repro.catalog.cycle_rates import CycleClosingRates
-    from repro.catalog.entropy import EntropyCatalog
-    from repro.stats.artifact import StoreManifest
-    from repro.stats.store import StatisticsStore
-
-    if meta.get("kind") != "statistics_image":
-        raise DatasetError(
-            f"not a statistics image (kind={meta.get('kind')!r})"
-        )
-    manifest = StoreManifest.from_payload(meta["manifest"])
-    store = StatisticsStore(
-        manifest=manifest,
-        markov=markov_from_flat(meta["markov"], arrays),
-        degrees=degrees_from_flat(meta["degrees"], arrays, max_rows=max_rows),
-    )
-    if meta.get("sumrdf") is not None:
-        store.sumrdf = sumrdf_from_flat(meta["sumrdf"], arrays)
-    if meta.get("characteristic_sets") is not None:
-        store.characteristic_sets = CharacteristicSetsEstimator.from_artifact(
-            meta["characteristic_sets"]
-        )
-    if meta.get("cycle_rates") is not None:
-        store.cycle_rates = CycleClosingRates.from_artifact(
-            meta["cycle_rates"], None
-        )
-    if meta.get("entropy") is not None:
-        store.entropy = EntropyCatalog.from_artifact(
-            meta["entropy"], None, max_rows=max_rows
-        )
-    return store
 
 
 # ----------------------------------------------------------------------

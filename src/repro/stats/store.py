@@ -5,21 +5,22 @@ MOLP degree catalog, optional cycle-closing rates and entropy weights,
 plus the Characteristic Sets and SumRDF baseline summaries — behind a
 single save/load surface.  The build plane produces it
 (:func:`repro.stats.build.build_statistics`), :meth:`StatisticsStore.save`
-writes one versioned artifact directory, and
-:meth:`StatisticsStore.load` rebuilds it at service startup — with or
-without the base graph.  A store loaded without a graph serves
-estimates from its artifacts alone: no ``count_pattern`` call, no match
--table materialisation, no base-graph scan can happen after startup.
+publishes it as an immutable generation image of an artifact directory
+(see :mod:`repro.stats.artifact`), and :meth:`StatisticsStore.load`
+rebuilds the current generation — with or without the base graph.  A
+store loaded without a graph serves estimates from its artifacts alone:
+no ``count_pattern`` call, no match-table materialisation, no base-graph
+scan can happen after startup.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.baselines.characteristic_sets import CharacteristicSetsEstimator
 from repro.baselines.sumrdf import SumRdfEstimator
@@ -31,12 +32,17 @@ from repro.errors import DatasetError
 from repro.graph.digraph import LabeledDiGraph
 from repro.stats.artifact import (
     CATALOG_ARRAYS_FILE,
-    CATALOG_FILES,
     CATALOG_META_FILE,
     MANIFEST_FILE,
-    SIDECAR_CATALOGS,
+    SIDECAR_FILES,
     StoreManifest,
     dataset_fingerprint,
+    fsync_dir,
+    fsync_file,
+    image_dir,
+    image_name,
+    image_sequence,
+    write_file_durably,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -49,15 +55,13 @@ __all__ = [
     "parse_count",
 ]
 
-#: How many full artifact parses this process has paid (every
-#: StatisticsStore.load from disk).  Shared-plane attaches don't count —
-#: which is exactly what the fleet benchmarks assert: one parse per host
-#: per reload, not one per worker.
+#: How many generation images this process has loaded from disk (every
+#: StatisticsStore.load, memory-mapped or not).
 _PARSE_COUNT = 0
 
 
 def parse_count() -> int:
-    """This process's cumulative disk-parse counter (see above)."""
+    """This process's cumulative generation-load counter."""
     return _PARSE_COUNT
 
 
@@ -98,66 +102,54 @@ class StatisticsStore:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, directory: str | Path, layout: str = "flat") -> Path:
-        """Write the versioned artifact directory; returns its path.
+    def save(self, directory: str | Path) -> Path:
+        """Publish this store as the artifact's newest generation image.
 
-        ``layout="flat"`` (the default) writes the array-backed catalogs
-        as one deterministic, uncompressed, mmap-able ``catalogs.npz``
-        plus ``catalogs.meta.json``; ``layout="json"`` writes the legacy
-        one-file-per-catalog form.  Both layouts keep the small
-        dict-shaped catalogs as JSON sidecars and byte-stable output
-        (CI byte-compares serial/parallel/resumed builds).
+        The image (deterministic, uncompressed, mmap-able
+        ``catalogs.npz`` plus ``catalogs.meta.json``, the dict-shaped
+        catalogs as JSON sidecars and a frozen manifest) is written to
+        a temporary directory, fsynced and renamed to ``gen-NNNN``;
+        only then is the root ``manifest.json`` atomically replaced to
+        name it.  No published file is ever rewritten, so readers
+        holding an older image mapped keep their bytes.  Images older
+        than the previous one are deleted afterwards.  Returns the
+        artifact directory.
         """
-        if layout not in ("flat", "json"):
-            raise ValueError(f"unknown artifact layout {layout!r}")
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        catalogs = ["markov", "degrees"]
-        if layout == "flat":
-            from repro.stats.flatpack import catalogs_to_flat, write_stored_npz
+        from repro.stats.flatpack import catalogs_to_flat, write_stored_npz
 
-            if self.sumrdf is not None:
-                catalogs.append("sumrdf")
-            meta, arrays = catalogs_to_flat(self)
-            write_stored_npz(directory / CATALOG_ARRAYS_FILE, arrays)
-            (directory / CATALOG_META_FILE).write_text(
-                json.dumps(meta, sort_keys=True), encoding="utf-8"
-            )
-        else:
-            _write_json(
-                directory / CATALOG_FILES["markov"], self.markov.to_artifact()
-            )
-            _write_json(
-                directory / CATALOG_FILES["degrees"],
-                self.degrees.to_artifact(),
-            )
-            if self.sumrdf is not None:
-                catalogs.append("sumrdf")
-                np.savez_compressed(
-                    directory / CATALOG_FILES["sumrdf"],
-                    **self.sumrdf.to_artifact(),
+        root = Path(directory)
+        root.mkdir(parents=True, exist_ok=True)
+        previous, sequence = _published_images(root)
+        name = image_name(sequence)
+        staging = root / f".{name}.tmp-{os.getpid()}"
+        shutil.rmtree(staging, ignore_errors=True)
+        staging.mkdir()
+        catalogs = ["markov", "degrees"]
+        if self.sumrdf is not None:
+            catalogs.append("sumrdf")
+        meta, arrays = catalogs_to_flat(self)
+        write_stored_npz(staging / CATALOG_ARRAYS_FILE, arrays)
+        fsync_file(staging / CATALOG_ARRAYS_FILE)
+        _write_json(staging / CATALOG_META_FILE, meta, sort_keys=True)
+        sidecars = {
+            "characteristic_sets": self.characteristic_sets,
+            "cycle_rates": self.cycle_rates,
+            "entropy": self.entropy,
+        }
+        for catalog, value in sidecars.items():
+            if value is not None:
+                catalogs.append(catalog)
+                _write_json(
+                    staging / SIDECAR_FILES[catalog], value.to_artifact()
                 )
-        if self.characteristic_sets is not None:
-            catalogs.append("characteristic_sets")
-            _write_json(
-                directory / CATALOG_FILES["characteristic_sets"],
-                self.characteristic_sets.to_artifact(),
-            )
-        if self.cycle_rates is not None:
-            catalogs.append("cycle_rates")
-            _write_json(
-                directory / CATALOG_FILES["cycle_rates"],
-                self.cycle_rates.to_artifact(),
-            )
-        if self.entropy is not None:
-            catalogs.append("entropy")
-            _write_json(
-                directory / CATALOG_FILES["entropy"], self.entropy.to_artifact()
-            )
         self.manifest.catalogs = sorted(catalogs)
-        self.manifest.layout = layout
-        self.manifest.save(directory)
-        return directory
+        self.manifest.image = name
+        self.manifest.save(staging)
+        os.rename(staging, root / name)
+        fsync_dir(root)
+        self.manifest.save(root)
+        _prune_images(root, keep={name, previous})
+        return root
 
     @classmethod
     def load(
@@ -167,16 +159,17 @@ class StatisticsStore:
         max_rows: int | None = 5_000_000,
         mmap: bool = False,
     ) -> "StatisticsStore":
-        """Rebuild a store from :meth:`save` output.
+        """Load the generation image an artifact's manifest names.
 
-        Passing the graph re-attaches the lazy fallback paths *and*
-        verifies the artifact was built from that exact dataset (its
-        fingerprint must match); without one the store is strictly
-        graph-free.  ``mmap=True`` memory-maps a flat-layout artifact's
-        catalog arrays zero-copy (and refuses the legacy JSON layout
-        with a pointer at ``repro stats repack``).
+        ``directory`` is an artifact root (the current image is loaded)
+        or an image directory itself.  Passing the graph re-attaches the
+        lazy fallback paths *and* verifies the artifact was built from
+        that exact dataset (its fingerprint must match); without one the
+        store is strictly graph-free.  ``mmap=True`` memory-maps the
+        catalog arrays zero-copy.  A writer may delete an image two
+        swaps after naming it; a load that loses that race re-reads the
+        manifest once.
         """
-        global _PARSE_COUNT
         directory = Path(directory)
         if not directory.is_dir():
             raise DatasetError(
@@ -189,6 +182,18 @@ class StatisticsStore:
                 f"no {MANIFEST_FILE} (build one with 'repro stats build')"
             )
         manifest = StoreManifest.load(directory)
+        try:
+            return cls._load_image(manifest, directory, graph, max_rows, mmap)
+        except DatasetError:
+            fresh = StoreManifest.load(directory)
+            if fresh.image == manifest.image:
+                raise
+            return cls._load_image(fresh, directory, graph, max_rows, mmap)
+
+    @classmethod
+    def _load_image(cls, manifest, directory, graph, max_rows, mmap):
+        """Every catalog of the image ``manifest`` names."""
+        global _PARSE_COUNT
         if graph is not None:
             fingerprint = dataset_fingerprint(graph)
             if fingerprint != manifest.dataset_fingerprint:
@@ -197,72 +202,6 @@ class StatisticsStore:
                     f"different dataset (fingerprint "
                     f"{manifest.dataset_fingerprint}, graph {fingerprint})"
                 )
-        if mmap and manifest.layout != "flat":
-            raise DatasetError(
-                f"statistics artifact {directory} uses the legacy "
-                f"'{manifest.layout}' layout, which cannot be memory-"
-                "mapped; convert it once with 'repro stats repack DIR' "
-                "(new builds write the mmap-able flat layout by default)"
-            )
-        _PARSE_COUNT += 1
-        if manifest.layout == "flat":
-            markov, degrees, sumrdf = cls._load_flat_catalogs(
-                directory, manifest, graph, max_rows, mmap
-            )
-        else:
-            markov = MarkovTable.from_artifact(
-                _read_json(directory / CATALOG_FILES["markov"]), graph
-            )
-            degrees = DegreeCatalog.from_artifact(
-                _read_json(directory / CATALOG_FILES["degrees"]),
-                graph,
-                max_rows=max_rows,
-            )
-            sumrdf = None
-            if "sumrdf" in manifest.catalogs:
-                try:
-                    with np.load(directory / CATALOG_FILES["sumrdf"]) as data:
-                        sumrdf = SumRdfEstimator.from_artifact(
-                            dict(data.items())
-                        )
-                except OSError as error:
-                    raise DatasetError(
-                        f"statistics artifact is missing or has a corrupt "
-                        f"{CATALOG_FILES['sumrdf']}: {error}"
-                    )
-        characteristic_sets = None
-        if "characteristic_sets" in manifest.catalogs:
-            characteristic_sets = CharacteristicSetsEstimator.from_artifact(
-                _read_json(directory / CATALOG_FILES["characteristic_sets"])
-            )
-        cycle_rates = None
-        if "cycle_rates" in manifest.catalogs:
-            cycle_rates = CycleClosingRates.from_artifact(
-                _read_json(directory / CATALOG_FILES["cycle_rates"]), graph
-            )
-        entropy = None
-        if "entropy" in manifest.catalogs:
-            entropy = EntropyCatalog.from_artifact(
-                _read_json(directory / CATALOG_FILES["entropy"]),
-                graph,
-                max_rows=max_rows,
-            )
-        store = cls(
-            manifest=manifest,
-            markov=markov,
-            degrees=degrees,
-            characteristic_sets=characteristic_sets,
-            sumrdf=sumrdf,
-            cycle_rates=cycle_rates,
-            entropy=entropy,
-            graph=graph,
-        )
-        _replay_deltas(store, directory)
-        return store
-
-    @classmethod
-    def _load_flat_catalogs(cls, directory, manifest, graph, max_rows, mmap):
-        """The array-backed catalogs of a ``layout: "flat"`` artifact."""
         from repro.stats.flatpack import (
             IMAGE_FORMAT_VERSION,
             degrees_from_flat,
@@ -271,13 +210,19 @@ class StatisticsStore:
             sumrdf_from_flat,
         )
 
-        meta_path = directory / CATALOG_META_FILE
-        arrays_path = directory / CATALOG_ARRAYS_FILE
+        # Cheap integrity check: the lineage must chain from the base
+        # fingerprint to the current one.
+        manifest.lineage_fingerprint(manifest.generation)
+        image = image_dir(directory, manifest)
+        meta_path = image / CATALOG_META_FILE
+        arrays_path = image / CATALOG_ARRAYS_FILE
         if not meta_path.is_file() or not arrays_path.is_file():
             raise DatasetError(
-                f"statistics artifact {directory} declares layout 'flat' "
-                f"but is missing {CATALOG_ARRAYS_FILE} or {CATALOG_META_FILE}"
+                f"statistics artifact {directory} names generation image "
+                f"{manifest.image!r}, which is missing {CATALOG_ARRAYS_FILE} "
+                f"or {CATALOG_META_FILE}"
             )
+        _PARSE_COUNT += 1
         meta = _read_json(meta_path)
         if meta.get("kind") != "flat_catalogs" or (
             int(meta.get("format_version", 0)) != IMAGE_FORMAT_VERSION
@@ -305,36 +250,65 @@ class StatisticsStore:
                 f"corrupt statistics artifact {arrays_path}: missing "
                 f"member/field {error}"
             )
-        return markov, degrees, sumrdf
-
-
-def _replay_deltas(store: "StatisticsStore", directory: Path) -> None:
-    """Replay a dynamic artifact's delta chain onto a just-loaded store.
-
-    Generations already folded into the base files (``≤
-    compacted_generation``) are skipped; the rest are fingerprint-chain
-    checked and applied in order, so the returned store always reflects
-    the manifest's current ``dataset_fingerprint`` — graph-free.
-    """
-    manifest = store.manifest
-    if not manifest.deltas:
-        return
-    # Lazy import: repro.delta builds on this module.
-    from repro.delta.deltafile import replay_delta_chain
-
-    try:
-        replay_delta_chain(
-            store,
-            manifest,
-            directory,
-            from_generation=manifest.compacted_generation,
+        store = cls(
+            manifest=manifest,
+            markov=markov,
+            degrees=degrees,
+            sumrdf=sumrdf,
+            graph=graph,
         )
-    except DatasetError as error:
-        raise DatasetError(f"statistics artifact {directory}: {error}")
+        if "characteristic_sets" in manifest.catalogs:
+            store.characteristic_sets = (
+                CharacteristicSetsEstimator.from_artifact(
+                    _read_json(image / SIDECAR_FILES["characteristic_sets"])
+                )
+            )
+        if "cycle_rates" in manifest.catalogs:
+            store.cycle_rates = CycleClosingRates.from_artifact(
+                _read_json(image / SIDECAR_FILES["cycle_rates"]), graph
+            )
+        if "entropy" in manifest.catalogs:
+            store.entropy = EntropyCatalog.from_artifact(
+                _read_json(image / SIDECAR_FILES["entropy"]),
+                graph,
+                max_rows=max_rows,
+            )
+        return store
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload), encoding="utf-8")
+def _published_images(root: Path) -> tuple[str | None, int]:
+    """(the image the manifest names, the next image sequence number)."""
+    try:
+        current = StoreManifest.load(root).image or None
+    except DatasetError:  # no artifact yet, or one this build cannot read
+        current = None
+    sequences = [
+        image_sequence(path.name) for path in root.iterdir() if path.is_dir()
+    ]
+    if current is not None:
+        sequences.append(image_sequence(current))
+    known = [sequence for sequence in sequences if sequence is not None]
+    return current, max(known, default=-1) + 1
+
+
+def _prune_images(root: Path, keep: set) -> None:
+    """Delete every image but ``keep``, and staging leftovers.
+
+    A reader that resolved a deleted image before the swap either holds
+    it open (its mappings stay valid) or re-reads the manifest.
+    """
+    for path in root.iterdir():
+        if not path.is_dir() or path.name in keep:
+            continue
+        if image_sequence(path.name) is not None or (
+            path.name.startswith(".gen-") and ".tmp-" in path.name
+        ):
+            shutil.rmtree(path, ignore_errors=True)
+
+
+def _write_json(path: Path, payload: dict, sort_keys: bool = False) -> None:
+    body = json.dumps(payload, sort_keys=sort_keys).encode("utf-8")
+    write_file_durably(path, body)
 
 
 def _read_json(path: Path) -> dict:
@@ -367,10 +341,11 @@ def inspect_artifact(directory: str | Path) -> dict:
     """Manifest plus per-catalog entry counts and on-disk sizes.
 
     The size report is the operator's check of the paper's "sub-MB
-    summaries" claim: ``files`` maps each artifact file to its byte
-    count (plus entry counts for JSON catalogs), ``catalogs`` keys the
-    same sizes by catalog name with human-readable values, and
-    ``total_bytes``/``total_human`` aggregate the whole directory.
+    summaries" claim: ``files`` maps each file of the current image
+    (and each delta update log) to its byte count (plus entry counts
+    for JSON catalogs), ``catalogs`` keys the same sizes by catalog
+    name with human-readable values, and ``total_bytes``/``total_human``
+    aggregate them.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -378,28 +353,23 @@ def inspect_artifact(directory: str | Path) -> dict:
             f"statistics artifact directory {directory} does not exist"
         )
     manifest = StoreManifest.load(directory)
+    image = image_dir(directory, manifest)
     report: dict = {"directory": str(directory), **manifest.to_payload()}
-    report["mmap_capable"] = manifest.layout == "flat"
     files: dict[str, dict] = {}
     catalogs: dict[str, dict] = {}
     total = 0
-    pairs = [("manifest", MANIFEST_FILE)]
-    if manifest.layout == "flat":
-        pairs += [
-            ("catalogs", CATALOG_ARRAYS_FILE),
-            ("catalogs_meta", CATALOG_META_FILE),
-        ]
-        pairs += [
-            (catalog, CATALOG_FILES[catalog])
-            for catalog in manifest.catalogs
-            if catalog in SIDECAR_CATALOGS
-        ]
-    else:
-        pairs += [
-            (catalog, CATALOG_FILES[catalog]) for catalog in manifest.catalogs
-        ]
+    pairs = [
+        ("manifest", MANIFEST_FILE),
+        ("catalogs", CATALOG_ARRAYS_FILE),
+        ("catalogs_meta", CATALOG_META_FILE),
+    ]
+    pairs += [
+        (catalog, SIDECAR_FILES[catalog])
+        for catalog in manifest.catalogs
+        if catalog in SIDECAR_FILES
+    ]
     for catalog, name in pairs:
-        path = directory / name
+        path = image / name
         if not path.exists():
             files[name] = {"missing": True}
             catalogs[catalog] = {"file": name, "missing": True}
@@ -421,8 +391,8 @@ def inspect_artifact(directory: str | Path) -> dict:
                 {"entries": entry["entries"]} if "entries" in entry else {}
             ),
         }
-    if manifest.layout == "flat" and (directory / CATALOG_META_FILE).exists():
-        report["flat"] = _inspect_flat(directory, catalogs)
+    if (image / CATALOG_META_FILE).exists():
+        report["flat"] = _inspect_flat(image, catalogs)
     for entry in manifest.deltas:
         for name in (entry.get("file"), _delta_sibling(directory, entry)):
             if not name:
@@ -436,8 +406,6 @@ def inspect_artifact(directory: str | Path) -> dict:
             files[name] = {
                 "bytes": size,
                 "generation": entry.get("generation"),
-                "folded": int(entry.get("generation", 0))
-                <= manifest.compacted_generation,
             }
     report["files"] = files
     report["catalogs_sizes"] = catalogs
@@ -464,14 +432,13 @@ def inspect_artifact(directory: str | Path) -> dict:
 
 
 def _inspect_flat(directory: Path, catalogs: dict) -> dict:
-    """Per-catalog array breakdown of a ``layout: "flat"`` artifact.
+    """Per-catalog array breakdown of a generation image.
 
     Sums the uncompressed NPZ member sizes by catalog prefix — exactly
     the bytes ``mmap=True`` maps for each catalog — and surfaces the
     entry/irregular counts recorded in ``catalogs.meta.json``.  Also
-    back-fills per-catalog rows into ``catalogs`` so the flat layout
-    reports the same markov/degrees breakdown the legacy one did (with
-    mapped bytes standing in for file bytes).
+    back-fills per-catalog rows into ``catalogs`` (mapped bytes
+    standing in for file bytes) so markov/degrees get their own rows.
     """
     import zipfile
 

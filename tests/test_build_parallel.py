@@ -35,10 +35,12 @@ def _workload(graph):
 def _saved(store, directory):
     directory.mkdir(parents=True, exist_ok=True)
     store.save(directory)
+    image = directory / "gen-0000"
+    assert image.is_dir()
     return {
-        name: (directory / name).read_bytes()
+        name: (image / name).read_bytes()
         for name in COMPARED_FILES
-        if (directory / name).exists()
+        if (image / name).exists()
     }
 
 

@@ -1,5 +1,5 @@
 """The ``repro updates`` CLI verbs and the ``repro query`` delta/deadline
-satellites: apply/replay/compact end to end, ``--apply-deltas`` live
+satellites: apply/replay end to end, ``--apply-deltas`` live
 refresh over a real socket, and ``--timeout`` mapping onto the
 per-request deadline with the exit-3 contract.
 """
@@ -94,7 +94,7 @@ class TestUpdatesApply:
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "updates", "frobnicate")
         assert code == 2
-        assert "apply | replay | compact" in err
+        assert "apply | replay" in err
 
 
 class TestUpdatesReplayAndCompact:
@@ -136,26 +136,6 @@ class TestUpdatesReplayAndCompact:
         )
         assert code == 2
         assert "fingerprint" in err
-
-    def test_compact_folds_chain(self, capsys, artifact_dir, updates_file):
-        run_cli(
-            capsys, "updates", "apply", "--stats-dir", str(artifact_dir),
-            "--updates", str(updates_file),
-        )
-        code, out, _ = run_cli(
-            capsys, "updates", "compact", str(artifact_dir)
-        )
-        assert code == 0
-        summary = json.loads(out)
-        assert summary["folded_generations"] == 1
-        # Replay still works (logs are retained for audit) and the
-        # compacted artifact still verifies against a cold rebuild.
-        code, out, _ = run_cli(
-            capsys, "updates", "replay", "--stats-dir", str(artifact_dir),
-            "--verify",
-        )
-        assert code == 0
-        assert all(json.loads(out)["verified"].values())
 
 
 class TestQueryDeltaVerb:

@@ -18,7 +18,6 @@ from repro.delta import (
     MutableGraphOverlay,
     UpdateBatch,
     apply_updates,
-    compact_artifact,
     random_update_batch,
     replay_graph,
 )
@@ -339,7 +338,7 @@ class TestRefreshedCatalogs:
 
 
 class TestDeltaChainsOnDisk:
-    def test_chain_replays_and_compacts(self, tmp_path):
+    def test_chain_publishes_one_image_per_generation(self, tmp_path):
         graph = running_example_graph()
         store = example_store()
         store.save(tmp_path)
@@ -358,28 +357,22 @@ class TestDeltaChainsOnDisk:
         )
         reloaded = StatisticsStore.load(tmp_path)
         assert reloaded.manifest.generation == 3
+        assert reloaded.manifest.image == "gen-0003"
         assert reloaded.markov.to_artifact() == cold.markov.to_artifact()
         assert reloaded.degrees.to_artifact() == cold.degrees.to_artifact()
         assert_estimates_identical(reloaded, cold)
-
+        # The current image and the previous one stay; older are pruned.
+        assert sorted(p.name for p in tmp_path.glob("gen-*")) == [
+            "gen-0002", "gen-0003",
+        ]
+        # The update logs stay too: the graph is re-derivable from the
+        # base dataset.
         replayed = replay_graph(graph, tmp_path)
         assert dataset_fingerprint(replayed) == dataset_fingerprint(current)
 
-        summary = compact_artifact(tmp_path)
-        assert summary["folded_generations"] == 3
-        compacted = StatisticsStore.load(tmp_path)
-        assert compacted.markov.to_artifact() == cold.markov.to_artifact()
-        assert compacted.degrees.to_artifact() == cold.degrees.to_artifact()
-        # The update logs survive compaction, so the graph remains
-        # re-derivable from the base dataset.
-        assert dataset_fingerprint(
-            replay_graph(graph, tmp_path)
-        ) == dataset_fingerprint(current)
-
     def test_in_memory_apply_then_save_is_loadable(self, tmp_path):
-        """directory=None persists no patch file, so the lineage must
-        mark the generation folded — a later save() has to produce an
-        artifact that loads without hunting for deltas/0001.json."""
+        """directory=None persists no update log; a later save() still
+        publishes a complete image that loads on its own."""
         graph = running_example_graph()
         store = example_store(baselines=False)
         apply_updates(
@@ -390,7 +383,6 @@ class TestDeltaChainsOnDisk:
         store.save(tmp_path)
         loaded = StatisticsStore.load(tmp_path)
         assert loaded.manifest.generation == 1
-        assert loaded.manifest.compacted_generation == 1
         assert loaded.markov.to_artifact() == store.markov.to_artifact()
         # Graph re-derivation is honestly refused: no log was persisted.
         with pytest.raises(DatasetError, match="in-memory"):

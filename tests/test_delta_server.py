@@ -1,6 +1,6 @@
 """Live tenant refresh: the serving tier picks up delta chains.
 
-Covers the registry's copy-on-write ``apply_deltas`` path, the
+Covers the registry's ``apply_deltas`` generation swap, the
 ``apply_deltas`` wire verb, the extended ``stats`` verb fields
 (artifact generation, fingerprints, last-reload/last-delta timestamps)
 and the served-floats half of the differential gate: estimates from a
@@ -102,46 +102,36 @@ class TestRegistryApplyDeltas:
     def test_concurrent_reload_during_refresh_raises(
         self, artifact_dir, monkeypatch
     ):
-        """A clone of a superseded entry must never be published.
+        """A refresh must never publish over a concurrent reload.
 
-        The refresh replays patches onto a clone of the entry captured
-        at call time; if a reload swaps the tenant mid-replay, quietly
-        publishing the clone would revert the tenant to pre-reload
-        state under a higher generation.
+        The refresh maps the newest generation of the directory the
+        tenant served when the call began; if a reload swaps the tenant
+        meanwhile (possibly to another directory), quietly publishing
+        would revert it under a higher generation.
         """
-        import repro.delta.deltafile as deltafile
+        import repro.server.registry as registry_module
 
         registry = StoreRegistry()
         registry.load("example", artifact_dir)
         apply_batch_offline(artifact_dir)
-        original = deltafile.read_delta
+        original = registry_module.StatisticsStore.load
         raced = []
 
-        def read_and_race(directory, file):
-            payload = original(directory, file)
-            if not raced:  # reload's own load also reads deltas
+        def load_and_race(directory, *args, **kwargs):
+            store = original(directory, *args, **kwargs)
+            if not raced:  # the reload's own load must not race again
                 raced.append(True)
-                # Simulate a reload winning the race mid-replay.
+                # Simulate a reload winning the race mid-swap.
                 registry.reload("example", allow_fingerprint_change=True)
-            return payload
+            return store
 
-        monkeypatch.setattr(deltafile, "read_delta", read_and_race)
+        monkeypatch.setattr(
+            registry_module.StatisticsStore, "load", load_and_race
+        )
         with pytest.raises(DatasetError, match="changed during"):
             registry.apply_deltas("example")
         # The reload's entry survived untouched.
         assert registry.get("example").store.manifest.generation == 1
-
-    def test_compacted_past_served_falls_back_to_reload(self, artifact_dir):
-        from repro.delta import compact_artifact
-
-        registry = StoreRegistry()
-        registry.load("example", artifact_dir)
-        apply_batch_offline(artifact_dir)
-        compact_artifact(artifact_dir)
-        refreshed, applied = registry.apply_deltas("example")
-        assert applied == 1
-        assert refreshed.store.manifest.generation == 1
-        assert refreshed.store.manifest.compacted_generation == 1
 
 
 class TestServerVerb:

@@ -5,8 +5,7 @@ tested) and malformed-input errors, the slow-query-off switch, keep-N
 trace-log rotation (including concurrent forked writers racing the
 shift), merge semantics for disjoint and type-colliding families, the
 instrumented builders (``build_statistics``, ``apply_updates``,
-``replay_graph``), the shared-plane steal/prune counters, the audit
-probe's NDJSON records, the analysis functions, and the CLI verbs
+``replay_graph``), the audit probe's NDJSON records, the analysis functions, and the CLI verbs
 end to end.
 """
 
@@ -404,52 +403,6 @@ class TestDeltaInstrumentation:
 
 
 # ----------------------------------------------------------------------
-# Tentpole: shared-plane steal/prune counters + segment usage
-# ----------------------------------------------------------------------
-class TestPlaneCounters:
-    def test_steal_and_segment_usage(self, tmp_path, monkeypatch):
-        import numpy as np
-
-        from repro.stats.shm import SharedArtifactPlane
-
-        monkeypatch.setenv("REPRO_SHM_DIR", str(tmp_path))
-        plane = SharedArtifactPlane()
-        # A dead builder's claim: attaching steals it.
-        key = "deadbeef" * 3
-        (tmp_path / f"repro-clm-{key}").write_text("999999999")
-        assert plane.try_attach(key) is None
-        assert plane.stats()["steals"] == 1
-
-        meta, arrays, handle = plane.acquire(
-            key, lambda: ({"v": 1}, {"a": np.arange(4, dtype=np.float64)})
-        )
-        stats = plane.stats()
-        assert stats["publishes"] == 1
-        assert stats["segments"] == 1
-        assert stats["segment_bytes"] > 0
-        handle.close()
-
-    def test_prune_counter_counts_dead_pids(self, tmp_path, monkeypatch):
-        import struct
-
-        import numpy as np
-
-        from repro.stats.shm import PID_TABLE_OFFSET, SharedArtifactPlane
-
-        monkeypatch.setenv("REPRO_SHM_DIR", str(tmp_path))
-        plane = SharedArtifactPlane()
-        _, _, handle = plane.acquire(
-            "feedface" * 3,
-            lambda: ({"v": 1}, {"a": np.zeros(2, dtype=np.float64)}),
-        )
-        # Plant a dead pid in the refcount table, then trigger a sweep.
-        struct.pack_into("<q", handle._buf, PID_TABLE_OFFSET + 8, 999999999)
-        handle._mutate_pids(lambda pids: pids)
-        assert plane.stats()["prunes"] >= 1
-        handle.close()
-
-
-# ----------------------------------------------------------------------
 # Tentpole: audit probe NDJSON records
 # ----------------------------------------------------------------------
 class TestAuditRecords:
@@ -761,21 +714,6 @@ class TestObsCli:
             )
             == 1
         )
-
-    def test_repack_takes_telemetry_flags(self, capsys, tmp_path):
-        art = tmp_path / "art"
-        assert main([
-            "stats", "build", "--dataset", "example", "--out", str(art)
-        ]) == 0
-        log = tmp_path / "repack.ndjson"
-        code, out, _ = run_cli(
-            capsys, "stats", "repack", str(art), "--trace-log", str(log)
-        )
-        assert code == 0
-        assert json.loads(out)["layout"] == "flat"
-        record = json.loads(log.read_text())
-        assert record["verb"] == "stats.repack"
-        assert {s["name"] for s in record["spans"]} == {"load", "save"}
 
 
 class TestWriteTextfile:

@@ -49,21 +49,22 @@ class TestStatsBuild:
         assert summary["complete"] is True
         assert summary["markov_entries"] > 0
         assert (out_dir / "manifest.json").exists()
-        # Builds default to the mmap-able flat layout: one aligned NPZ
-        # of catalog arrays plus its metadata, no per-catalog JSON.
-        assert (out_dir / "catalogs.npz").exists()
-        assert (out_dir / "catalogs.meta.json").exists()
-        assert not (out_dir / "markov.json").exists()
+        # A build publishes generation image 0: one aligned NPZ of
+        # catalog arrays plus its metadata, no per-catalog JSON.
+        image = out_dir / "gen-0000"
+        assert (image / "catalogs.npz").exists()
+        assert (image / "catalogs.meta.json").exists()
+        assert not (image / "markov.json").exists()
 
     def test_inspect_reports_manifest_and_sizes(self, capsys, artifact_dir):
         code, out, _ = run_cli(capsys, "stats", "inspect", str(artifact_dir))
         assert code == 0
         report = json.loads(out)
         assert report["dataset_name"] == "example"
-        assert report["format_version"] == 1
+        assert report["format_version"] == 2
+        assert report["image"] == "gen-0000"
         assert report["total_bytes"] > 0
         assert "catalogs.npz" in report["files"]
-        assert report["mmap_capable"] is True
 
     def test_inspect_per_catalog_sizes_check_the_sub_mb_claim(
         self, capsys, artifact_dir

@@ -1,10 +1,8 @@
-"""Flat artifact layout: determinism, zero-copy load, repack migration.
+"""Flat generation images: determinism, zero-copy load, wide vocabularies.
 
-The on-disk half of the zero-copy tentpole: ``save(layout="flat")``
-writes one page-aligned, deterministically-encoded NPZ of catalog
-arrays that ``load(mmap=True)`` opens without copying, the legacy
-per-catalog JSON layout stays loadable, and ``repro stats repack``
-migrates old artifacts in place.
+``save`` publishes one page-aligned, deterministically-encoded NPZ of
+catalog arrays per generation image, which ``load(mmap=True)`` opens
+without copying.
 """
 
 from __future__ import annotations
@@ -13,12 +11,9 @@ import json
 
 import pytest
 
-from repro.cli import main
 from repro.datasets.presets import running_example_graph
-from repro.errors import DatasetError
 from repro.query.parser import parse_pattern
 from repro.stats import StatisticsStore, StatsBuildConfig, build_statistics
-from repro.stats.flatpack import store_from_image, store_to_image
 
 QUERIES = [
     "a -[A]-> b -[B]-> c",
@@ -51,20 +46,21 @@ class TestFlatLayout:
     ):
         built_store.save(tmp_path / "art")
         manifest = json.loads((tmp_path / "art" / "manifest.json").read_text())
-        assert manifest["layout"] == "flat"
-        assert (tmp_path / "art" / "catalogs.npz").exists()
-        assert not (tmp_path / "art" / "markov.json").exists()
+        assert manifest["image"] == "gen-0000"
+        image = tmp_path / "art" / "gen-0000"
+        assert (image / "catalogs.npz").exists()
+        assert not (image / "markov.json").exists()
         loaded = StatisticsStore.load(tmp_path / "art")
         assert estimates_of(loaded) == estimates_of(built_store)
 
     def test_flat_encoding_is_deterministic(self, built_store, tmp_path):
         built_store.save(tmp_path / "a")
         # A load → save round trip reproduces the NPZ byte-for-byte —
-        # the property peers rely on to share one digest-keyed image.
+        # what CI's serial/parallel/resumed build comparisons rely on.
         StatisticsStore.load(tmp_path / "a").save(tmp_path / "b")
         for name in ("catalogs.npz", "catalogs.meta.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (
-                tmp_path / "b" / name
+            assert (tmp_path / "a" / "gen-0000" / name).read_bytes() == (
+                tmp_path / "b" / "gen-0000" / name
             ).read_bytes(), f"{name} must be byte-identical across saves"
 
     def test_mmap_load_bit_identical(self, built_store, tmp_path):
@@ -72,27 +68,15 @@ class TestFlatLayout:
         mapped = StatisticsStore.load(tmp_path / "art", mmap=True)
         assert estimates_of(mapped) == estimates_of(built_store)
 
-    def test_legacy_json_layout_still_loads(self, built_store, tmp_path):
-        built_store.save(tmp_path / "art", layout="json")
-        assert (tmp_path / "art" / "markov.json").exists()
-        loaded = StatisticsStore.load(tmp_path / "art")
-        assert estimates_of(loaded) == estimates_of(built_store)
-
-    def test_mmap_on_legacy_layout_points_at_repack(
-        self, built_store, tmp_path
-    ):
-        built_store.save(tmp_path / "art", layout="json")
-        with pytest.raises(DatasetError, match="repack"):
-            StatisticsStore.load(tmp_path / "art", mmap=True)
-
     def test_image_round_trip_bit_identical(self, built_store, tmp_path):
+        # An image directory is self-describing: it loads on its own,
+        # without the artifact root's manifest.
         built_store.save(tmp_path / "art")
-        mapped = StatisticsStore.load(tmp_path / "art", mmap=True)
-        meta, arrays = store_to_image(mapped)
-        rebuilt = store_from_image(meta, arrays)
-        assert estimates_of(rebuilt) == estimates_of(built_store)
+        image = tmp_path / "art" / "gen-0000"
+        mapped = StatisticsStore.load(image, mmap=True)
+        assert estimates_of(mapped) == estimates_of(built_store)
         assert (
-            rebuilt.manifest.dataset_fingerprint
+            mapped.manifest.dataset_fingerprint
             == built_store.manifest.dataset_fingerprint
         )
 
@@ -140,50 +124,3 @@ class TestWideVocab:
         # lookup regression here serves silently-wrong estimates.
         for i, label in enumerate(self.VOCAB):
             assert loaded.cardinality(patterns[label]) == float(i + 1)
-
-
-class TestRepackCli:
-    def run_cli(self, capsys, *argv):
-        code = main(list(argv))
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    def test_repack_migrates_legacy_artifact(
-        self, capsys, built_store, tmp_path
-    ):
-        art = tmp_path / "art"
-        built_store.save(art, layout="json")
-        code, out, _ = self.run_cli(capsys, "stats", "repack", str(art))
-        assert code == 0
-        summary = json.loads(out)
-        assert summary["layout"] == "flat"
-        assert summary["mmap_capable"] is True
-        assert "markov.json" in summary["removed"]
-        assert (art / "catalogs.npz").exists()
-        assert not (art / "markov.json").exists()
-        assert not (art / "degrees.json").exists()
-        mapped = StatisticsStore.load(art, mmap=True)
-        assert estimates_of(mapped) == estimates_of(built_store)
-
-    def test_repack_refuses_unfolded_deltas(
-        self, capsys, built_store, tmp_path
-    ):
-        art = tmp_path / "art"
-        built_store.save(art, layout="json")
-        manifest_path = art / "manifest.json"
-        payload = json.loads(manifest_path.read_text())
-        # Simulate an artifact with live delta generations beyond the
-        # compacted base: repack must refuse (it only rewrites the base
-        # files and would silently shadow the patches otherwise).
-        payload["generation"] = int(payload.get("generation", 0)) + 1
-        manifest_path.write_text(json.dumps(payload))
-        code, _, err = self.run_cli(capsys, "stats", "repack", str(art))
-        assert code == 2
-        assert "compact" in err
-
-    def test_repack_missing_dir_exits_2(self, capsys, tmp_path):
-        code, _, err = self.run_cli(
-            capsys, "stats", "repack", str(tmp_path / "nope")
-        )
-        assert code == 2
-        assert err

@@ -304,17 +304,22 @@ class TestStorePersistence:
 
     def test_load_missing_catalog_arrays_is_friendly(self, saved):
         _, directory = saved
-        (directory / "catalogs.npz").unlink()
+        (directory / "gen-0000" / "catalogs.npz").unlink()
         with pytest.raises(DatasetError, match="catalogs.npz"):
             StatisticsStore.load(directory)
 
-    def test_load_missing_sumrdf_npz_is_friendly(self, saved, tmp_path):
-        # The legacy layout's friendly error stays intact.
-        store, _ = saved
-        directory = tmp_path / "legacy"
-        store.save(directory, layout="json")
-        (directory / "sumrdf.npz").unlink()
-        with pytest.raises(DatasetError, match="sumrdf.npz"):
+    def test_load_missing_sumrdf_npz_is_friendly(self, saved):
+        from repro.stats.flatpack import read_npz_arrays, write_stored_npz
+
+        _, directory = saved
+        path = directory / "gen-0000" / "catalogs.npz"
+        arrays = read_npz_arrays(path)
+        assert any(name.startswith("sumrdf::") for name in arrays)
+        write_stored_npz(path, {
+            name: array for name, array in arrays.items()
+            if not name.startswith("sumrdf::")
+        })
+        with pytest.raises(DatasetError, match="sumrdf::"):
             StatisticsStore.load(directory)
 
     @pytest.fixture()
