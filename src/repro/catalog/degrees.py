@@ -19,6 +19,9 @@ guarantee of §6.4).
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 from repro.engine.join import extend_by_edge, start_table
@@ -103,44 +106,131 @@ def all_degree_pairs(
 ) -> dict[tuple[frozenset[str], frozenset[str]], float]:
     """Every ``deg(X, Y)`` with ``X ⊆ Y ⊆ columns`` from one match table.
 
-    Vectorised bulk extraction for the offline statistics builder: the
-    distinct-``Y`` reduction is computed once per ``Y`` and shared by all
-    ``X ⊆ Y`` (instead of once per pair as the lazy
-    :meth:`StatRelation.deg` path does).  Values are exact tuple counts,
-    so they are bit-identical to the lazily computed ones.
+    Bulk extraction for the offline statistics builder and delta
+    maintenance.  Rows are sorted once per column order of
+    :func:`_sort_plan`; after a lexicographic sort, the rows sharing a
+    prefix of that order form one run, so ``deg(X, Y)`` for an
+    ``X``-prefix and a longer ``Y``-prefix is the largest number of
+    ``Y``-run starts inside one ``X``-run.  ``deg(X, X)`` is 1 on a
+    non-empty table and needs no sort.  Values are exact tuple counts,
+    bit-identical to :func:`group_max_distinct` pair by pair.
     """
-    col_of = {var: i for i, var in enumerate(columns)}
     names = tuple(sorted(columns))
-    n = len(names)
-    result: dict[tuple[frozenset[str], frozenset[str]], float] = {}
-    for y_mask in range(1 << n):
-        y_names = sorted(names[i] for i in range(n) if y_mask >> i & 1)
-        y_set = frozenset(y_names)
-        if rows.shape[0] == 0:
-            for x_set in _masked_subsets(y_names):
-                result[(x_set, y_set)] = 0.0
-            continue
-        y_keys = _encode_columns(
-            rows[:, [col_of[v] for v in y_names]], num_vertices
+    if rows.shape[0] == 0:
+        return {pair: 0.0 for _, _, pair in _pair_keys(names)}
+    col_of = {var: i for i, var in enumerate(columns)}
+    values: dict[tuple[int, int], float] = {}
+    for order, pairs in _sort_plan(len(names)):
+        starts = _prefix_run_starts(
+            rows[:, [col_of[names[i]] for i in order]], num_vertices
         )
-        y_unique_idx = np.unique(y_keys, return_index=True)[1]
-        distinct_rows = rows[y_unique_idx]
-        for x_set in _masked_subsets(y_names):
-            if not x_set:
-                result[(x_set, y_set)] = float(len(y_unique_idx))
-                continue
-            x_keys = _encode_columns(
-                distinct_rows[:, [col_of[v] for v in sorted(x_set)]],
-                num_vertices,
-            )
-            _, counts = np.unique(x_keys, return_counts=True)
-            result[(x_set, y_set)] = float(counts.max())
-    return result
+        masks = [0]
+        for column in order:
+            masks.append(masks[-1] | 1 << column)
+        for i, j in pairs:
+            if i == 0:
+                value = float(np.count_nonzero(starts[j - 1]))
+            else:
+                value = float(
+                    np.add.reduceat(
+                        starts[j - 1],
+                        np.flatnonzero(starts[i - 1]),
+                        dtype=np.int64,
+                    ).max()
+                )
+            values[(masks[i], masks[j])] = value
+    return {
+        pair: 1.0 if x_mask == y_mask else values[(x_mask, y_mask)]
+        for x_mask, y_mask, pair in _pair_keys(names)
+    }
 
 
-def _masked_subsets(names: list[str]):
-    for mask in range(1 << len(names)):
-        yield frozenset(names[i] for i in range(len(names)) if mask >> i & 1)
+def _prefix_run_starts(rows: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Sort rows lexicographically and mark where each prefix changes.
+
+    Row ``j - 1`` of the result flags, for every sorted row, whether it
+    starts a new run of equal ``j``-column prefixes (the first row always
+    does).  Radix keys are sorted as int64 and their prefixes read off by
+    division; tables whose keys would overflow sort a structured view.
+    """
+    count, width = rows.shape
+    starts = np.empty((width, count), dtype=bool)
+    starts[:, 0] = True
+    keys = _encode_columns(rows, num_vertices)
+    keys.sort()
+    if keys.dtype == np.int64:
+        for j in range(1, width + 1):
+            prefix = keys // num_vertices ** (width - j) if j < width else keys
+            np.not_equal(prefix[1:], prefix[:-1], out=starts[j - 1, 1:])
+    else:
+        ordered = keys.view(np.int64).reshape(count, width)
+        np.logical_or.accumulate(
+            ordered[1:] != ordered[:-1], axis=1, out=starts[:, 1:].T
+        )
+    return starts
+
+
+@functools.lru_cache(maxsize=None)
+def _sort_plan(width: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+    """Column orders whose prefix pairs cover every ``X ⊊ Y`` of a width.
+
+    Each entry is ``(order, pairs)``: sorting by ``order`` answers the
+    ``(i, j)`` pairs of prefix lengths listed with it (``i < j``; ``i = 0``
+    is ``X = ∅``).  Every still-uncovered ``(X, Y)``, smallest ``Y``
+    first, gets the order ``X``'s columns, then the rest of ``Y``'s, then
+    the others.  Each ``({a}, {a, b})`` needs an order of its own, so
+    three columns take all six orders.
+    """
+    columns = range(width)
+    subsets = [
+        frozenset(chosen)
+        for size in range(width + 1)
+        for chosen in itertools.combinations(columns, size)
+    ]
+    pairs = sorted(
+        ((x, y) for y in subsets for x in subsets if x < y),
+        key=lambda pair: (len(pair[1]), len(pair[0]), sorted(pair[1]),
+                          sorted(pair[0])),
+    )
+    covered: set = set()
+    plan = []
+    for x, y in pairs:
+        if (x, y) in covered:
+            continue
+        order = (
+            tuple(sorted(x)) + tuple(sorted(y - x))
+            + tuple(sorted(set(columns) - y))
+        )
+        prefixes = [frozenset(order[:j]) for j in range(width + 1)]
+        fresh = tuple(
+            (i, j)
+            for j in range(1, width + 1)
+            for i in range(j)
+            if (prefixes[i], prefixes[j]) not in covered
+        )
+        covered.update((prefixes[i], prefixes[j]) for i, j in fresh)
+        plan.append((order, fresh))
+    return tuple(plan)
+
+
+@functools.lru_cache(maxsize=1024)
+def _pair_keys(names: tuple[str, ...]) -> tuple:
+    """``(x_mask, y_mask, (X, Y))`` for every ``X ⊆ Y ⊆ names``.
+
+    Bit ``i`` of a mask is ``names[i]``; pairs come ``Y``-mask major,
+    ``X`` as increasing submasks.
+    """
+    width = len(names)
+
+    def named(mask: int) -> frozenset[str]:
+        return frozenset(names[i] for i in range(width) if mask >> i & 1)
+
+    return tuple(
+        (x_mask, y_mask, (named(x_mask), named(y_mask)))
+        for y_mask in range(1 << width)
+        for x_mask in range(y_mask + 1)
+        if x_mask & y_mask == x_mask
+    )
 
 
 class StatRelation:
@@ -171,6 +261,9 @@ class StatRelation:
         # -> base-var mapping) so all isomorphic uses share one degree
         # cache; see DegreeCatalog._renamed_view.
         self._base: tuple["StatRelation", dict[str, str]] | None = None
+        # A stored relation's encoded generation-image block, memoised by
+        # repro.stats.flatpack (rows-free relations never change).
+        self._image_block = None
         self._materialise(graph, max_rows)
 
     def _materialise(self, graph: LabeledDiGraph, max_rows: int | None) -> None:
@@ -290,6 +383,7 @@ class StatRelation:
         relation._empty = cardinality == 0.0
         relation._degrees = degrees
         relation._base = None
+        relation._image_block = None
         return relation
 
     @classmethod
@@ -443,6 +537,7 @@ class DegreeCatalog:
         view._cardinality = relation._cardinality
         view._empty = relation._empty
         view._base = (relation, {v: k for k, v in mapping.items()})
+        view._image_block = None
         if relation._rows is None:
             view._degrees = {
                 (

@@ -206,7 +206,12 @@ class FleetSupervisor:
     # Socket plumbing (all binding happens pre-fork)
     # ------------------------------------------------------------------
     def _bind_listener(self, port: int, reuseport: bool) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        # An explicit IPPROTO_TCP: asyncio only sets TCP_NODELAY on
+        # accepted sockets whose proto says TCP, and accepted sockets
+        # inherit the listener's proto (0 when left to the default).
+        sock = socket.socket(
+            socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP
+        )
         try:
             if reuseport:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)

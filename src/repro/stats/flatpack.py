@@ -26,6 +26,7 @@ zero-copy.  This module is that codec:
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import struct
@@ -254,23 +255,6 @@ def markov_from_flat(meta: dict, arrays: dict, graph=None):
 # ----------------------------------------------------------------------
 # Degree catalog <-> flat arrays
 # ----------------------------------------------------------------------
-def _degree_entries(relation) -> list[tuple[frozenset, frozenset, float]]:
-    """A relation's degrees, completed and in artifact order."""
-    from repro.catalog.degrees import all_degree_pairs
-
-    if relation._rows is not None:
-        relation._degrees = all_degree_pairs(
-            relation._rows, relation._columns, relation._num_vertices
-        )
-    return [
-        (x, y, float(value))
-        for (x, y), value in sorted(
-            relation._degrees.items(),
-            key=lambda item: (sorted(item[0][1]), sorted(item[0][0])),
-        )
-    ]
-
-
 def _encodable_relation(relation, key: tuple) -> bool:
     """Whether a StatRelation round-trips through the packed form.
 
@@ -278,14 +262,70 @@ def _encodable_relation(relation, key: tuple) -> bool:
     reconstruction of its key (atom order and variable names included),
     default stored columns, and at most 32 variables for the masks.
     """
-    canon = _canonical_pattern_of(key)
     if tuple(
         (e.src, e.dst, e.label) for e in relation.pattern.edges
-    ) != tuple((e.src, e.dst, e.label) for e in canon.edges):
+    ) != tuple((f"v{src}", f"v{dst}", label) for src, dst, label in key):
         return False
     if relation._columns != relation.pattern.variables:
         return False
     return len(relation.pattern.variables) <= 32
+
+
+@functools.lru_cache(maxsize=1024)
+def _image_order(names: tuple[str, ...]) -> tuple:
+    """``(x_mask, y_mask, (X, Y))`` of every pair, in image order.
+
+    Bit ``i`` of a mask is ``names[i]`` (sorted variable names); the
+    image lists a relation's pairs by sorted ``Y`` names, then sorted
+    ``X`` names.
+    """
+    from repro.catalog.degrees import _pair_keys
+
+    return tuple(
+        sorted(
+            _pair_keys(names),
+            key=lambda entry: (sorted(entry[2][1]), sorted(entry[2][0])),
+        )
+    )
+
+
+def _relation_block(relation, key: tuple):
+    """A relation's ``(deg_x, deg_y, deg_value)`` image block.
+
+    ``None`` when the relation cannot take the packed form.  Graph-backed
+    relations first complete their degree set and are encoded afresh on
+    every save; a stored relation never changes, so its block (or its
+    ``None`` verdict) is memoised on it and reused by every later save.
+    """
+    if relation._rows is None and relation._image_block is not None:
+        return relation._image_block or None
+    block: tuple = ()
+    if _encodable_relation(relation, key):
+        from repro.catalog.degrees import all_degree_pairs
+
+        if relation._rows is not None:
+            relation._degrees = all_degree_pairs(
+                relation._rows, relation._columns, relation._num_vertices
+            )
+        degrees = relation._degrees
+        entries = [
+            (x_mask, y_mask, degrees[pair])
+            for x_mask, y_mask, pair in _image_order(
+                tuple(sorted(relation.pattern.variables))
+            )
+            if pair in degrees
+        ]
+        # A pair outside X ⊆ Y ⊆ attrs has no mask: keep it in JSON.
+        if len(entries) == len(degrees):
+            x_masks, y_masks, values = zip(*entries) if entries else ((), (), ())
+            block = (
+                np.asarray(x_masks, dtype=np.uint32),
+                np.asarray(y_masks, dtype=np.uint32),
+                np.asarray(values, dtype=np.float64),
+            )
+    if relation._rows is None:
+        relation._image_block = block
+    return block or None
 
 
 def degrees_to_flat(degrees) -> tuple[dict, dict[str, np.ndarray]]:
@@ -299,7 +339,8 @@ def degrees_to_flat(degrees) -> tuple[dict, dict[str, np.ndarray]]:
     irregular: list[dict] = []
     for key, relation in entries:
         raw = encode_canonical_key(key, label_ids)
-        if raw is None or not _encodable_relation(relation, key):
+        block = None if raw is None else _relation_block(relation, key)
+        if block is None:
             irregular.append(
                 {
                     "key": [list(atom) for atom in key],
@@ -308,24 +349,11 @@ def degrees_to_flat(degrees) -> tuple[dict, dict[str, np.ndarray]]:
             )
         else:
             encoded.append(raw)
-            regular.append(relation)
+            regular.append((relation.cardinality, block))
     keys, order = _pack_sorted(encoded)
     regular = [regular[i] for i in order]
-    cardinality = np.asarray(
-        [relation.cardinality for relation in regular], dtype=np.float64
-    )
     offsets = np.zeros(len(regular) + 1, dtype=np.int64)
-    x_masks: list[int] = []
-    y_masks: list[int] = []
-    values: list[float] = []
-    for position, relation in enumerate(regular):
-        names = sorted(relation.pattern.variables)
-        bit_of = {name: 1 << i for i, name in enumerate(names)}
-        for x, y, value in _degree_entries(relation):
-            x_masks.append(sum(bit_of[name] for name in x))
-            y_masks.append(sum(bit_of[name] for name in y))
-            values.append(value)
-        offsets[position + 1] = len(values)
+    np.cumsum([len(block[2]) for _, block in regular], out=offsets[1:])
     meta = {
         "h": degrees.h,
         "complete": degrees.complete,
@@ -335,12 +363,18 @@ def degrees_to_flat(degrees) -> tuple[dict, dict[str, np.ndarray]]:
     }
     arrays = {
         "degrees::keys": keys,
-        "degrees::cardinality": cardinality,
+        "degrees::cardinality": np.asarray(
+            [cardinality for cardinality, _ in regular], dtype=np.float64
+        ),
         "degrees::offsets": offsets,
-        "degrees::deg_x": np.asarray(x_masks, dtype=np.uint32),
-        "degrees::deg_y": np.asarray(y_masks, dtype=np.uint32),
-        "degrees::deg_value": np.asarray(values, dtype=np.float64),
     }
+    for column, (name, dtype) in enumerate(
+        (("deg_x", np.uint32), ("deg_y", np.uint32), ("deg_value", np.float64))
+    ):
+        arrays[f"degrees::{name}"] = np.concatenate(
+            [np.empty(0, dtype=dtype)]
+            + [block[column] for _, block in regular]
+        )
     return meta, arrays
 
 
@@ -391,8 +425,25 @@ class FlatDegrees:
         return self._decode(position)
 
     def items(self):
+        """Every relation, each carrying its image block for re-saving.
+
+        Only materialising callers walk every relation, and they go on
+        to mutate and save the catalog: handing each decoded relation
+        its slice of the image lets that save copy blocks instead of
+        re-encoding them.  Slices come from private copies, so no
+        relation keeps the mapped file alive.
+        """
+        deg_x, deg_y, deg_value = (
+            np.array(array) for array in (self.deg_x, self.deg_y, self.deg_value)
+        )
         for position in range(len(self.index)):
-            yield self.index.key_at(position), self._decode(position)
+            relation = self._decode(position)
+            start = int(self.offsets[position])
+            stop = int(self.offsets[position + 1])
+            relation._image_block = (
+                deg_x[start:stop], deg_y[start:stop], deg_value[start:stop]
+            )
+            yield self.index.key_at(position), relation
 
 
 def degrees_from_flat(meta: dict, arrays: dict, graph=None, max_rows=5_000_000):

@@ -1,9 +1,15 @@
 """Tests for max-degree statistics (StatRelation / DegreeCatalog)."""
 
+import itertools
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog import DegreeCatalog, StatRelation, group_max_distinct
+from repro.catalog.degrees import all_degree_pairs
 from repro.errors import MissingStatisticError
 from repro.query import QueryPattern, parse_pattern
 
@@ -30,6 +36,62 @@ class TestGroupMaxDistinct:
     def test_empty_rows(self):
         rows = np.empty((0, 2), dtype=np.int64)
         assert group_max_distinct(rows, [0], [0, 1], 10) == 0.0
+
+
+@st.composite
+def degree_tables(draw):
+    """A match table, its column names and a vertex count.
+
+    Values come from a handful of distinct vertices (so projections
+    collide), some rows are repeated, and vertex counts reach past the
+    int64 radix range so wide tables take the structured fallback.
+    """
+    width = draw(st.integers(0, 4))
+    num_vertices = draw(st.sampled_from([1, 3, 40, 2**16 + 1, 2**31 + 7]))
+    palette = sorted(
+        v for v in {0, 1, 2, num_vertices // 2, num_vertices - 1}
+        if v < num_vertices
+    )
+    distinct = draw(
+        st.lists(
+            st.tuples(*[st.sampled_from(palette)] * width),
+            max_size=30,
+        )
+    )
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=10)) if distinct else []
+    listed = distinct + repeats
+    rows = np.asarray(listed, dtype=np.int64).reshape(len(listed), width)
+    rows = rows[draw(st.permutations(range(rows.shape[0])))]
+    columns = tuple(draw(st.permutations([f"v{i}" for i in range(width)])))
+    return rows, columns, num_vertices
+
+
+def _float_bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestAllDegreePairs:
+    @settings(max_examples=300, deadline=None)
+    @given(degree_tables())
+    def test_matches_group_max_distinct_bit_for_bit(self, table):
+        rows, columns, num_vertices = table
+        got = all_degree_pairs(rows, columns, num_vertices)
+        subsets = [
+            frozenset(chosen)
+            for size in range(len(columns) + 1)
+            for chosen in itertools.combinations(columns, size)
+        ]
+        assert set(got) == {(x, y) for y in subsets for x in subsets if x <= y}
+        col_of = {var: i for i, var in enumerate(columns)}
+        for (x, y), value in got.items():
+            expected = group_max_distinct(
+                rows,
+                [col_of[v] for v in sorted(x)],
+                [col_of[v] for v in sorted(y)],
+                num_vertices,
+            )
+            assert type(value) is float
+            assert _float_bits(value) == _float_bits(expected), (x, y)
 
 
 class TestBaseRelationDegrees:

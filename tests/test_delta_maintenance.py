@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.datasets.presets import running_example_graph
@@ -369,6 +370,70 @@ class TestDeltaChainsOnDisk:
         # base dataset.
         replayed = replay_graph(graph, tmp_path)
         assert dataset_fingerprint(replayed) == dataset_fingerprint(current)
+
+    def test_writer_images_match_cold_builds(self, tmp_path):
+        """One long-lived store (as a churn writer keeps) across applies.
+
+        Every published image must equal a cold build + save of that
+        generation's graph, although later saves reuse the image blocks
+        of relations carried over from the image the store was loaded
+        from or encoded by an earlier save.
+        """
+        config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+        graph = running_example_graph()
+        artifact = tmp_path / "artifact"
+        build_statistics(graph, config, dataset_name="example").save(artifact)
+        store = StatisticsStore.load(artifact, graph=graph)
+        store.markov.materialize()
+        store.degrees.materialize()
+        batches = [
+            # B->A paths appear: relations are added and rebuilt.
+            UpdateBatch([["+", 5, 3, "A"], ["+", 4, 3, "A"]]),
+            # Every C edge goes: C-containing relations are removed.
+            UpdateBatch(
+                [["-", src, dst, label] for src, dst, label in graph.triples()
+                 if label == "C"]
+            ),
+            random_update_batch(graph, random.Random(3), 3, 2),
+            UpdateBatch([["+", 0, 9, "C"], ["-", 5, 3, "A"]]),
+        ]
+        totals = {"rebuilt": 0, "removed": 0, "added": 0, "kept": 0}
+        for index, batch in enumerate(batches, start=1):
+            outcome = apply_updates(
+                store, batch, directory=artifact,
+                compact_threshold=NO_COMPACT,
+            )
+            assert outcome.mode == "incremental"
+            for name in totals:
+                totals[name] += outcome.degrees[name]
+            cold_dir = tmp_path / f"cold-{index}"
+            build_statistics(
+                store.graph, config, dataset_name="example"
+            ).save(cold_dir)
+            image = artifact / f"gen-{index:04d}"
+            cold_image = cold_dir / "gen-0000"
+            assert (image / "catalogs.meta.json").read_bytes() == (
+                cold_image / "catalogs.meta.json"
+            ).read_bytes()
+            with np.load(image / "catalogs.npz") as got, np.load(
+                cold_image / "catalogs.npz"
+            ) as want:
+                names = sorted(
+                    name for name in want.files
+                    if name.startswith(("degrees::", "markov::"))
+                )
+                assert sorted(
+                    name for name in got.files
+                    if name.startswith(("degrees::", "markov::"))
+                ) == names
+                for name in names:
+                    assert got[name].dtype == want[name].dtype, name
+                    assert got[name].tobytes() == want[name].tobytes(), name
+        assert all(totals.values()), totals
+        assert all(
+            relation._image_block is not None
+            for relation in store.degrees._cache.values()
+        )
 
     def test_in_memory_apply_then_save_is_loadable(self, tmp_path):
         """directory=None persists no update log; a later save() still

@@ -19,9 +19,11 @@ The tentpole's acceptance surface:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -35,6 +37,8 @@ from repro.delta import UpdateBatch, apply_updates
 from repro.query.parser import parse_pattern
 from repro.server import (
     FleetClient,
+    FleetSupervisor,
+    ServerConfig,
     ServerError,
     ServerUnavailable,
     StoreRegistry,
@@ -93,6 +97,42 @@ class TestAssignment:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             assign_tenants(["a"], 0)
+
+
+# ----------------------------------------------------------------------
+# Listener sockets
+# ----------------------------------------------------------------------
+def test_fleet_listener_connections_run_with_nodelay():
+    """Accepted fleet connections get TCP_NODELAY, like ``start_server``.
+
+    asyncio enables TCP_NODELAY only on sockets whose proto is TCP, and
+    an accepted socket inherits its listener's proto.
+    """
+    supervisor = FleetSupervisor(StoreRegistry(), ServerConfig(), workers=1)
+    listener = supervisor._bind_listener(0, reuseport=False)
+    port = listener.getsockname()[1]
+
+    async def accepted_nodelay() -> int:
+        seen: asyncio.Future = asyncio.get_running_loop().create_future()
+
+        async def handle(reader, writer):
+            sock = writer.get_extra_info("socket")
+            seen.set_result(
+                sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            writer.close()
+
+        server = await asyncio.start_server(handle, sock=listener)
+        async with server:
+            _, writer = await asyncio.open_connection("127.0.0.1", port)
+            value = await asyncio.wait_for(seen, timeout=10)
+            writer.close()
+            return value
+
+    try:
+        assert asyncio.run(accepted_nodelay()) != 0
+    finally:
+        listener.close()
 
 
 # ----------------------------------------------------------------------
