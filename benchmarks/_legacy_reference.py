@@ -7,8 +7,7 @@ number stays measurable on any machine:
 * ``legacy_build_ceg_o`` — the frozenset-based ``CEG_O`` builder
   (per-(node, extension) set algebra, no bitmask interning);
 * ``legacy_molp_bound`` — the frozenset-keyed MOLP Dijkstra with a
-  ``deg`` call per relaxation and per-view degree recomputation
-  (delegation to the canonical relation's cache detached);
+  ``deg`` call per relaxation;
 * ``legacy_serving`` — a context manager that swaps the pre-PR builders
   into :mod:`repro.service.session`, so an ordinary
   :class:`~repro.service.EstimationSession` (built with
@@ -152,10 +151,6 @@ def _subsets(items: tuple[str, ...]):
 def legacy_molp_bound(query: QueryPattern, catalog: DegreeCatalog) -> float:
     """``molp_bound`` as shipped before the bitmask rewrite."""
     relations = catalog.stat_relations(query)
-    for relation in relations:
-        # Detach the shared-cache delegation the optimized catalog adds
-        # to renamed views, restoring per-view degree recomputation.
-        relation._base = None
     if any(relation.cardinality == 0 for relation in relations):
         return 0.0
     moves = [

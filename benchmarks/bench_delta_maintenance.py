@@ -31,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.datasets import load_dataset  # noqa: E402
 from repro.delta import apply_updates, random_update_batch  # noqa: E402
 from repro.stats import StatsBuildConfig, build_statistics  # noqa: E402
+from repro.stats.flatpack import degree_images_equal  # noqa: E402
 
 
 def run(quick: bool = False) -> dict:
@@ -69,7 +70,7 @@ def run(quick: bool = False) -> dict:
             f"round {round_index}: maintained Markov table diverged from "
             "the cold rebuild"
         )
-        assert store.degrees.to_artifact() == cold.degrees.to_artifact(), (
+        assert degree_images_equal(store.degrees, cold.degrees), (
             f"round {round_index}: maintained degree catalog diverged from "
             "the cold rebuild"
         )

@@ -1,7 +1,7 @@
 """Statistics catalogs: Markov tables, degree stats, cycle rates, sketches."""
 
 from repro.catalog.cycle_rates import CycleClosingRates
-from repro.catalog.degrees import DegreeCatalog, StatRelation, group_max_distinct
+from repro.catalog.degrees import DegreeCatalog, RelationView, StatRelation
 from repro.catalog.entropy import EntropyCatalog, degree_irregularity
 from repro.catalog.markov import MarkovTable
 from repro.catalog.partitioned import (
@@ -14,7 +14,7 @@ __all__ = [
     "MarkovTable",
     "DegreeCatalog",
     "StatRelation",
-    "group_max_distinct",
+    "RelationView",
     "CycleClosingRates",
     "EntropyCatalog",
     "degree_irregularity",

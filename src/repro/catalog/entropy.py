@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from repro.catalog.degrees import _encode_columns, _isomorphism
+from repro.catalog.degrees import _encode_columns
 from repro.engine.counter import count_pattern
 from repro.engine.join import extend_by_edge, start_table
 from repro.errors import MissingStatisticError, check_format_version
@@ -213,3 +213,54 @@ class EntropyCatalog:
                 (pattern_key, tuple(str(v) for v in entry["vars"]))
             ] = float(entry["value"])
         return catalog
+
+
+def _isomorphism(source: QueryPattern, target: QueryPattern) -> dict[str, str]:
+    """A variable mapping turning ``source`` into ``target``.
+
+    Both patterns are small (≤ h atoms) and known to share a canonical
+    key, so a backtracking search over atom correspondences terminates
+    immediately.
+    """
+    target_edges = list(target.edges)
+
+    def backtrack(
+        index: int, mapping: dict[str, str], used: set[int]
+    ) -> dict[str, str] | None:
+        if index == len(source.edges):
+            return dict(mapping)
+        edge = source.edges[index]
+        for position, candidate in enumerate(target_edges):
+            if position in used or candidate.label != edge.label:
+                continue
+            bound_src = mapping.get(edge.src)
+            bound_dst = mapping.get(edge.dst)
+            if bound_src not in (None, candidate.src):
+                continue
+            if bound_dst not in (None, candidate.dst):
+                continue
+            if bound_src is None and candidate.src in mapping.values():
+                if edge.src not in mapping:
+                    conflict = any(
+                        mapping.get(k) == candidate.src for k in mapping
+                    )
+                    if conflict:
+                        continue
+            mapping2 = dict(mapping)
+            mapping2[edge.src] = candidate.src
+            mapping2[edge.dst] = candidate.dst
+            if len(set(mapping2.values())) != len(mapping2):
+                continue
+            used.add(position)
+            found = backtrack(index + 1, mapping2, used)
+            if found is not None:
+                return found
+            used.discard(position)
+        return None
+
+    found = backtrack(0, {}, set())
+    if found is None:
+        raise MissingStatisticError(
+            "internal error: cached pattern is not isomorphic to request"
+        )
+    return found

@@ -33,7 +33,7 @@ from repro.errors import (
     check_format_version,
 )
 from repro.graph.digraph import LabeledDiGraph
-from repro.query.canonical import canonical_key
+from repro.query.canonical import canonical_key, key_from_json, key_to_json
 from repro.query.pattern import QueryPattern
 
 __all__ = ["MarkovTable", "MARKOV_FORMAT_VERSION"]
@@ -199,7 +199,7 @@ class MarkovTable:
             "complete": self.complete,
             "labels": list(labels) if labels is not None else None,
             "entries": [
-                {"key": [list(atom) for atom in key], "count": value}
+                {"key": key_to_json(key), "count": value}
                 for key, value in sorted(self._cache.items())
             ],
         }
@@ -233,11 +233,7 @@ class MarkovTable:
             complete=complete,
         )
         for entry in entries:
-            key = tuple(
-                (int(src), int(dst), str(label))
-                for src, dst, label in entry["key"]
-            )
-            table._cache[key] = float(entry["count"])
+            table._cache[key_from_json(entry["key"])] = float(entry["count"])
         return table
 
     def save(self, path: str | Path) -> None:

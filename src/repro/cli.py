@@ -752,6 +752,7 @@ def run_updates(argv: list[str]) -> int:
     exit_code = 0
     if args.verify:
         from repro.stats import build_statistics
+        from repro.stats.flatpack import degree_images_equal
 
         if manifest.build_config.get("mode") not in (None, "full"):
             if telemetry is not None:
@@ -778,8 +779,7 @@ def run_updates(argv: list[str]) -> int:
         checks = {
             "markov": loaded.markov.to_artifact()
             == cold.markov.to_artifact(),
-            "degrees": loaded.degrees.to_artifact()
-            == cold.degrees.to_artifact(),
+            "degrees": degree_images_equal(loaded.degrees, cold.degrees),
         }
         if loaded.characteristic_sets is not None:
             fresh = cold.characteristic_sets

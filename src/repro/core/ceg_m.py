@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from repro.catalog.degrees import DegreeCatalog, StatRelation
+from repro.catalog.degrees import DegreeCatalog, RelationView
 from repro.core.ceg import CEG
 from repro.errors import EstimationError
 from repro.query.pattern import QueryPattern
@@ -59,9 +59,9 @@ def _subsets(items: tuple[str, ...]):
 
 
 def _relation_moves(
-    relations: list[StatRelation],
-) -> list[tuple[StatRelation, frozenset[str]]]:
-    moves: list[tuple[StatRelation, frozenset[str]]] = []
+    relations: list[RelationView],
+) -> list[tuple[RelationView, frozenset[str]]]:
+    moves: list[tuple[RelationView, frozenset[str]]] = []
     for relation in relations:
         attrs = tuple(sorted(relation.attributes))
         for y in _subsets(attrs):
@@ -109,7 +109,7 @@ def molp_min_path(
     ]
     all_mask = (1 << len(attrs)) - 1
     dist: dict[int, float] = {0: 1.0}
-    via: dict[int, tuple[int, StatRelation, frozenset[str], int, float]] = {}
+    via: dict[int, tuple[int, RelationView, frozenset[str], int, float]] = {}
     counter = 0
     heap: list[tuple[float, int, int]] = [(1.0, counter, 0)]
     settled: set[int] = set()

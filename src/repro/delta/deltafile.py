@@ -5,19 +5,20 @@ Every generation ``repro updates apply`` publishes is a complete image
 ``deltas/NNNN.json`` file, the lineage and audit record of that
 generation.  A delta file carries
 
-* **lineage** — generation number, parent → child dataset fingerprints
-  and the applied-at timestamp (the manifest mirrors these, so a chain
-  is verifiable from the manifest alone);
+* **lineage** — generation number, parent → child dataset fingerprints,
+  the applied-at timestamp and whether the apply compacted (the
+  manifest mirrors these, so a chain is verifiable from the manifest
+  alone);
 * the **edge-update log** of the generation (``[op, src, dst, label]``
   rows), from which the mutated graph is re-derivable given the base
   dataset (:func:`repro.delta.maintain.replay_graph`);
-* the **catalog patches** the incremental maintainer computed — Markov
-  entries set/deleted, degree relations replaced/deleted, entropy
-  entries recomputed, resampled cycle rates and rebuilt baseline
-  summaries;
-* the **staleness ledger** recording, per catalog, whether the patch is
-  exact (bit-identical to a cold rebuild) or merely refreshed (e.g.
-  resampled cycle rates).
+* the **staleness ledger** recording, per catalog, whether the
+  maintained state is exact (bit-identical to a cold rebuild) or merely
+  refreshed (e.g. resampled cycle rates).
+
+Catalog contents live only in the generation images.  Delta files of
+older writers also carry catalog patches (and a ``NNNN.sumrdf.npz``
+beside them); readers ignore both.
 """
 
 from __future__ import annotations
@@ -25,21 +26,16 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
-from repro.baselines.sumrdf import SumRdfEstimator
 from repro.errors import DatasetError, check_format_version
 from repro.stats.artifact import (
     DELTAS_DIR,
     delta_file_name,
     fsync_dir,
-    fsync_file,
     write_file_durably,
 )
 
 __all__ = [
     "DELTA_FORMAT_VERSION",
-    "encode_keys",
     "read_delta",
     "write_delta",
 ]
@@ -47,18 +43,8 @@ __all__ = [
 DELTA_FORMAT_VERSION = 1
 
 
-def encode_keys(keys) -> list:
-    """Canonical pattern keys → JSON nested lists (sorted, stable)."""
-    return [[list(atom) for atom in key] for key in sorted(keys)]
-
-
-def sumrdf_file_name(generation: int) -> str:
-    """Relative path of one generation's rebuilt SumRDF summary."""
-    return f"{DELTAS_DIR}/{generation:04d}.sumrdf.npz"
-
-
 def read_delta(directory: str | Path, file: str) -> dict:
-    """Read and version-check one delta patch file."""
+    """Read and version-check one delta file."""
     path = Path(directory) / file
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -74,22 +60,11 @@ def read_delta(directory: str | Path, file: str) -> dict:
     return payload
 
 
-def write_delta(
-    directory: str | Path,
-    payload: dict,
-    sumrdf: SumRdfEstimator | None = None,
-) -> Path:
-    """Durably write one generation's update log (plus SumRDF sibling)."""
+def write_delta(directory: str | Path, payload: dict) -> Path:
+    """Durably write one generation's update log."""
     directory = Path(directory)
-    generation = int(payload["generation"])
     (directory / DELTAS_DIR).mkdir(parents=True, exist_ok=True)
-    if sumrdf is not None:
-        payload = dict(payload, sumrdf_file=sumrdf_file_name(generation))
-        np.savez_compressed(
-            directory / sumrdf_file_name(generation), **sumrdf.to_artifact()
-        )
-        fsync_file(directory / sumrdf_file_name(generation))
-    path = directory / delta_file_name(generation)
+    path = directory / delta_file_name(int(payload["generation"]))
     write_file_durably(path, json.dumps(payload).encode("utf-8"))
     fsync_dir(directory / DELTAS_DIR)
     return path

@@ -49,12 +49,7 @@ from repro.delta.counting import (
     discover_new_patterns,
     pattern_from_key,
 )
-from repro.delta.deltafile import (
-    DELTA_FORMAT_VERSION,
-    encode_keys,
-    read_delta,
-    write_delta,
-)
+from repro.delta.deltafile import DELTA_FORMAT_VERSION, read_delta, write_delta
 from repro.delta.overlay import MutableGraphOverlay
 from repro.delta.updates import UpdateBatch
 from repro.engine.counter import count_pattern
@@ -156,8 +151,6 @@ class MaintenanceOutcome:
     ledger: dict = field(default_factory=dict)
     seconds: float = 0.0
     delta_file: str | None = None
-    #: Catalog patch payloads destined for the delta file (internal).
-    patches: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         """JSON-friendly form (the ``repro updates apply`` report)."""
@@ -234,30 +227,25 @@ def _recompute_entropy(
     old: EntropyCatalog,
     graph: LabeledDiGraph,
     touched: frozenset[str],
-) -> tuple[EntropyCatalog, list[dict]]:
-    """Entropy catalog for the new graph; touched shapes recomputed.
+) -> tuple[EntropyCatalog, int]:
+    """Entropy catalog for the new graph, and how many entries changed.
 
-    Entries are keyed by canonical pattern key + canonical variable
-    names (see :mod:`repro.catalog.entropy`), so every stored entry is
-    recomputable from its key alone.
+    Touched shapes are recomputed.  Entries are keyed by canonical
+    pattern key + canonical variable names (see
+    :mod:`repro.catalog.entropy`), so every stored entry is recomputable
+    from its key alone.
     """
     fresh = EntropyCatalog(graph, max_rows=old.max_rows)
-    patched: list[dict] = []
+    recomputed = 0
     for (pattern_key, variables), value in sorted(old._cache.items()):
         labels = {label for _, _, label in pattern_key}
         if labels & touched:
             value = fresh._compute(
                 pattern_from_key(pattern_key), frozenset(variables)
             )
-            patched.append(
-                {
-                    "key": [list(atom) for atom in pattern_key],
-                    "vars": list(variables),
-                    "value": value,
-                }
-            )
+            recomputed += 1
         fresh._cache[(pattern_key, variables)] = value
-    return fresh, patched
+    return fresh, recomputed
 
 
 def config_from_manifest(manifest: StoreManifest):
@@ -418,31 +406,11 @@ def apply_updates(
             "parent_fingerprint": parent_fingerprint,
             "fingerprint": fingerprint,
             "applied_at": applied_at,
-            "updates": batch.to_rows(),
-            "graph_summary": new_graph.summary(),
-            "labels": list(new_graph.labels),
             "compacted": outcome.mode == "compacted",
+            "updates": batch.to_rows(),
             "staleness": dict(outcome.ledger),
-            "markov": outcome.patches.get(
-                "markov", {"set": [], "delete": [], "complete": store.markov.complete}
-            ),
-            "degrees": outcome.patches.get(
-                "degrees",
-                {"set": [], "delete": [], "complete": store.degrees.complete},
-            ),
         }
-        if "entropy" in outcome.patches:
-            payload["entropy"] = outcome.patches["entropy"]
-        if "cycle_rates" in outcome.patches:
-            payload["cycle_rates"] = outcome.patches["cycle_rates"]
-        if "characteristic_sets" in outcome.patches:
-            payload["characteristic_sets"] = outcome.patches[
-                "characteristic_sets"
-            ]
-        sumrdf = (
-            store.sumrdf if "sumrdf" in outcome.patches else None
-        )
-        path = write_delta(directory, payload, sumrdf=sumrdf)
+        path = write_delta(directory, payload)
         outcome.delta_file = str(path.relative_to(directory))
         # The update log lands first: a crash before the swap leaves a
         # log the manifest does not list, and readers keep the old image.
@@ -535,9 +503,7 @@ def _maintain_incremental(
             if support_changed:
                 if table is None:
                     table = materialise_table(new_graph, pattern, max_rows)
-                degrees_set[key] = StatRelation.from_table(
-                    pattern, table, n
-                )
+                degrees_set[key] = StatRelation.from_table(pattern, table, n)
                 degree_counters["rebuilt"] += 1
             else:
                 degree_counters["kept"] += 1
@@ -580,49 +546,22 @@ def _maintain_incremental(
     outcome.markov = counters
     outcome.degrees = degree_counters
     ledger = {"markov": "exact", "degrees": "exact"}
-    patches: dict = {
-        "markov": {
-            "set": [
-                {"key": [list(atom) for atom in key], "count": count}
-                for key, count in sorted(markov_set.items())
-            ],
-            "delete": encode_keys(markov_delete),
-            "complete": store.markov.complete,
-        },
-        "degrees": {
-            "set": [
-                relation.to_artifact()
-                for _, relation in sorted(degrees_set.items())
-            ],
-            "delete": encode_keys(degrees_delete),
-            "complete": store.degrees.complete,
-        },
-    }
 
     if store.entropy is not None:
-        store.entropy, entropy_patch = _recompute_entropy(
+        store.entropy, recomputed = _recompute_entropy(
             store.entropy, new_graph, touched
         )
-        patches["entropy"] = {"set": entropy_patch}
-        ledger["entropy"] = (
-            f"recomputed {len(entropy_patch)} touched-shape entries"
-        )
+        ledger["entropy"] = f"recomputed {recomputed} touched-shape entries"
     if store.cycle_rates is not None:
         store.cycle_rates = _resample_cycle_rates(
             store.cycle_rates, new_graph
         )
-        patches["cycle_rates"] = {
-            "replace": store.cycle_rates.to_artifact()
-        }
         ledger["cycle_rates"] = (
             "resampled on the new graph (statistically equivalent, not "
             "RNG-stream-identical to a cold workload-order rebuild)"
         )
     if store.characteristic_sets is not None:
         store.characteristic_sets = CharacteristicSetsEstimator(new_graph)
-        patches["characteristic_sets"] = {
-            "replace": store.characteristic_sets.to_artifact()
-        }
         ledger["characteristic_sets"] = "rebuilt (single whole-graph pass)"
     if store.sumrdf is not None:
         build_config = store.manifest.build_config
@@ -631,12 +570,10 @@ def _maintain_incremental(
             num_buckets=store.sumrdf.num_buckets,
             seed=int(build_config.get("sumrdf_seed", 0)),
         )
-        patches["sumrdf"] = True
         ledger["sumrdf"] = (
             "rebuilt (bucketing hashes label signatures per process)"
         )
     outcome.ledger = ledger
-    outcome.patches = patches
 
 
 def _rebuild_cold(
@@ -675,7 +612,6 @@ def _rebuild_cold(
         "threshold)",
         "degrees": "rebuilt cold",
     }
-    outcome.patches = {}
 
 
 def replay_graph(

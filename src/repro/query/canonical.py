@@ -14,7 +14,13 @@ from itertools import permutations
 
 from repro.query.pattern import QueryPattern
 
-__all__ = ["canonical_key", "canonical_pattern"]
+__all__ = [
+    "canonical_key",
+    "canonical_order",
+    "canonical_pattern",
+    "key_from_json",
+    "key_to_json",
+]
 
 _MAX_BRUTE_FORCE_VARS = 8
 
@@ -46,25 +52,46 @@ def canonical_key(pattern: QueryPattern) -> tuple:
     variables = pattern.variables
     if len(variables) <= _MAX_BRUTE_FORCE_VARS:
         groups = _refinement_groups(pattern)
-        best: tuple | None = None
-        for order in _orders_respecting_groups(groups):
-            encoded = _encode(pattern, order)
-            if best is None or encoded < best:
-                best = encoded
-        assert best is not None
-        key = best
+        key: tuple | None = None
+        for candidate in _orders_respecting_groups(groups):
+            encoded = _encode(pattern, candidate)
+            if key is None or encoded < key:
+                key, order = encoded, candidate
+        assert key is not None
     else:
         signature = {var: _var_signature(pattern, var) for var in variables}
         order = tuple(sorted(variables, key=lambda v: (signature[v], v)))
         key = _encode(pattern, order)
     pattern._canonical_key = key
+    pattern._canonical_order = order
     return key
+
+
+def canonical_order(pattern: QueryPattern) -> tuple[str, ...]:
+    """The variable order realising :func:`canonical_key`.
+
+    ``order[i]`` plays canonical variable ``v{i}``: renaming the pattern
+    by it yields :func:`canonical_pattern`.  Memoized with the key.
+    """
+    if pattern._canonical_order is None:
+        canonical_key(pattern)
+    return pattern._canonical_order
 
 
 def canonical_pattern(pattern: QueryPattern) -> QueryPattern:
     """The pattern rebuilt with canonical variable names ``v0, v1, ...``."""
     key = canonical_key(pattern)
     return QueryPattern((f"v{s}", f"v{d}", label) for s, d, label in key)
+
+
+def key_to_json(key: tuple) -> list:
+    """A canonical key as a JSON list of ``[src, dst, label]`` atoms."""
+    return [[src, dst, label] for src, dst, label in key]
+
+
+def key_from_json(atoms: list) -> tuple:
+    """The canonical key :func:`key_to_json` wrote."""
+    return tuple((int(src), int(dst), str(label)) for src, dst, label in atoms)
 
 
 def _var_signature(pattern: QueryPattern, var: str) -> tuple:

@@ -61,7 +61,10 @@ class QueryPattern:
     the same atoms compare equal.
     """
 
-    __slots__ = ("_edges", "_vars", "_adjacency", "_hash", "_canonical_key")
+    __slots__ = (
+        "_edges", "_vars", "_adjacency", "_hash", "_canonical_key",
+        "_canonical_order",
+    )
 
     def __init__(self, edges: Iterable[QueryEdge | tuple[str, str, str]]):
         normalized: list[QueryEdge] = []
@@ -98,7 +101,10 @@ class QueryPattern:
         # canonical form is a brute-force minimum over variable orderings
         # (worst case 8! for fully symmetric patterns), and the caching
         # service keys every lookup by it — pay it once per pattern.
+        # The variable order that realises the key is kept beside it:
+        # it maps the pattern onto the stored relation's columns.
         self._canonical_key: tuple | None = None
+        self._canonical_order: tuple[str, ...] | None = None
 
     # ------------------------------------------------------------------
     # Basic accessors

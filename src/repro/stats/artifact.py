@@ -69,7 +69,8 @@ __all__ = [
 STORE_FORMAT_VERSION = 2
 
 #: Format of the mid-build resume checkpoint under BUILD_STATE_DIR.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Version 2: degree relations are ``[key, cardinality, values]`` rows.
+CHECKPOINT_FORMAT_VERSION = 2
 
 MANIFEST_FILE = "manifest.json"
 
@@ -85,7 +86,7 @@ CHECKPOINT_FILE = "checkpoint.json"
 
 
 def delta_file_name(generation: int) -> str:
-    """Relative path of one delta generation's patch file."""
+    """Relative path of one delta generation's update log."""
     return f"{DELTAS_DIR}/{generation:04d}.json"
 
 #: The array-backed catalogs (markov/degrees/sumrdf): one uncompressed,

@@ -27,16 +27,17 @@ Both modes run through one **level-synchronous, sharded** coordinator:
 * With ``jobs > 1`` the shards of a level run on a
   ``ProcessPoolExecutor`` (forked workers share the graph's pages;
   spawn falls back to pickling it once per worker).  Workers ship back
-  ``(canonical key, count, degree-relation payload)`` triples — nothing
-  process-specific — and the coordinator merges them in shard order.
-  Every stored value is keyed by canonical form and serialized under
-  canonical variable names (:meth:`StatRelation.canonical_from_table`,
-  the PR-5 discipline), and catalog artifacts sort on serialization, so
-  a parallel build's artifact is **byte-identical** to ``jobs=1``.
+  canonical-key counts and degree relations (``key, cardinality,
+  values``) — nothing process-specific — and the coordinator merges
+  them in shard order.  Every stored value is keyed by canonical form,
+  degrees laid out under canonical variable names
+  (:meth:`StatRelation.from_table`), and catalog images sort on
+  serialization, so a parallel build's artifact is **byte-identical**
+  to ``jobs=1``.
 * After every level the coordinator can persist a resume checkpoint
   (``build_state/checkpoint.json`` under the build directory): a killed
   build rerun with ``resume=True`` reloads all completed levels —
-  counts, degree payloads, per-shard frontiers — and continues instead
+  counts, degree relations, per-shard frontiers — and continues instead
   of recounting.
 
 Degree statistics for the MOLP catalog are extracted from the same
@@ -88,7 +89,12 @@ from repro.errors import (
 )
 from repro.graph.digraph import LabeledDiGraph
 from repro.obs.offline import JobTelemetry
-from repro.query.canonical import canonical_key, canonical_pattern
+from repro.query.canonical import (
+    canonical_key,
+    canonical_pattern,
+    key_from_json,
+    key_to_json,
+)
 from repro.query.pattern import QueryEdge, QueryPattern
 from repro.query.shape import largest_cycle_length
 from repro.stats.artifact import (
@@ -265,14 +271,13 @@ def _set_worker_context(
 class _TaskResult:
     """One shard-level task's contribution, in deterministic order.
 
-    Degree relations travel as ``StatRelation.to_artifact()`` payloads —
-    plain JSON-able dicts — so results are identical whether they
-    crossed a process boundary, came off a resume checkpoint, or were
-    produced inline.
+    Degree relations are plain ``(key, cardinality, values)`` records,
+    identical whether they crossed a process boundary, came off a resume
+    checkpoint, or were produced inline.
     """
 
     records: list[tuple[tuple, float]] = field(default_factory=list)
-    degree_payloads: list[tuple[tuple, dict]] = field(default_factory=list)
+    relations: list[StatRelation] = field(default_factory=list)
     frontier: list[tuple] = field(default_factory=list)
     examined: int = 0
     markov_complete: bool = True
@@ -306,16 +311,13 @@ def _record_pattern(
     result.records.append((key, count))
     if len(pattern) <= config.molp_h:
         if table is not None:
-            # Stored under canonical variable names so the artifact
+            # Laid out under canonical variable names, so the artifact
             # bytes are independent of the growth path that produced
             # the table (the incremental maintainer's recomputed
-            # relations must land on identical serializations).
-            result.degree_payloads.append((
-                key,
-                StatRelation.canonical_from_table(
-                    pattern, table, graph.num_vertices
-                ).to_artifact(),
-            ))
+            # relations must land on identical bytes).
+            result.relations.append(
+                StatRelation.from_table(pattern, table, graph.num_vertices)
+            )
         else:
             # The match table overflowed max_rows: the count is known
             # but no degrees were extracted, so a graph-free catalog
@@ -488,20 +490,12 @@ class _TaskRunner:
 # Checkpointing
 # ----------------------------------------------------------------------
 
-def _key_to_json(key: tuple) -> list:
-    return [[s, d, label] for s, d, label in key]
-
-
-def _key_from_json(payload: list) -> tuple:
-    return tuple((int(s), int(d), str(label)) for s, d, label in payload)
-
-
 @dataclass
 class _BuildState:
     """Everything accumulated across completed levels of one build."""
 
     counts: dict[tuple, float] = field(default_factory=dict)
-    degree_payloads: dict[tuple, dict] = field(default_factory=dict)
+    relations: dict[tuple, StatRelation] = field(default_factory=dict)
     frontiers: list[list[tuple]] = field(default_factory=list)
     completed_levels: list[int] = field(default_factory=list)
     level_stats: list[dict] = field(default_factory=list)
@@ -523,8 +517,8 @@ class _BuildState:
             for key, count in result.records:
                 self.counts[key] = count
                 stored += 1
-            for key, payload in result.degree_payloads:
-                self.degree_payloads[key] = payload
+            for relation in result.relations:
+                self.relations[relation.key] = relation
             examined += result.examined
             self.markov_complete &= result.markov_complete
             self.degrees_complete &= result.degrees_complete
@@ -545,10 +539,7 @@ class _BuildState:
     def to_enumeration(self) -> "_Enumeration":
         return _Enumeration(
             counts=self.counts,
-            degree_relations={
-                key: StatRelation.from_artifact(payload)
-                for key, payload in self.degree_payloads.items()
-            },
+            degree_relations=self.relations,
             enumerated=self.examined,
             markov_complete=self.markov_complete,
             degrees_complete=self.degrees_complete,
@@ -593,15 +584,15 @@ class _BuildCheckpoint:
             "markov_complete": state.markov_complete,
             "degrees_complete": state.degrees_complete,
             "counts": [
-                [_key_to_json(key), count]
+                [key_to_json(key), count]
                 for key, count in sorted(state.counts.items())
             ],
             "degrees": [
-                [_key_to_json(key), payload]
-                for key, payload in sorted(state.degree_payloads.items())
+                relation.to_json()
+                for _, relation in sorted(state.relations.items())
             ],
             "frontiers": [
-                [_key_to_json(key) for key in frontier]
+                [key_to_json(key) for key in frontier]
                 for frontier in state.frontiers
             ],
             "level_stats": state.level_stats,
@@ -640,15 +631,15 @@ class _BuildCheckpoint:
             entry["resumed"] = True
         return _BuildState(
             counts={
-                _key_from_json(key): float(count)
+                key_from_json(key): float(count)
                 for key, count in payload["counts"]
             },
-            degree_payloads={
-                _key_from_json(key): dict(body)
-                for key, body in payload["degrees"]
+            relations={
+                relation.key: relation
+                for relation in map(StatRelation.from_json, payload["degrees"])
             },
             frontiers=[
-                [_key_from_json(key) for key in frontier]
+                [key_from_json(key) for key in frontier]
                 for frontier in payload["frontiers"]
             ],
             completed_levels=[int(v) for v in payload["completed_levels"]],
@@ -865,7 +856,7 @@ def _workload_scope_digest(keys: Iterable[tuple]) -> str:
     """Content hash of the needed-key set, pinning a checkpoint to it."""
     digest = hashlib.sha256()
     for key in sorted(keys):
-        digest.update(json.dumps(_key_to_json(key)).encode("utf-8"))
+        digest.update(json.dumps(key_to_json(key)).encode("utf-8"))
     return digest.hexdigest()[:20]
 
 

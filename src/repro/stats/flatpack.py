@@ -10,13 +10,20 @@ zero-copy.  This module is that codec:
   byte string, 6 bytes per atom (``>HHH`` with every component stored
   ``+1`` so no atom is all-zero), labels interned through a sorted
   vocabulary.  Keys sort and binary-search directly as a numpy ``S``
-  array; entries that do not fit the fixed-width form (a component over
-  :data:`MAX_COMPONENT`, a non-canonical stored pattern) fall back to a
-  JSON ``irregular`` list in the metadata and are decoded eagerly.
-* **Lazy backings** — :class:`FlatMarkov` / :class:`FlatDegrees` hold
-  the arrays and decode single entries on demand; the owning catalog
-  memoises decoded values in its ordinary ``_cache`` and calls
-  ``materialize()`` before any mutation.
+  array; entries whose key does not fit (a component over
+  :data:`MAX_COMPONENT`) fall back to a JSON ``irregular`` list in the
+  metadata: ``{key, count}`` for Markov, ``{key, cardinality, values}``
+  for degrees.
+* **Degree blocks** — a stored relation's ``values`` array (its
+  ``3^k`` degrees in image order, see :mod:`repro.catalog.degrees`) is
+  written verbatim into one concatenated ``deg_value`` array; the
+  ``deg_x`` / ``deg_y`` masks beside it are the fixed per-arity table,
+  checked once per load by :func:`verify_degree_blocks`.  A mapped
+  relation is a slice of ``deg_value``.
+* **Image backings** — :class:`FlatMarkov` / :class:`FlatDegrees` hold
+  the arrays and serve single entries on demand; the owning catalog
+  memoises them in its ordinary ``_cache`` and calls ``materialize()``
+  before any mutation.
 * **Deterministic NPZ** — :func:`write_stored_npz` emits a byte-stable
   uncompressed archive (fixed timestamps, sorted members, aligned data)
   because CI byte-compares serial vs parallel vs resumed builds.
@@ -26,7 +33,6 @@ zero-copy.  This module is that codec:
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import struct
@@ -35,7 +41,14 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.catalog.degrees import (
+    DegreeCatalog,
+    StatRelation,
+    key_arity,
+    pair_table,
+)
 from repro.errors import DatasetError
+from repro.query.canonical import key_from_json, key_to_json
 
 __all__ = [
     "IMAGE_FORMAT_VERSION",
@@ -48,6 +61,8 @@ __all__ = [
     "markov_from_flat",
     "degrees_to_flat",
     "degrees_from_flat",
+    "degree_images_equal",
+    "verify_degree_blocks",
     "sumrdf_to_flat",
     "sumrdf_from_flat",
     "catalogs_to_flat",
@@ -104,15 +119,6 @@ def decode_canonical_key(raw: bytes, vocab: list[str]) -> tuple:
             break
         key.append((src - 1, dst - 1, vocab[label_id - 1]))
     return tuple(key)
-
-
-def _canonical_pattern_of(key: tuple):
-    """The pattern :func:`repro.query.canonical.canonical_pattern` builds."""
-    from repro.query.pattern import QueryPattern
-
-    return QueryPattern(
-        (f"v{src}", f"v{dst}", label) for src, dst, label in key
-    )
 
 
 class _KeyIndex:
@@ -204,7 +210,7 @@ def markov_to_flat(markov) -> tuple[dict, dict[str, np.ndarray]]:
         raw = encode_canonical_key(key, label_ids)
         if raw is None:
             irregular.append(
-                {"key": [list(atom) for atom in key], "count": count}
+                {"key": key_to_json(key), "count": count}
             )
         else:
             encoded.append(raw)
@@ -244,92 +250,20 @@ def markov_from_flat(meta: dict, arrays: dict, graph=None):
         list(meta.get("vocab", [])),
     )
     for entry in meta.get("irregular", []):
-        key = tuple(
-            (int(src), int(dst), str(label))
-            for src, dst, label in entry["key"]
-        )
-        table._cache[key] = float(entry["count"])
+        table._cache[key_from_json(entry["key"])] = float(entry["count"])
     return table
 
 
 # ----------------------------------------------------------------------
 # Degree catalog <-> flat arrays
 # ----------------------------------------------------------------------
-def _encodable_relation(relation, key: tuple) -> bool:
-    """Whether a StatRelation round-trips through the packed form.
-
-    Requires the stored pattern to be *exactly* the canonical
-    reconstruction of its key (atom order and variable names included),
-    default stored columns, and at most 32 variables for the masks.
-    """
-    if tuple(
-        (e.src, e.dst, e.label) for e in relation.pattern.edges
-    ) != tuple((f"v{src}", f"v{dst}", label) for src, dst, label in key):
-        return False
-    if relation._columns != relation.pattern.variables:
-        return False
-    return len(relation.pattern.variables) <= 32
-
-
-@functools.lru_cache(maxsize=1024)
-def _image_order(names: tuple[str, ...]) -> tuple:
-    """``(x_mask, y_mask, (X, Y))`` of every pair, in image order.
-
-    Bit ``i`` of a mask is ``names[i]`` (sorted variable names); the
-    image lists a relation's pairs by sorted ``Y`` names, then sorted
-    ``X`` names.
-    """
-    from repro.catalog.degrees import _pair_keys
-
-    return tuple(
-        sorted(
-            _pair_keys(names),
-            key=lambda entry: (sorted(entry[2][1]), sorted(entry[2][0])),
-        )
-    )
-
-
-def _relation_block(relation, key: tuple):
-    """A relation's ``(deg_x, deg_y, deg_value)`` image block.
-
-    ``None`` when the relation cannot take the packed form.  Graph-backed
-    relations first complete their degree set and are encoded afresh on
-    every save; a stored relation never changes, so its block (or its
-    ``None`` verdict) is memoised on it and reused by every later save.
-    """
-    if relation._rows is None and relation._image_block is not None:
-        return relation._image_block or None
-    block: tuple = ()
-    if _encodable_relation(relation, key):
-        from repro.catalog.degrees import all_degree_pairs
-
-        if relation._rows is not None:
-            relation._degrees = all_degree_pairs(
-                relation._rows, relation._columns, relation._num_vertices
-            )
-        degrees = relation._degrees
-        entries = [
-            (x_mask, y_mask, degrees[pair])
-            for x_mask, y_mask, pair in _image_order(
-                tuple(sorted(relation.pattern.variables))
-            )
-            if pair in degrees
-        ]
-        # A pair outside X ⊆ Y ⊆ attrs has no mask: keep it in JSON.
-        if len(entries) == len(degrees):
-            x_masks, y_masks, values = zip(*entries) if entries else ((), (), ())
-            block = (
-                np.asarray(x_masks, dtype=np.uint32),
-                np.asarray(y_masks, dtype=np.uint32),
-                np.asarray(values, dtype=np.float64),
-            )
-    if relation._rows is None:
-        relation._image_block = block
-    return block or None
-
-
 def degrees_to_flat(degrees) -> tuple[dict, dict[str, np.ndarray]]:
-    """``(meta, arrays)`` snapshot of a (materialised) degree catalog."""
+    """``(meta, arrays)`` snapshot of a (materialised) degree catalog.
+
+    ``deg_value`` is every relation's ``values`` back to back; each
+    relation's ``deg_x`` / ``deg_y`` run is its arity's
+    :func:`~repro.catalog.degrees.pair_table`.
+    """
     degrees.materialize()
     entries = sorted(degrees._cache.items())
     vocab = _key_vocab(key for key, _ in entries)
@@ -339,21 +273,16 @@ def degrees_to_flat(degrees) -> tuple[dict, dict[str, np.ndarray]]:
     irregular: list[dict] = []
     for key, relation in entries:
         raw = encode_canonical_key(key, label_ids)
-        block = None if raw is None else _relation_block(relation, key)
-        if block is None:
-            irregular.append(
-                {
-                    "key": [list(atom) for atom in key],
-                    "relation": relation.to_artifact(),
-                }
-            )
+        if raw is None:
+            irregular.append(relation.to_json())
         else:
             encoded.append(raw)
-            regular.append((relation.cardinality, block))
+            regular.append(relation)
     keys, order = _pack_sorted(encoded)
     regular = [regular[i] for i in order]
+    tables = [pair_table(key_arity(relation.key)) for relation in regular]
     offsets = np.zeros(len(regular) + 1, dtype=np.int64)
-    np.cumsum([len(block[2]) for _, block in regular], out=offsets[1:])
+    np.cumsum([len(relation.values) for relation in regular], out=offsets[1:])
     meta = {
         "h": degrees.h,
         "complete": degrees.complete,
@@ -364,93 +293,129 @@ def degrees_to_flat(degrees) -> tuple[dict, dict[str, np.ndarray]]:
     arrays = {
         "degrees::keys": keys,
         "degrees::cardinality": np.asarray(
-            [cardinality for cardinality, _ in regular], dtype=np.float64
+            [relation.cardinality for relation in regular], dtype=np.float64
         ),
         "degrees::offsets": offsets,
+        "degrees::deg_x": np.concatenate(
+            [np.empty(0, dtype=np.uint32)] + [x for x, _ in tables]
+        ),
+        "degrees::deg_y": np.concatenate(
+            [np.empty(0, dtype=np.uint32)] + [y for _, y in tables]
+        ),
+        "degrees::deg_value": np.concatenate(
+            [np.empty(0, dtype=np.float64)]
+            + [relation.values for relation in regular]
+        ),
     }
-    for column, (name, dtype) in enumerate(
-        (("deg_x", np.uint32), ("deg_y", np.uint32), ("deg_value", np.float64))
-    ):
-        arrays[f"degrees::{name}"] = np.concatenate(
-            [np.empty(0, dtype=dtype)]
-            + [block[column] for _, block in regular]
-        )
     return meta, arrays
 
 
+def degree_images_equal(left, right) -> bool:
+    """Whether two degree catalogs write bit-identical image content."""
+    left_meta, left_arrays = degrees_to_flat(left)
+    right_meta, right_arrays = degrees_to_flat(right)
+    return (
+        left_meta == right_meta
+        and left_arrays.keys() == right_arrays.keys()
+        and all(
+            array.dtype == right_arrays[name].dtype
+            and array.tobytes() == right_arrays[name].tobytes()
+            for name, array in left_arrays.items()
+        )
+    )
+
+
+def verify_degree_blocks(arrays: dict, path) -> None:
+    """Check every mapped relation's block against its arity's layout.
+
+    Readers slice ``deg_value`` by position alone, so each relation's
+    block must hold ``3^k`` values and its ``deg_x`` / ``deg_y`` must be
+    the arity-``k`` :func:`~repro.catalog.degrees.pair_table` (``k``
+    read off the packed key).  One vectorised gather per arity; a
+    mismatch raises :class:`DatasetError` naming ``path``.
+    """
+    keys = arrays["degrees::keys"]
+    offsets = np.asarray(arrays["degrees::offsets"])
+    deg_x = arrays["degrees::deg_x"]
+    deg_y = arrays["degrees::deg_y"]
+    count = int(keys.shape[0])
+    width = int(keys.dtype.itemsize)
+
+    def fail(reason: str) -> None:
+        raise DatasetError(f"corrupt statistics arrays {path}: {reason}")
+
+    if width % ATOM_BYTES or offsets.shape != (count + 1,) or (
+        arrays["degrees::cardinality"].shape != (count,)
+    ):
+        fail("degree keys, offsets and cardinalities disagree")
+    atoms = (
+        np.frombuffer(np.ascontiguousarray(keys).tobytes(), dtype=">u2")
+        .reshape(count, width // ATOM_BYTES, 3)[:, :, :2]
+    )
+    arity = atoms.max(axis=(1, 2), initial=0).astype(np.int64)
+    total = int(offsets[-1])
+    if (
+        offsets[0] != 0
+        or deg_x.shape != (total,)
+        or deg_y.shape != (total,)
+        or arrays["degrees::deg_value"].shape != (total,)
+        or not np.array_equal(np.diff(offsets), 3 ** arity)
+    ):
+        fail("a degree block's length is not 3^arity")
+    for k in np.unique(arity).tolist():
+        x_masks, y_masks = pair_table(k)
+        rows = offsets[:-1][arity == k, None] + np.arange(3 ** k)
+        if not (
+            np.array_equal(deg_x[rows], np.broadcast_to(x_masks, rows.shape))
+            and np.array_equal(deg_y[rows], np.broadcast_to(y_masks, rows.shape))
+        ):
+            fail(f"an arity-{k} degree block is not in image order")
+
+
 class FlatDegrees:
-    """Lazy array backing for a :class:`~repro.catalog.degrees.DegreeCatalog`."""
+    """Mapped image backing for a :class:`~repro.catalog.degrees.DegreeCatalog`.
+
+    Relation ``i`` is ``deg_value[offsets[i]:offsets[i + 1]]``; a lookup
+    slices it, decoding nothing.
+    """
 
     def __init__(self, arrays: dict, vocab: list[str]):
         self.index = _KeyIndex(arrays["degrees::keys"], vocab)
         self.cardinality = arrays["degrees::cardinality"]
         self.offsets = arrays["degrees::offsets"]
-        self.deg_x = arrays["degrees::deg_x"]
-        self.deg_y = arrays["degrees::deg_y"]
         self.deg_value = arrays["degrees::deg_value"]
 
     @property
     def count(self) -> int:
         return len(self.index)
 
-    def _decode(self, position: int):
-        from repro.catalog.degrees import StatRelation
-
-        key = self.index.key_at(position)
-        pattern = _canonical_pattern_of(key)
-        names = sorted(pattern.variables)
-        start = int(self.offsets[position])
-        stop = int(self.offsets[position + 1])
-        degrees = {}
-        for row in range(start, stop):
-            x_mask = int(self.deg_x[row])
-            y_mask = int(self.deg_y[row])
-            x = frozenset(
-                name for i, name in enumerate(names) if x_mask >> i & 1
-            )
-            y = frozenset(
-                name for i, name in enumerate(names) if y_mask >> i & 1
-            )
-            degrees[(x, y)] = float(self.deg_value[row])
-        return StatRelation._stored(
-            pattern,
-            cardinality=float(self.cardinality[position]),
-            degrees=degrees,
-        )
-
     def lookup(self, key: tuple):
         position = self.index.find(key)
         if position is None:
             return None
-        return self._decode(position)
+        start, stop = self.offsets[position:position + 2].tolist()
+        return StatRelation(
+            key, float(self.cardinality[position]), self.deg_value[start:stop]
+        )
 
     def items(self):
-        """Every relation, each carrying its image block for re-saving.
+        """Every ``(key, relation)``, slicing one private copy of the image.
 
         Only materialising callers walk every relation, and they go on
-        to mutate and save the catalog: handing each decoded relation
-        its slice of the image lets that save copy blocks instead of
-        re-encoding them.  Slices come from private copies, so no
-        relation keeps the mapped file alive.
+        to mutate and re-save the catalog; the copy keeps the mapped
+        file from being pinned by any relation.
         """
-        deg_x, deg_y, deg_value = (
-            np.array(array) for array in (self.deg_x, self.deg_y, self.deg_value)
-        )
-        for position in range(len(self.index)):
-            relation = self._decode(position)
-            start = int(self.offsets[position])
-            stop = int(self.offsets[position + 1])
-            relation._image_block = (
-                deg_x[start:stop], deg_y[start:stop], deg_value[start:stop]
+        values = np.array(self.deg_value)
+        offsets = self.offsets.tolist()
+        for position, cardinality in enumerate(self.cardinality.tolist()):
+            key = self.index.key_at(position)
+            yield key, StatRelation(
+                key, cardinality, values[offsets[position]:offsets[position + 1]]
             )
-            yield self.index.key_at(position), relation
 
 
 def degrees_from_flat(meta: dict, arrays: dict, graph=None, max_rows=5_000_000):
-    """A flat-backed degree catalog over ``degrees::*`` arrays."""
-    from repro.catalog.degrees import DegreeCatalog, StatRelation
-    from repro.query.canonical import canonical_key
-
+    """A catalog backed by the ``degrees::*`` arrays of an image."""
     catalog = DegreeCatalog(
         graph,
         h=int(meta["h"]),
@@ -459,8 +424,8 @@ def degrees_from_flat(meta: dict, arrays: dict, graph=None, max_rows=5_000_000):
     )
     catalog._flat = FlatDegrees(arrays, list(meta.get("vocab", [])))
     for entry in meta.get("irregular", []):
-        relation = StatRelation.from_artifact(entry["relation"])
-        catalog._cache[canonical_key(relation.pattern)] = relation
+        relation = StatRelation.from_json(entry)
+        catalog._cache[relation.key] = relation
     return catalog
 
 

@@ -208,6 +208,7 @@ class StatisticsStore:
             markov_from_flat,
             read_npz_arrays,
             sumrdf_from_flat,
+            verify_degree_blocks,
         )
 
         # Cheap integrity check: the lineage must chain from the base
@@ -233,6 +234,7 @@ class StatisticsStore:
             )
         try:
             arrays = read_npz_arrays(arrays_path, mmap=mmap)
+            verify_degree_blocks(arrays, arrays_path)
             markov = markov_from_flat(meta["markov"], arrays, graph)
             degrees = degrees_from_flat(
                 meta["degrees"], arrays, graph, max_rows=max_rows

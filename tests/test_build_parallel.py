@@ -10,11 +10,18 @@ process, where its bucketing is reproducible.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.datasets.presets import load_dataset
 from repro.datasets.workloads import acyclic_workload, cyclic_workload
 from repro.errors import BuildInterrupted, DatasetError
+from repro.stats.artifact import (
+    BUILD_STATE_DIR,
+    CHECKPOINT_FILE,
+    CHECKPOINT_FORMAT_VERSION,
+)
 from repro.stats.build import StatsBuildConfig, build_statistics
 
 PRESETS = [("hetionet", 0.03), ("epinions", 0.03)]
@@ -137,6 +144,23 @@ def test_checkpoint_refuses_different_config(tmp_path):
             graph, StatsBuildConfig(h=2, molp_h=1, baselines=False),
             checkpoint_dir=out, resume=True,
         )
+
+
+def test_checkpoint_refuses_other_format_version(tmp_path):
+    out = tmp_path / "out"
+    graph = load_dataset("hetionet", 0.02)
+    config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+    with pytest.raises(BuildInterrupted):
+        build_statistics(
+            graph, config, checkpoint_dir=out, stop_after_level=1,
+        )
+    path = out / BUILD_STATE_DIR / CHECKPOINT_FILE
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION
+    payload["format_version"] = CHECKPOINT_FORMAT_VERSION - 1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetError, match="unsupported checkpoint format"):
+        build_statistics(graph, config, checkpoint_dir=out, resume=True)
 
 
 def test_stop_after_level_requires_checkpoint_dir():

@@ -1,21 +1,29 @@
 """Tests for max-degree statistics (StatRelation / DegreeCatalog)."""
 
-import itertools
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles.degrees import group_max_distinct
 
-from repro.catalog import DegreeCatalog, StatRelation, group_max_distinct
-from repro.catalog.degrees import all_degree_pairs
+from repro.catalog import DegreeCatalog
+from repro.catalog.degrees import all_degree_pairs, materialise_table, pair_table
 from repro.errors import MissingStatisticError
+from repro.graph import LabeledDiGraph
 from repro.query import QueryPattern, parse_pattern
+from repro.stats import StatisticsStore, StatsBuildConfig, build_statistics
 
 
 def _f(*items):
     return frozenset(items)
+
+
+def _relation(graph, text):
+    """The graph-backed relation of one pattern, read under its names."""
+    pattern = parse_pattern(text) if isinstance(text, str) else text
+    return DegreeCatalog(graph, h=len(pattern)).relation_for(pattern)
 
 
 class TestGroupMaxDistinct:
@@ -76,54 +84,65 @@ class TestAllDegreePairs:
     def test_matches_group_max_distinct_bit_for_bit(self, table):
         rows, columns, num_vertices = table
         got = all_degree_pairs(rows, columns, num_vertices)
-        subsets = [
-            frozenset(chosen)
-            for size in range(len(columns) + 1)
-            for chosen in itertools.combinations(columns, size)
-        ]
-        assert set(got) == {(x, y) for y in subsets for x in subsets if x <= y}
+        names = sorted(columns)
+        assert got.dtype == np.float64 and got.shape == (3 ** len(names),)
         col_of = {var: i for i, var in enumerate(columns)}
-        for (x, y), value in got.items():
+
+        def cols(mask):
+            return [col_of[v] for i, v in enumerate(names) if mask >> i & 1]
+
+        x_masks, y_masks = pair_table(len(names))
+        for value, x_mask, y_mask in zip(got.tolist(), x_masks, y_masks):
             expected = group_max_distinct(
-                rows,
-                [col_of[v] for v in sorted(x)],
-                [col_of[v] for v in sorted(y)],
-                num_vertices,
+                rows, cols(x_mask), cols(y_mask), num_vertices
             )
-            assert type(value) is float
-            assert _float_bits(value) == _float_bits(expected), (x, y)
+            assert _float_bits(value) == _float_bits(expected), (x_mask, y_mask)
+
+
+class TestPairTable:
+    def test_every_pair_once_in_image_order(self):
+        for width in range(5):
+            x_masks, y_masks = pair_table(width)
+            pairs = list(zip(x_masks.tolist(), y_masks.tolist()))
+            assert len(pairs) == len(set(pairs)) == 3 ** width
+            assert all(x & y == x for x, y in pairs)
+
+            def bits(mask):
+                return [i for i in range(width) if mask >> i & 1]
+
+            assert pairs == sorted(pairs, key=lambda p: (bits(p[1]), bits(p[0])))
 
 
 class TestBaseRelationDegrees:
     def test_cardinality(self, tiny_graph):
-        relation = StatRelation(tiny_graph, parse_pattern("s -[A]-> d"))
+        relation = _relation(tiny_graph, "s -[A]-> d")
         assert relation.cardinality == 3
 
     def test_max_out_degree(self, tiny_graph):
-        relation = StatRelation(tiny_graph, parse_pattern("s -[A]-> d"))
+        relation = _relation(tiny_graph, "s -[A]-> d")
         # Vertex 0 has two outgoing A edges.
         assert relation.deg(_f("s"), _f("s", "d")) == 2
 
     def test_max_in_degree(self, tiny_graph):
-        relation = StatRelation(tiny_graph, parse_pattern("s -[C]-> d"))
+        relation = _relation(tiny_graph, "s -[C]-> d")
         # Vertex 6 has two incoming C edges.
         assert relation.deg(_f("d"), _f("s", "d")) == 2
 
     def test_distinct_projection(self, tiny_graph):
-        relation = StatRelation(tiny_graph, parse_pattern("s -[A]-> d"))
+        relation = _relation(tiny_graph, "s -[A]-> d")
         assert relation.deg(_f(), _f("s")) == 2  # sources {0, 1}
         assert relation.deg(_f(), _f("d")) == 2  # destinations {2, 3}
 
     def test_full_tuple_degree_is_one(self, tiny_graph):
-        relation = StatRelation(tiny_graph, parse_pattern("s -[A]-> d"))
+        relation = _relation(tiny_graph, "s -[A]-> d")
         assert relation.deg(_f("s", "d"), _f("s", "d")) == 1
 
     def test_x_equals_y_degree_is_one(self, tiny_graph):
-        relation = StatRelation(tiny_graph, parse_pattern("s -[A]-> d"))
+        relation = _relation(tiny_graph, "s -[A]-> d")
         assert relation.deg(_f("s"), _f("s")) == 1
 
     def test_invalid_subset_relation(self, tiny_graph):
-        relation = StatRelation(tiny_graph, parse_pattern("s -[A]-> d"))
+        relation = _relation(tiny_graph, "s -[A]-> d")
         with pytest.raises(MissingStatisticError):
             relation.deg(_f("s", "d"), _f("s"))
         with pytest.raises(MissingStatisticError):
@@ -132,15 +151,11 @@ class TestBaseRelationDegrees:
 
 class TestJoinRelationDegrees:
     def test_two_join_cardinality(self, tiny_graph):
-        relation = StatRelation(
-            tiny_graph, parse_pattern("x -[A]-> y -[B]-> z")
-        )
+        relation = _relation(tiny_graph, "x -[A]-> y -[B]-> z")
         assert relation.cardinality == 5
 
     def test_two_join_degree(self, tiny_graph):
-        relation = StatRelation(
-            tiny_graph, parse_pattern("x -[A]-> y -[B]-> z")
-        )
+        relation = _relation(tiny_graph, "x -[A]-> y -[B]-> z")
         # Middle vertex 2 participates in 2*2=4 of the 5 matches.
         assert relation.deg(_f("y"), _f("x", "y", "z")) == 4
 
@@ -149,7 +164,7 @@ class TestJoinRelationDegrees:
         triangle = QueryPattern(
             [("a", "b", labels[0]), ("b", "c", labels[1]), ("c", "a", labels[2])]
         )
-        relation = StatRelation(small_random_graph, triangle)
+        relation = _relation(small_random_graph, triangle)
         assert relation.deg(_f(), _f("a", "b", "c")) == relation.cardinality
 
 
@@ -202,3 +217,97 @@ class TestDegreeCatalog:
         d_b = relation.deg(_f("b"), y)
         d_ab = relation.deg(_f("a", "b"), y)
         assert d_empty >= d_b >= d_ab
+
+
+# ----------------------------------------------------------------------
+# Renaming property: a lookup maps the caller's variables onto the
+# canonical relation's bits, under any renaming and any automorphism.
+# ----------------------------------------------------------------------
+RENAMING_TRIPLES = [
+    (0, 1, "A"), (1, 0, "A"), (1, 2, "A"), (2, 1, "A"), (0, 2, "A"),
+    (3, 3, "A"), (2, 3, "B"), (3, 2, "B"), (0, 3, "B"), (1, 4, "B"),
+    (4, 4, "B"), (4, 0, "A"), (2, 4, "B"), (5, 1, "A"), (5, 2, "B"),
+]
+VARIABLES = ["a", "b", "c", "d"]
+
+
+@pytest.fixture(scope="module")
+def renaming_graph():
+    return LabeledDiGraph.from_triples(RENAMING_TRIPLES, num_vertices=6)
+
+
+@pytest.fixture(scope="module")
+def image_catalog(renaming_graph, tmp_path_factory):
+    """The graph-free, mmap'd degree catalog of a complete h=3 image."""
+    directory = tmp_path_factory.mktemp("renaming-image")
+    build_statistics(
+        renaming_graph, StatsBuildConfig(h=3, molp_h=3, baselines=False)
+    ).save(directory)
+    return StatisticsStore.load(directory, mmap=True).degrees
+
+
+@st.composite
+def renamed_patterns(draw):
+    """A connected ≤3-atom pattern and a renaming of its variables."""
+    atoms = []
+    for index in range(draw(st.integers(1, 3))):
+        bound = sorted({v for src, dst, _ in atoms for v in (src, dst)})
+        if index == 0:
+            src = "a"
+            dst = draw(st.sampled_from(["a", "b"]))
+        else:
+            old = draw(st.sampled_from(bound))
+            new = draw(st.sampled_from(VARIABLES[: len(bound) + 1]))
+            src, dst = (old, new) if draw(st.booleans()) else (new, old)
+        atom = (src, dst, draw(st.sampled_from(["A", "B"])))
+        if atom not in atoms:
+            atoms.append(atom)
+    names = sorted({v for src, dst, _ in atoms for v in (src, dst)})
+    targets = draw(st.permutations(["p", "q", "r", "s", "a", "b"]))
+    return atoms, dict(zip(names, targets))
+
+
+@settings(max_examples=150, deadline=None)
+@given(renamed_patterns())
+# The renamed-view cases of the earlier catalog tests, and an automorphic
+# pattern whose two L-atoms swap roles under the renaming.
+@example(([("a", "b", "A"), ("b", "c", "B")], {"a": "x", "b": "y", "c": "z"}))
+@example(([("x", "y", "A"), ("y", "z", "B")], {"x": "p", "y": "q", "z": "r"}))
+@example(([("a", "b", "A"), ("b", "a", "A")], {"a": "b", "b": "a"}))
+@example(([("a", "b", "A"), ("b", "c", "A"), ("c", "a", "A")],
+          {"a": "b", "b": "c", "c": "a"}))
+def test_renamed_lookup_matches_oracle(
+    renaming_graph, image_catalog, case
+):
+    atoms, renaming = case
+    original = QueryPattern(atoms)
+    renamed = QueryPattern(
+        (renaming[src], renaming[dst], label) for src, dst, label in atoms
+    )
+    table = materialise_table(renaming_graph, renamed, None)
+    col_of = {var: i for i, var in enumerate(table.variables)}
+    names = sorted(renamed.variables)
+    graph_catalog = DegreeCatalog(renaming_graph, h=3)
+    # Seed the shared relation through the original names first, so the
+    # renamed lookup reads a relation some other pattern built.
+    graph_catalog.relation_for(original)
+    views = [
+        graph_catalog.relation_for(renamed),
+        image_catalog.relation_for(renamed),
+    ]
+    x_masks, y_masks = pair_table(len(names))
+    for x_mask, y_mask in zip(x_masks.tolist(), y_masks.tolist()):
+        x = frozenset(v for i, v in enumerate(names) if x_mask >> i & 1)
+        y = frozenset(v for i, v in enumerate(names) if y_mask >> i & 1)
+        expected = group_max_distinct(
+            table.rows,
+            [col_of[v] for v in sorted(x)],
+            [col_of[v] for v in sorted(y)],
+            renaming_graph.num_vertices,
+        )
+        for view in views:
+            assert view.attributes == frozenset(names)
+            assert view.cardinality == float(table.rows.shape[0])
+            assert _float_bits(view.deg(x, y)) == _float_bits(expected), (
+                renamed, x, y
+            )

@@ -120,6 +120,49 @@ class TestUpdatesReplayAndCompact:
         }
         assert report["skipped"] == ["sumrdf"]
 
+    def test_delta_file_is_lineage_and_update_log_only(
+        self, capsys, artifact_dir, updates_file
+    ):
+        run_cli(
+            capsys, "updates", "apply", "--stats-dir", str(artifact_dir),
+            "--updates", str(updates_file),
+        )
+        deltas = artifact_dir / "deltas"
+        assert sorted(path.name for path in deltas.iterdir()) == ["0001.json"]
+        payload = json.loads((deltas / "0001.json").read_text())
+        assert set(payload) == {
+            "format_version", "kind", "generation", "parent_fingerprint",
+            "fingerprint", "applied_at", "compacted", "updates", "staleness",
+        }
+        assert payload["updates"] == UPDATE_ROWS
+        assert payload["staleness"]["degrees"] == "exact"
+
+    def test_replay_reads_legacy_delta_with_patches(
+        self, capsys, artifact_dir, updates_file
+    ):
+        """Delta files of older writers also carry catalog patches and
+        name a SumRDF sibling; replay reads only their update log."""
+        run_cli(
+            capsys, "updates", "apply", "--stats-dir", str(artifact_dir),
+            "--updates", str(updates_file),
+        )
+        delta_path = artifact_dir / "deltas" / "0001.json"
+        payload = json.loads(delta_path.read_text())
+        payload.update(
+            markov={"set": [{"key": [[0, 1, "A"]], "count": 99.0}],
+                    "delete": [], "complete": True},
+            degrees={"set": [], "delete": [[[0, 1, "B"]]], "complete": True},
+            characteristic_sets={"replace": {}},
+            sumrdf_file="deltas/0001.sumrdf.npz",
+        )
+        delta_path.write_text(json.dumps(payload))
+        code, out, _ = run_cli(
+            capsys, "updates", "replay", "--stats-dir", str(artifact_dir),
+            "--verify",
+        )
+        assert code == 0
+        assert all(json.loads(out)["verified"].values())
+
     def test_replay_detects_tampered_log(
         self, capsys, artifact_dir, updates_file
     ):

@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.catalog.degrees import key_arity
 from repro.datasets.presets import running_example_graph
 from repro.delta import (
     MutableGraphOverlay,
@@ -23,10 +24,12 @@ from repro.delta import (
     replay_graph,
 )
 from repro.errors import DatasetError
+from repro.graph import LabeledDiGraph
 from repro.query.parser import parse_pattern
 from repro.service.session import EstimatorSpec
 from repro.stats import StatisticsStore, StatsBuildConfig, build_statistics
 from repro.stats.artifact import dataset_fingerprint
+from repro.stats.flatpack import degree_images_equal
 
 NINE_PLUS_MOLP = tuple(
     f"{'all-hops' if hop == 'all' else hop + '-hop'}-{aggr}"
@@ -64,7 +67,7 @@ def mutated_graph(base, batch):
 
 def assert_catalogs_bit_identical(maintained, cold):
     assert maintained.markov.to_artifact() == cold.markov.to_artifact()
-    assert maintained.degrees.to_artifact() == cold.degrees.to_artifact()
+    assert degree_images_equal(maintained.degrees, cold.degrees)
     if maintained.characteristic_sets is not None:
         assert (
             maintained.characteristic_sets.to_artifact()
@@ -360,7 +363,7 @@ class TestDeltaChainsOnDisk:
         assert reloaded.manifest.generation == 3
         assert reloaded.manifest.image == "gen-0003"
         assert reloaded.markov.to_artifact() == cold.markov.to_artifact()
-        assert reloaded.degrees.to_artifact() == cold.degrees.to_artifact()
+        assert degree_images_equal(reloaded.degrees, cold.degrees)
         assert_estimates_identical(reloaded, cold)
         # The current image and the previous one stay; older are pruned.
         assert sorted(p.name for p in tmp_path.glob("gen-*")) == [
@@ -375,9 +378,9 @@ class TestDeltaChainsOnDisk:
         """One long-lived store (as a churn writer keeps) across applies.
 
         Every published image must equal a cold build + save of that
-        generation's graph, although later saves reuse the image blocks
-        of relations carried over from the image the store was loaded
-        from or encoded by an earlier save.
+        generation's graph, although relations carried over from the
+        loaded image are written back verbatim while rebuilt and new
+        ones come from fresh match tables.
         """
         config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
         graph = running_example_graph()
@@ -430,10 +433,34 @@ class TestDeltaChainsOnDisk:
                     assert got[name].dtype == want[name].dtype, name
                     assert got[name].tobytes() == want[name].tobytes(), name
         assert all(totals.values()), totals
-        assert all(
-            relation._image_block is not None
-            for relation in store.degrees._cache.values()
+        for key, relation in store.degrees._cache.items():
+            assert relation.key == key
+            assert relation.values.dtype == np.float64
+            assert relation.values.shape == (3 ** key_arity(key),)
+
+    def test_self_loop_relations_match_cold_image(self, tmp_path):
+        """A rebuilt relation whose match table starts at a later atom
+        (a self-loop joins as a closure) lands on the cold build's bytes
+        and stays in the packed arrays."""
+        triples = [
+            (0, 0, "L"), (1, 1, "L"), (2, 0, "M"), (3, 0, "M"), (2, 1, "M"),
+        ]
+        graph = LabeledDiGraph.from_triples(triples, num_vertices=5)
+        config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+        store = build_statistics(graph, config)
+        store.save(tmp_path / "maintained")
+        outcome = apply_updates(
+            store,
+            UpdateBatch([["+", 4, 1, "M"], ["+", 3, 3, "L"]]),
+            directory=tmp_path / "maintained",
+            compact_threshold=NO_COMPACT,
         )
+        assert outcome.degrees["rebuilt"] and outcome.degrees["added"]
+        build_statistics(store.graph, config).save(tmp_path / "cold")
+        for name in ("catalogs.meta.json", "catalogs.npz"):
+            assert (tmp_path / "maintained" / "gen-0001" / name).read_bytes() == (
+                tmp_path / "cold" / "gen-0000" / name
+            ).read_bytes(), name
 
     def test_in_memory_apply_then_save_is_loadable(self, tmp_path):
         """directory=None persists no update log; a later save() still

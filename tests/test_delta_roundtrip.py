@@ -24,6 +24,7 @@ from repro.delta import (
 )
 from repro.stats import StatsBuildConfig, build_statistics
 from repro.stats.artifact import dataset_fingerprint
+from repro.stats.flatpack import degrees_to_flat
 
 LABELS = ("A", "B", "C", "D", "E", "NEW")
 
@@ -37,10 +38,19 @@ edges = st.tuples(
 )
 
 
+def degree_image(degrees):
+    """The degree catalog's image content, bytes and all."""
+    meta, arrays = degrees_to_flat(degrees)
+    return meta, {
+        name: (array.dtype.str, array.tobytes())
+        for name, array in arrays.items()
+    }
+
+
 def snapshot(store):
     return {
         "markov": store.markov.to_artifact(),
-        "degrees": store.degrees.to_artifact(),
+        "degrees": degree_image(store.degrees),
         "fingerprint": dataset_fingerprint(store.graph),
     }
 

@@ -112,10 +112,9 @@ class TestBudgets:
         pattern = QueryPattern(
             [("x", "y", labels[0]), ("y", "z", labels[1])]
         )
-        from repro.catalog import StatRelation
-
+        catalog = DegreeCatalog(medium_random_graph, h=2, max_rows=1)
         with pytest.raises(PlanningError):
-            StatRelation(medium_random_graph, pattern, max_rows=1)
+            catalog.relation_for(pattern)
 
 
 class TestMissingStatistics:

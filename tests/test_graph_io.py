@@ -17,6 +17,7 @@ from repro.graph.io import (
     save_npz,
 )
 from repro.stats.artifact import dataset_fingerprint
+from repro.stats.flatpack import degree_images_equal
 
 
 @pytest.fixture(scope="module")
@@ -180,4 +181,4 @@ class TestNpz:
         a = build_statistics(graph, config)
         b = build_statistics(mapped, config)
         assert a.markov.to_artifact() == b.markov.to_artifact()
-        assert a.degrees.to_artifact() == b.degrees.to_artifact()
+        assert degree_images_equal(a.degrees, b.degrees)

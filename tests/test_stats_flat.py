@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.catalog.degrees import pair_table
 from repro.datasets.presets import running_example_graph
+from repro.errors import DatasetError
 from repro.query.parser import parse_pattern
 from repro.stats import StatisticsStore, StatsBuildConfig, build_statistics
+from repro.stats import flatpack
+from repro.stats.flatpack import degree_images_equal, write_stored_npz
 
 QUERIES = [
     "a -[A]-> b -[B]-> c",
@@ -67,6 +72,19 @@ class TestFlatLayout:
         built_store.save(tmp_path / "art")
         mapped = StatisticsStore.load(tmp_path / "art", mmap=True)
         assert estimates_of(mapped) == estimates_of(built_store)
+
+    def test_materialized_relations_do_not_pin_the_mapping(
+        self, built_store, tmp_path
+    ):
+        built_store.save(tmp_path / "art")
+        mapped = StatisticsStore.load(tmp_path / "art", mmap=True)
+        image = mapped.degrees._flat.deg_value
+        served = estimates_of(mapped)
+        mapped.degrees.materialize()
+        assert mapped.degrees._cache
+        for relation in mapped.degrees._cache.values():
+            assert not np.shares_memory(relation.values, image)
+        assert estimates_of(mapped) == served == estimates_of(built_store)
 
     def test_image_round_trip_bit_identical(self, built_store, tmp_path):
         # An image directory is self-describing: it loads on its own,
@@ -124,3 +142,88 @@ class TestWideVocab:
         # lookup regression here serves silently-wrong estimates.
         for i, label in enumerate(self.VOCAB):
             assert loaded.cardinality(patterns[label]) == float(i + 1)
+
+
+def _rewrite_degree_arrays(image, edit):
+    """Rewrite an image's ``catalogs.npz`` after ``edit(arrays)``."""
+    path = image / "catalogs.npz"
+    with np.load(path) as data:
+        arrays = {name: np.array(data[name]) for name in data.files}
+    edit(arrays)
+    write_stored_npz(path, arrays)
+    return path
+
+
+class TestDegreeBlockVerification:
+    """A mapped relation is a slice read by position alone, so a load
+    checks every block's length and masks against its arity's table."""
+
+    def _first_block(self, arrays, arity):
+        keys = arrays["degrees::keys"]
+        for position in range(keys.shape[0]):
+            start, stop = arrays["degrees::offsets"][position:position + 2]
+            if stop - start == 3 ** arity:
+                return int(start)
+        raise AssertionError(f"no arity-{arity} relation")
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_swapped_masks_refused(self, built_store, tmp_path, mmap):
+        built_store.save(tmp_path / "art")
+        x_masks, y_masks = pair_table(2)
+        # Two pairs with the same Y = {v0, v1} and different X.
+        first, second = np.flatnonzero(y_masks == 0b11)[:2]
+        assert x_masks[first] != x_masks[second]
+
+        def swap(arrays):
+            start = self._first_block(arrays, 2)
+            deg_x = arrays["degrees::deg_x"]
+            deg_x[[start + first, start + second]] = deg_x[
+                [start + second, start + first]
+            ]
+
+        path = _rewrite_degree_arrays(tmp_path / "art" / "gen-0000", swap)
+        with pytest.raises(DatasetError, match=str(path)):
+            StatisticsStore.load(tmp_path / "art", mmap=mmap)
+
+    def test_block_length_refused(self, built_store, tmp_path):
+        built_store.save(tmp_path / "art")
+
+        def grow(arrays):
+            start = self._first_block(arrays, 2)
+            for name in ("deg_x", "deg_y", "deg_value"):
+                column = arrays[f"degrees::{name}"]
+                arrays[f"degrees::{name}"] = np.insert(column, start, column[start])
+            offsets = arrays["degrees::offsets"]
+            offsets[np.flatnonzero(offsets > start)] += 1
+
+        path = _rewrite_degree_arrays(tmp_path / "art" / "gen-0000", grow)
+        with pytest.raises(DatasetError, match="3\\^arity"):
+            StatisticsStore.load(tmp_path / "art")
+        assert path.is_file()
+
+
+class TestIrregularFallback:
+    """Keys past MAX_COMPONENT leave the packed arrays for the metadata's
+    ``irregular`` list: ``{key, count}`` / ``{key, cardinality, values}``."""
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_round_trip_bit_identical(
+        self, built_store, tmp_path, monkeypatch, mmap
+    ):
+        # Labels C, D, E and every third variable no longer fit.
+        monkeypatch.setattr(flatpack, "MAX_COMPONENT", 1)
+        built_store.save(tmp_path / "art")
+        meta = json.loads(
+            (tmp_path / "art" / "gen-0000" / "catalogs.meta.json").read_text()
+        )
+        irregular = meta["degrees"]["irregular"]
+        assert irregular and meta["degrees"]["entries"] > 0
+        assert all(
+            set(entry) == {"key", "cardinality", "values"}
+            for entry in irregular
+        )
+        assert meta["markov"]["irregular"]
+        loaded = StatisticsStore.load(tmp_path / "art", mmap=mmap)
+        assert estimates_of(loaded) == estimates_of(built_store)
+        built_store.degrees.materialize()
+        assert degree_images_equal(loaded.degrees, built_store.degrees)
