@@ -1,15 +1,15 @@
 """Run the perf-trajectory benchmarks and persist machine-readable results.
 
 ``python benchmarks/run_all.py --json`` runs the execution-engine
-benchmark (vectorized vs legacy cyclic counting), the service
-benchmark (cold-shape ``estimate_batch`` throughput vs the pre-PR
-pipeline), the server load benchmark (open-loop traffic against the
-network serving tier) and the delta-maintenance benchmark (incremental
-statistics updates vs full rebuild) and the build benchmark (parallel,
-resumable statistics construction on the million-edge ``synth1m``
-preset) and writes ``BENCH_engine.json`` / ``BENCH_service.json`` /
-``BENCH_server.json`` / ``BENCH_delta.json`` / ``BENCH_build.json``
-next to this script — the perf baseline future PRs diff against.
+benchmark (vectorized vs legacy cyclic counting), the server load
+benchmark (open-loop traffic against the network serving tier) and the
+delta-maintenance benchmark (incremental statistics updates vs full
+rebuild) and the build benchmark (parallel, resumable statistics
+construction on the million-edge ``synth1m`` preset) and writes
+``BENCH_engine.json`` / ``BENCH_server.json`` / ``BENCH_delta.json`` /
+``BENCH_build.json`` next to this script — the perf baseline future PRs
+diff against.  Cold estimation is measured by ``perfbench/run.py
+--workload cold-shapes``.
 Re-run with ``--json`` after perf-relevant changes and commit the
 updated files so the trajectory stays in history.
 
@@ -34,7 +34,6 @@ import bench_build  # noqa: E402
 import bench_delta_maintenance  # noqa: E402
 import bench_engine_vectorized  # noqa: E402
 import bench_server_load  # noqa: E402
-import bench_service_cold  # noqa: E402
 
 # The fleet acceptance run shares bench_server_load's machinery but is
 # its own benchmark artifact: 2 workers in --quick (CI), 4 in full.
@@ -47,7 +46,6 @@ _fleet_bench = SimpleNamespace(
 
 BENCHES = (
     ("BENCH_engine.json", bench_engine_vectorized),
-    ("BENCH_service.json", bench_service_cold),
     ("BENCH_server.json", bench_server_load),
     ("BENCH_fleet.json", _fleet_bench),
     ("BENCH_delta.json", bench_delta_maintenance),
@@ -60,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="write BENCH_engine.json / BENCH_service.json / BENCH_server.json",
+        help="write BENCH_engine.json / BENCH_server.json / ...",
     )
     parser.add_argument(
         "--out-dir",

@@ -22,7 +22,6 @@ from repro.core import (
     PStarOracle,
     agm_bound,
     all_nine_estimators,
-    build_ceg_m,
     build_ceg_o,
     build_ceg_ocr,
     cbs_bound,
@@ -58,7 +57,6 @@ __all__ = [
     "all_nine_estimators",
     "build_ceg_o",
     "build_ceg_ocr",
-    "build_ceg_m",
     "molp_bound",
     "agm_bound",
     "cbs_bound",

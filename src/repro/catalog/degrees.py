@@ -40,6 +40,7 @@ from repro.query.canonical import (
     canonical_key,
     canonical_order,
     key_from_json,
+    key_pattern,
     key_to_json,
 )
 from repro.query.pattern import QueryPattern
@@ -50,6 +51,7 @@ __all__ = [
     "RelationView",
     "DegreeCatalog",
     "all_degree_pairs",
+    "degree_grid",
     "materialise_table",
     "pair_table",
     "key_arity",
@@ -137,6 +139,37 @@ def _name_bits(width: int) -> tuple[int, ...]:
     """Mask bit of canonical variable ``v{i}``: its rank in sorted names."""
     ranked = sorted(range(width), key=lambda i: f"v{i}")
     return tuple(1 << ranked.index(i) for i in range(width))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_index(canonical: tuple[int, ...]) -> np.ndarray:
+    """Image positions of :func:`degree_grid`'s cells (0 where X ⊄ Y)."""
+    width = len(canonical)
+    name_bits = _name_bits(width)
+    masks = [
+        sum(name_bits[i] for j, i in enumerate(canonical) if local >> j & 1)
+        for local in range(1 << width)
+    ]
+    index = _pair_index(width)
+    grid = np.zeros(1 << 2 * width, dtype=np.intp)
+    for y in range(1 << width):
+        for x in range(1 << width):
+            if not x & ~y:
+                grid[y << width | x] = index[masks[y] << width | masks[x]]
+    grid.flags.writeable = False
+    return grid
+
+
+def degree_grid(values: np.ndarray, canonical: tuple[int, ...]) -> np.ndarray:
+    """A relation's degrees indexed by the caller's own variable masks.
+
+    Bit ``j`` of a local mask is the caller's ``j``-th variable, which
+    plays canonical ``v{canonical[j]}``.  Cell ``y << k | x`` holds
+    ``deg(X, Y)`` for every local ``X ⊆ Y`` (``k`` variables); other
+    cells are never read.  One gather per relation, so MOLP reads every
+    move's rates without a lookup per lattice node.
+    """
+    return values[_grid_index(canonical)]
 
 
 def key_arity(key: tuple) -> int:
@@ -382,11 +415,23 @@ class DegreeCatalog:
             raise MissingStatisticError(
                 f"no stored statistics for pattern of size {len(pattern)}"
             )
-        key = canonical_key(pattern)
+        return RelationView(pattern, self.stored(canonical_key(pattern), pattern))
+
+    def stored(
+        self, key: tuple, pattern: QueryPattern | None = None
+    ) -> StatRelation:
+        """The relation of the covered pattern whose canonical key is ``key``.
+
+        The caller vouches for coverage (connected, at most ``h`` atoms).
+        ``pattern`` is only read on a miss; it defaults to the key's
+        canonical pattern, which has the same degrees.
+        """
         relation = self._cache.get(key)
         if relation is None:
-            relation = self._fetch(pattern, key)
-        return RelationView(pattern, relation)
+            relation = self._fetch(
+                pattern if pattern is not None else key_pattern(key), key
+            )
+        return relation
 
     def _fetch(self, pattern: QueryPattern, key: tuple) -> StatRelation:
         """A relation missing from ``_cache``: image, graph, or empty."""

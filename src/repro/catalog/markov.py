@@ -33,7 +33,12 @@ from repro.errors import (
     check_format_version,
 )
 from repro.graph.digraph import LabeledDiGraph
-from repro.query.canonical import canonical_key, key_from_json, key_to_json
+from repro.query.canonical import (
+    canonical_key,
+    key_from_json,
+    key_pattern,
+    key_to_json,
+)
 from repro.query.pattern import QueryPattern
 
 __all__ = ["MarkovTable", "MARKOV_FORMAT_VERSION"]
@@ -100,14 +105,26 @@ class MarkovTable:
                 f"pattern with {len(pattern)} atoms not covered by "
                 f"Markov table of size h={self.h}"
             )
-        key = canonical_key(pattern)
+        return self.keyed_cardinality(canonical_key(pattern), pattern)
+
+    def keyed_cardinality(
+        self, key: tuple, pattern: QueryPattern | None = None
+    ) -> float:
+        """Cardinality of the covered pattern whose canonical key is ``key``.
+
+        The caller vouches for coverage (connected, at most ``h`` atoms).
+        ``pattern`` is only read on a miss; it defaults to the key's
+        canonical pattern, which has the same count.
+        """
         cached = self._cache.get(key)
         if cached is None:
             flat = self._flat
             if flat is not None:
                 cached = flat.lookup(key)
             if cached is None:
-                cached = self._on_miss(pattern)
+                cached = self._on_miss(
+                    pattern if pattern is not None else key_pattern(key)
+                )
             self._cache[key] = cached
         return cached
 

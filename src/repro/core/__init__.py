@@ -9,8 +9,8 @@ from repro.core.bound_sketch import (
 )
 from repro.core.cbs import bounding_formula_value, cbs_bound, enumerate_coverages
 from repro.core.ceg import CEG, CEGEdge
-from repro.core.ceg_m import MolpEdge, build_ceg_m, molp_bound, molp_min_path
-from repro.core.compiled import CompiledCEG, compile_ceg
+from repro.core.ceg_m import MOLP_MAX_ATTRIBUTES, MolpEdge, molp_bound, molp_min_path
+from repro.core.compiled import compile_ceg
 from repro.core.ceg_entropy import LowestEntropyEstimator, lowest_entropy_estimate
 from repro.core.ceg_o import build_ceg_o, build_ceg_ocr
 from repro.core.dbplp import (
@@ -33,19 +33,16 @@ from repro.core.paths import (
     HopStats,
     distinct_estimates,
     estimate_from_ceg,
-    hop_statistics,
     hop_statistics_compiled,
-    min_weight_path,
 )
 
 __all__ = [
     "CEG",
     "CEGEdge",
-    "CompiledCEG",
     "compile_ceg",
     "build_ceg_o",
     "build_ceg_ocr",
-    "build_ceg_m",
+    "MOLP_MAX_ATTRIBUTES",
     "MolpEdge",
     "molp_bound",
     "molp_min_path",
@@ -70,11 +67,9 @@ __all__ = [
     "all_nine_estimators",
     "estimators_from_store",
     "HopStats",
-    "hop_statistics",
     "hop_statistics_compiled",
     "estimate_from_ceg",
     "distinct_estimates",
-    "min_weight_path",
     "PATH_LENGTH_CHOICES",
     "AGGREGATOR_CHOICES",
 ]

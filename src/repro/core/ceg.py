@@ -7,144 +7,193 @@ sub-query relative to the smaller one.  Every bottom-to-top path from the
 the product of the extension rates along it.
 
 This module is agnostic to what vertices mean: ``CEG_O`` uses frozensets
-of query-edge indexes, ``CEG_M`` uses frozensets of attributes.  The only
-structural requirement is acyclicity with a rank function (vertex "size")
-that strictly increases along edges, which all the paper's CEGs satisfy
-once projection edges are removed (Observation 3 / Appendix A).
+of query-edge indexes.  The only structural requirement is acyclicity
+with a rank function (vertex "size") that strictly increases along
+edges, which all the paper's CEGs satisfy once projection edges are
+removed (Observation 3 / Appendix A).
+
+A :class:`CEG` is stored as arrays: vertices at dense topological
+positions, edges as a CSR-style in-edge list, so the path DPs of
+:mod:`repro.core.paths` run as bottom-up NumPy passes.  The order
+contract the bit-identical float sums rest on is stated in
+:mod:`repro.core.compiled`.  :meth:`CEG.out_edges` and the other views
+serve consumers that walk the graph vertex by vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+import functools
+from dataclasses import dataclass
+from typing import Hashable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = ["CEGEdge", "CEG"]
 
 NodeKey = Hashable
 
 
-@dataclass(frozen=True)
-class CEGEdge:
-    """One extension edge of a CEG.
-
-    ``payload`` optionally carries builder-specific metadata (e.g. which
-    statistic relation and attribute sets produced the edge) for
-    consumers like the bound sketch that must re-interpret paths.
-    """
+class CEGEdge(NamedTuple):
+    """One extension edge, as :meth:`CEG.out_edges` returns it."""
 
     source: NodeKey
     target: NodeKey
     rate: float
-    description: str = ""
-    payload: object = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CEG:
-    """A cardinality estimation graph with a single source and target."""
+    """A cardinality estimation graph with a single source and target.
 
-    source: NodeKey
-    target: NodeKey
-    _out: dict[NodeKey, list[CEGEdge]] = field(default_factory=dict)
-    _rank: dict[NodeKey, int] = field(default_factory=dict)
-    _compiled: object = field(default=None, repr=False, compare=False)
+    ``keys[i]`` is the vertex at topological position ``i``: positions
+    run by (rank, ``repr`` of the key).  Edge ``e`` runs from position
+    ``in_source[e]`` to ``in_target[e]`` with rate ``in_rate[e]``; edges
+    are sorted by (target, source position, emission order), with
+    ``in_indptr`` delimiting each target's slice, and ``in_emission[e]``
+    is the edge's index in emission order.
+    """
 
-    def add_node(self, key: NodeKey, rank: int) -> None:
-        """Register a vertex with its topological rank (sub-query size)."""
-        existing = self._rank.get(key)
-        if existing is not None and existing != rank:
-            raise ValueError(f"node {key!r} re-registered with rank {rank}")
-        self._rank[key] = rank
-        self._out.setdefault(key, [])
-        self._compiled = None
+    keys: tuple
+    ranks: np.ndarray  # int64 per position
+    source_pos: int
+    target_pos: int
+    in_indptr: np.ndarray  # int64, len num_nodes + 1
+    in_source: np.ndarray  # int64 per edge
+    in_target: np.ndarray  # int64 per edge
+    in_rate: np.ndarray  # float64 per edge
+    in_emission: np.ndarray  # int64 per edge
 
-    def add_edge(
-        self,
+    @classmethod
+    def from_edges(
+        cls,
         source: NodeKey,
         target: NodeKey,
-        rate: float,
-        description: str = "",
-        payload: object = None,
-    ) -> None:
-        """Add an extension edge; both endpoints must be registered."""
-        if source not in self._rank or target not in self._rank:
-            raise ValueError("register nodes before adding edges")
-        if self._rank[target] <= self._rank[source]:
-            raise ValueError(
-                f"edge {source!r} -> {target!r} does not increase rank"
-            )
-        self._out[source].append(
-            CEGEdge(source, target, float(rate), description, payload)
+        nodes: Iterable[tuple[NodeKey, int]],
+        edges: Iterable[tuple[NodeKey, NodeKey, float]],
+    ) -> "CEG":
+        """A CEG from ``(key, rank)`` vertices and ``(source, target,
+        rate)`` edges; the edges' order is their emission order."""
+        rank_of: dict = {}
+        for key, rank in nodes:
+            if rank_of.setdefault(key, rank) != rank:
+                raise ValueError(f"node {key!r} re-registered with rank {rank}")
+        if source not in rank_of or target not in rank_of:
+            raise ValueError("register the source and target nodes")
+        index = {key: i for i, key in enumerate(rank_of)}
+        sources: list[int] = []
+        targets: list[int] = []
+        rates: list[float] = []
+        for tail, head, rate in edges:
+            if tail not in rank_of or head not in rank_of:
+                raise ValueError("register nodes before adding edges")
+            if rank_of[head] <= rank_of[tail]:
+                raise ValueError(
+                    f"edge {tail!r} -> {head!r} does not increase rank"
+                )
+            sources.append(index[tail])
+            targets.append(index[head])
+            rates.append(rate)
+        return assemble(
+            list(rank_of), list(rank_of.values()), index[source],
+            index[target], sources, targets, rates,
         )
-        self._compiled = None
 
-    def compiled(self):
-        """The array-compiled form of this CEG (cached until mutated).
+    # ------------------------------------------------------------------
+    # Views
+    # ------------------------------------------------------------------
+    @property
+    def source(self) -> NodeKey:
+        """The source vertex (∅)."""
+        return self.keys[self.source_pos]
 
-        See :func:`repro.core.compiled.compile_ceg`; mutating the CEG
-        through :meth:`add_node` / :meth:`add_edge` /
-        :meth:`prune_unreachable` drops the cache.
-        """
-        if self._compiled is None:
-            from repro.core.compiled import compile_ceg
-
-            self._compiled = compile_ceg(self)
-        return self._compiled
+    @property
+    def target(self) -> NodeKey:
+        """The target vertex (the full query)."""
+        return self.keys[self.target_pos]
 
     @property
     def nodes(self) -> list[NodeKey]:
-        """All registered vertices."""
-        return list(self._rank)
+        """All vertices, in topological order."""
+        return list(self.keys)
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of vertices."""
+        return len(self.keys)
 
     @property
     def num_edges(self) -> int:
         """Total number of extension edges."""
-        return sum(len(edges) for edges in self._out.values())
-
-    def out_edges(self, key: NodeKey) -> list[CEGEdge]:
-        """Extension edges leaving a vertex."""
-        return self._out.get(key, [])
-
-    def rank(self, key: NodeKey) -> int:
-        """The registered topological rank of a vertex."""
-        return self._rank[key]
+        return len(self.in_rate)
 
     def topological_order(self) -> list[NodeKey]:
-        """Vertices sorted by rank (a valid topological order)."""
-        return sorted(self._rank, key=lambda k: (self._rank[k], repr(k)))
+        """Vertices sorted by (rank, ``repr``): a valid topological order."""
+        return list(self.keys)
 
-    def iter_edges(self) -> Iterable[CEGEdge]:
-        """Iterate every edge of the CEG."""
-        for edges in self._out.values():
-            yield from edges
+    def position(self, key: NodeKey) -> int:
+        """Topological position of a vertex."""
+        return self._positions[key]
 
-    def prune_unreachable(self) -> None:
-        """Drop vertices that cannot lie on a (source, target) path."""
-        forward: set[NodeKey] = set()
-        stack = [self.source]
-        while stack:
-            node = stack.pop()
-            if node in forward:
-                continue
-            forward.add(node)
-            for edge in self.out_edges(node):
-                stack.append(edge.target)
-        incoming: dict[NodeKey, list[NodeKey]] = {}
-        for edge in self.iter_edges():
-            incoming.setdefault(edge.target, []).append(edge.source)
-        backward: set[NodeKey] = set()
-        stack = [self.target]
-        while stack:
-            node = stack.pop()
-            if node in backward:
-                continue
-            backward.add(node)
-            stack.extend(incoming.get(node, []))
-        keep = forward & backward
-        self._rank = {k: r for k, r in self._rank.items() if k in keep}
-        self._out = {
-            k: [e for e in edges if e.target in keep]
-            for k, edges in self._out.items()
-            if k in keep
-        }
-        self._compiled = None
+    def rank(self, key: NodeKey) -> int:
+        """The topological rank of a vertex."""
+        return int(self.ranks[self.position(key)])
+
+    def out_edges(self, key: NodeKey) -> list[CEGEdge]:
+        """Extension edges leaving a vertex, in emission order."""
+        position = self._positions.get(key)
+        return [] if position is None else self._out[position]
+
+    @functools.cached_property
+    def _positions(self) -> dict:
+        return {key: i for i, key in enumerate(self.keys)}
+
+    @functools.cached_property
+    def _out(self) -> list[list[CEGEdge]]:
+        keys = self.keys
+        sources = self.in_source.tolist()
+        targets = self.in_target.tolist()
+        rates = self.in_rate.tolist()
+        out: list[list[CEGEdge]] = [[] for _ in keys]
+        for e in np.lexsort((self.in_emission, self.in_source)).tolist():
+            out[sources[e]].append(
+                CEGEdge(keys[sources[e]], keys[targets[e]], rates[e])
+            )
+        return out
+
+
+def assemble(
+    keys: Sequence[NodeKey],
+    ranks: Sequence[int],
+    source: int,
+    target: int,
+    sources: Sequence[int],
+    targets: Sequence[int],
+    rates: Sequence[float],
+) -> CEG:
+    """Lay out a CEG from vertices and edges given by index into ``keys``.
+
+    Positions sort the vertices by (rank, ``repr``); edges keep the
+    given order as their emission order and are then sorted stably by
+    (target, source) position.
+    """
+    count = len(keys)
+    order = sorted(range(count), key=lambda i: (ranks[i], repr(keys[i])))
+    position = np.empty(count, dtype=np.int64)
+    position[order] = np.arange(count, dtype=np.int64)
+    tails = position[np.asarray(sources, dtype=np.int64)]
+    heads = position[np.asarray(targets, dtype=np.int64)]
+    emission = np.lexsort((tails, heads))
+    in_target = heads[emission]
+    in_indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(in_target, minlength=count), out=in_indptr[1:])
+    return CEG(
+        keys=tuple(keys[i] for i in order),
+        ranks=np.asarray(ranks, dtype=np.int64)[order],
+        source_pos=int(position[source]),
+        target_pos=int(position[target]),
+        in_indptr=in_indptr,
+        in_source=tails[emission],
+        in_target=in_target,
+        in_rate=np.asarray(rates, dtype=np.float64)[emission],
+        in_emission=emission,
+    )

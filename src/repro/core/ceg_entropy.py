@@ -25,7 +25,6 @@ __all__ = ["LowestEntropyEstimator", "lowest_entropy_estimate"]
 
 def _edge_irregularity(
     query: QueryPattern,
-    edge_description: str,
     source: frozenset[int],
     target: frozenset[int],
     entropy: EntropyCatalog,
@@ -83,9 +82,7 @@ def _select_path(ceg: CEG, query: QueryPattern, entropy: EntropyCatalog) -> floa
             continue
         irregularity, estimate = state
         for edge in ceg.out_edges(node):
-            step = _edge_irregularity(
-                query, edge.description, node, edge.target, entropy
-            )
+            step = _edge_irregularity(query, node, edge.target, entropy)
             candidate = (irregularity + step, estimate * edge.rate)
             current = best.get(edge.target)
             if (

@@ -22,21 +22,26 @@ a cycle longer than ``h`` with the sampled cycle-closing probability
 ``P(E_{i-1} * E_{i+1} | E_i)`` (§4.3), falling back to the ``CEG_O``
 rate when the statistic is unavailable.
 
-Internally every atom subset is an int bitmask (bit ``i`` = atom ``i``),
-so successor generation is bit arithmetic instead of frozenset algebra;
-subsets are translated back to the frozenset vertex keys the rest of the
-library (and the compiled CEG) sees only when a vertex or edge is
-actually added.  The construction order — BFS stack, candidate order,
-edge insertion order — is exactly the frozenset implementation's, so the
-built CEG (and every estimate read off it) is unchanged bit for bit.
+Every atom subset is an int bitmask (bit ``i`` = atom ``i``), so
+successor generation is bit arithmetic.  The BFS emits each edge
+straight into flat arrays, which :func:`repro.core.ceg.assemble` lays
+out in the order contract of :mod:`repro.core.compiled`; a vertex only
+becomes a frozenset key when it is first reached.  Subset cardinalities
+are read by canonical key through
+:func:`repro.query.canonical.subpattern_form`, so a shape seen before
+builds no pattern object.  The construction order — BFS stack,
+candidate order, emission order — and with it the order of
+cycle-closing-rate samples is the frozenset implementation's, kept in
+``tests/oracles/ceg.py``.
 """
 
 from __future__ import annotations
 
 from repro.catalog.cycle_rates import CycleClosingRates
 from repro.catalog.markov import MarkovTable
-from repro.core.ceg import CEG
+from repro.core.ceg import CEG, assemble
 from repro.errors import EstimationError
+from repro.query.canonical import subpattern_form
 from repro.query.pattern import QueryPattern
 from repro.query.shape import cycles
 
@@ -65,8 +70,7 @@ class _MaskContext:
 
     Subset cardinalities and connectivity checks are hit once per
     (node, extension) pair, so memoising by mask cuts the dominant cost
-    (canonical-key computation in the Markov table) and skips all
-    frozenset churn on the hot path.
+    and skips all frozenset churn on the hot path.
     """
 
     def __init__(self, query: QueryPattern, markov: MarkovTable):
@@ -79,21 +83,15 @@ class _MaskContext:
             var_mask = _mask_of(incident)
             for index in incident:
                 self.adjacent[index] |= var_mask
-        self._frozen: dict[int, frozenset[int]] = {}
         self._cards: dict[int, float] = {}
         self._connected: dict[int, bool] = {}
-
-    def frozen(self, mask: int) -> frozenset[int]:
-        cached = self._frozen.get(mask)
-        if cached is None:
-            cached = frozenset(_bits(mask))
-            self._frozen[mask] = cached
-        return cached
 
     def cardinality(self, mask: int) -> float:
         cached = self._cards.get(mask)
         if cached is None:
-            cached = self.markov.cardinality(self.query.subpattern(_bits(mask)))
+            edges = self.query.edges
+            key, _ = subpattern_form(edges[i] for i in _bits(mask))
+            cached = self.markov.keyed_cardinality(key)
             self._cards[mask] = cached
         return cached
 
@@ -131,37 +129,47 @@ def build_ceg_o(
     h = markov.h
     size = min(h, len(query))
     full_mask = (1 << len(query)) - 1
-    by_size: dict[int, list[int]] = {}
-    for subset in query.connected_edge_subsets(max_size=h):
-        if len(subset) <= size:
-            by_size.setdefault(len(subset), []).append(_mask_of(subset))
-    # (mask, length) per simple cycle, in cycles()' (length, atoms) order.
-    query_cycles = [(_mask_of(c), len(c)) for c in cycles(query)]
     context = _MaskContext(query, markov)
+    by_size: dict[int, list[int]] = {}
+    for subset in query.connected_edge_subsets(max_size=size):
+        by_size.setdefault(len(subset), []).append(_mask_of(subset))
+    # (mask, length) per simple cycle, in cycles()' (length, atoms) order;
+    # a connected query with fewer atoms than variables is a tree.
+    query_cycles = (
+        [(_mask_of(c), len(c)) for c in cycles(query)]
+        if len(query) >= len(query.variables)
+        else []
+    )
 
-    ceg = CEG(source=frozenset(), target=context.frozen(full_mask))
-    ceg.add_node(frozenset(), rank=0)
-    seen: set[int] = {0}
+    # Vertices by first reach: keys[index[mask]] is the mask's key.
+    keys: list[frozenset[int]] = [frozenset()]
+    ranks = [0]
+    index = {0: 0}
+    sources: list[int] = []
+    targets: list[int] = []
+    rates: list[float] = []
     queue: list[int] = [0]
     while queue:
         node = queue.pop()
         if node == full_mask:
             continue
-        node_key = context.frozen(node)
-        for successor, rate, note in _successors(
+        tail = index[node]
+        for successor, rate in _successors(
             context, node, by_size, size, query_cycles,
             cycle_rates, h, size_h_rule, early_cycle_closing,
         ):
-            if successor not in seen:
-                seen.add(successor)
-                ceg.add_node(
-                    context.frozen(successor), rank=successor.bit_count()
-                )
+            head = index.get(successor)
+            if head is None:
+                head = index[successor] = len(keys)
+                keys.append(frozenset(_bits(successor)))
+                ranks.append(successor.bit_count())
                 queue.append(successor)
-            ceg.add_edge(node_key, context.frozen(successor), rate, note)
-    if full_mask not in seen:
+            sources.append(tail)
+            targets.append(head)
+            rates.append(rate)
+    if full_mask not in index:
         raise EstimationError("CEG_O construction produced no complete path")
-    return ceg
+    return assemble(keys, ranks, 0, index[full_mask], sources, targets, rates)
 
 
 def _successors(
@@ -174,7 +182,7 @@ def _successors(
     h: int,
     size_h_rule: bool = True,
     early_cycle_closing: bool = True,
-) -> list[tuple[int, float, str]]:
+) -> list[tuple[int, float]]:
     candidates = _raw_candidates(context, node, by_size, size, size_h_rule)
     if cycle_rates is not None:
         # Must run before the early-cycle-closing filter: otherwise that
@@ -183,7 +191,7 @@ def _successors(
         candidates = _drop_multi_atom_closures(
             node, candidates, query_cycles, h
         )
-    if early_cycle_closing:
+    if early_cycle_closing and query_cycles:
         candidates = _apply_early_cycle_closing(node, candidates, query_cycles)
     if cycle_rates is not None:
         candidates = _apply_cycle_rates(
@@ -198,32 +206,27 @@ def _raw_candidates(
     by_size: dict[int, list[int]],
     size: int,
     size_h_rule: bool = True,
-) -> list[tuple[int, float, str]]:
-    """(successor, rate, note) triples before rule filters."""
-    result: list[tuple[int, float, str]] = []
+) -> list[tuple[int, float]]:
+    """(successor, rate) pairs before rule filters."""
+    cardinality = context.cardinality
     if not node:
-        for extension in by_size.get(size, []):
-            result.append(
-                (
-                    extension,
-                    context.cardinality(extension),
-                    f"|{_bits(extension)}|",
-                )
-            )
-        return result
+        return [
+            (extension, cardinality(extension))
+            for extension in by_size.get(size, [])
+        ]
+    connected = context.connected
+    result: list[tuple[int, float]] = []
     for want in range(size, 0, -1):
         for extension in by_size.get(want, []):
-            difference = extension & ~node
             intersection = extension & node
-            if not difference or not intersection:
+            if intersection == extension or not intersection:
                 continue
-            if not context.connected(intersection):
+            if not connected(intersection):
                 continue
-            numerator = context.cardinality(extension)
-            denominator = context.cardinality(intersection)
+            numerator = cardinality(extension)
+            denominator = cardinality(intersection)
             rate = numerator / denominator if denominator > 0 else 0.0
-            note = f"|{_bits(extension)}|/|{_bits(intersection)}|"
-            result.append((node | difference, rate, note))
+            result.append((node | extension, rate))
         if result and size_h_rule:
             # Size-h numerator rule: only fall back to smaller extension
             # joins when no size-h extension exists at all.
@@ -233,10 +236,10 @@ def _raw_candidates(
 
 def _drop_multi_atom_closures(
     node: int,
-    candidates: list[tuple[int, float, str]],
+    candidates: list[tuple[int, float]],
     query_cycles: list[tuple[int, int]],
     h: int,
-) -> list[tuple[int, float, str]]:
+) -> list[tuple[int, float]]:
     """Remove extensions that complete a large cycle with > 1 new atom.
 
     ``CEG_OCR`` prices cycle closure through the sampled probability of
@@ -260,9 +263,9 @@ def _drop_multi_atom_closures(
 
 def _apply_early_cycle_closing(
     node: int,
-    candidates: list[tuple[int, float, str]],
+    candidates: list[tuple[int, float]],
     query_cycles: list[tuple[int, int]],
-) -> list[tuple[int, float, str]]:
+) -> list[tuple[int, float]]:
     def closes_cycle(successor: int) -> bool:
         return any(
             cycle & ~successor == 0 and cycle & ~node != 0
@@ -300,11 +303,11 @@ def _cycle_completions(
 def _apply_cycle_rates(
     context: _MaskContext,
     node: int,
-    candidates: list[tuple[int, float, str]],
+    candidates: list[tuple[int, float]],
     query_cycles: list[tuple[int, int]],
     cycle_rates: CycleClosingRates,
     h: int,
-) -> list[tuple[int, float, str]]:
+) -> list[tuple[int, float]]:
     """Swap closing-edge rates for sampled closing probabilities.
 
     When a single new atom would complete a large cycle, ``CEG_OCR``
@@ -316,9 +319,9 @@ def _apply_cycle_rates(
     if not completions:
         return candidates
     completion_mask = _mask_of(completions)
-    replaced: list[tuple[int, float, str]] = []
+    replaced: list[tuple[int, float]] = []
     seen_closures: set[int] = set()
-    for successor, rate, note in candidates:
+    for successor, rate in candidates:
         difference = successor & ~node
         if difference and difference & (difference - 1) == 0:
             atom = difference.bit_length() - 1
@@ -327,16 +330,13 @@ def _apply_cycle_rates(
                     continue
                 seen_closures.add(successor)
                 probability = cycle_rates.rate(
-                    context.query, context.frozen(completions[atom]), atom
+                    context.query, frozenset(_bits(completions[atom])), atom
                 )
-                if probability is not None:
-                    replaced.append(
-                        (successor, probability, f"P(close {atom})")
-                    )
-                else:
-                    replaced.append((successor, rate, note))
+                replaced.append(
+                    (successor, rate if probability is None else probability)
+                )
                 continue
-        replaced.append((successor, rate, note))
+        replaced.append((successor, rate))
     only_closing = [
         c for c in replaced if (c[0] & ~node) & completion_mask
     ]

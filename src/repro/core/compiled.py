@@ -1,106 +1,34 @@
-"""Array-compiled CEGs.
+"""The array layout of a CEG, and the order contract its DPs rely on.
 
-A built :class:`~repro.core.ceg.CEG` keys vertices by hashable objects
-(frozensets of atom indexes for ``CEG_O``, frozensets of attributes for
-``CEG_M``) and stores edges in per-vertex Python lists — convenient to
-build, slow to traverse.  :func:`compile_ceg` interns the vertices to
-dense ints in topological order and lays the edges out as a CSR-style
-in-edge array, so the path aggregations of :mod:`repro.core.paths` run
-as one bottom-up NumPy DP instead of nested dict loops.
+A :class:`~repro.core.ceg.CEG` is built directly in array form:
+:func:`repro.core.ceg_o.build_ceg_o` emits its edges from the bitmask
+BFS into flat arrays, and :func:`repro.core.ceg.assemble` lays them out.
+Nothing is interned after the fact, so :func:`compile_ceg` only names
+that step for callers that time or call it explicitly.
 
-Bit-identity contract: the in-edge list of every vertex is ordered by
-(source topological position, edge insertion order) — exactly the order
-in which the reference Python DP (:func:`repro.core.paths.hop_statistics`)
-folds contributions into a vertex's accumulator.  Sequential ufunc
-accumulation over that ordering therefore reproduces the reference
-float sums bit for bit, which the golden regression relies on.
+Order contract (bit identity):
+
+* vertices take topological positions by (rank, ``repr`` of the key) —
+  for ``CEG_O``, (popcount, ``repr`` of the atom-index frozenset);
+* in-edges are sorted by (target position, source position, emission
+  order), where emission order is the order the builder produced the
+  edges in, and parallel edges are kept.
+
+For every vertex that is the order in which a vertex-by-vertex DP —
+sources visited in topological order, each source's out-edges in
+emission order — folds contributions into the vertex's accumulator.
+Sequential ufunc accumulation over the in-edge arrays therefore
+reproduces such a DP's float sums bit for bit, which the all-hops-avg
+estimates and the golden regressions depend on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.core.ceg import CEG
 
-import numpy as np
-
-__all__ = ["CompiledCEG", "compile_ceg"]
+__all__ = ["compile_ceg"]
 
 
-@dataclass(frozen=True)
-class CompiledCEG:
-    """A CEG interned to dense ints with CSR-shaped in-edges.
-
-    ``keys[i]`` is the original vertex key of the vertex at topological
-    position ``i`` (position order == ``CEG.topological_order()``).
-    Edge ``e`` runs from position ``in_source[e]`` to position
-    ``in_target[e]`` with rate ``in_rate[e]``; edges are sorted by
-    (target, source position, insertion order), with ``in_indptr``
-    delimiting each target's slice.
-    """
-
-    keys: tuple
-    ranks: np.ndarray  # int64 per position
-    source: int  # position of the CEG source
-    target: int  # position of the CEG target
-    in_indptr: np.ndarray  # int64, len num_nodes + 1
-    in_source: np.ndarray  # int64 per edge (topological position)
-    in_target: np.ndarray  # int64 per edge (topological position)
-    in_rate: np.ndarray  # float64 per edge
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of interned vertices."""
-        return len(self.keys)
-
-    @property
-    def num_edges(self) -> int:
-        """Number of extension edges."""
-        return int(len(self.in_rate))
-
-    def position(self, key) -> int:
-        """Topological position of an original vertex key."""
-        return self.keys.index(key)
-
-
-def compile_ceg(ceg) -> CompiledCEG:
-    """Intern a built CEG into its array form.
-
-    ``ceg`` is duck-typed (anything with ``topological_order`` /
-    ``out_edges`` / ``rank`` / ``source`` / ``target``), so this module
-    stays import-cycle-free below :mod:`repro.core.ceg`.
-    """
-    order = ceg.topological_order()
-    position = {key: i for i, key in enumerate(order)}
-    sources: list[int] = []
-    targets: list[int] = []
-    rates: list[float] = []
-    # Iterating vertices in topological order makes the emission index
-    # itself the (source position, insertion order) sort key; the stable
-    # sort by target below then yields the bit-identity ordering.
-    for key in order:
-        src_pos = position[key]
-        for edge in ceg.out_edges(key):
-            sources.append(src_pos)
-            targets.append(position[edge.target])
-            rates.append(edge.rate)
-    in_source = np.asarray(sources, dtype=np.int64)
-    in_target = np.asarray(targets, dtype=np.int64)
-    in_rate = np.asarray(rates, dtype=np.float64)
-    if len(in_target):
-        by_target = np.argsort(in_target, kind="stable")
-        in_source = in_source[by_target]
-        in_target = in_target[by_target]
-        in_rate = in_rate[by_target]
-    counts = np.bincount(in_target, minlength=len(order))
-    in_indptr = np.concatenate(
-        ([0], np.cumsum(counts, dtype=np.int64))
-    )
-    return CompiledCEG(
-        keys=tuple(order),
-        ranks=np.asarray([ceg.rank(key) for key in order], dtype=np.int64),
-        source=position[ceg.source],
-        target=position[ceg.target],
-        in_indptr=in_indptr,
-        in_source=in_source,
-        in_target=in_target,
-        in_rate=in_rate,
-    )
+def compile_ceg(ceg: CEG) -> CEG:
+    """The array form of a built CEG: the CEG itself."""
+    return ceg

@@ -7,14 +7,11 @@ enumerating paths (their number explodes — the paper counts 252 formulas
 for one query), a single dynamic program over the DAG keyed by
 (vertex, hop-count) tracks the count, sum, minimum and maximum of path
 products, which is exactly enough to answer all nine estimators.
-
-Two interchangeable DPs compute the same table:
-:func:`hop_statistics` is the dict-of-dicts reference implementation;
-:func:`hop_statistics_compiled` runs one bottom-up NumPy pass per hop
-level over the array-compiled CEG (:mod:`repro.core.compiled`), folding
-every edge's contribution with sequential ufunc accumulation in the
-reference order, so its sums are bit-identical — the serving default
-(:func:`estimate_from_ceg`) uses it.
+:func:`hop_statistics_compiled` runs it as one bottom-up NumPy pass per
+hop level over the CEG's in-edge arrays, folding every edge's
+contribution with sequential ufunc accumulation in the order contract
+of :mod:`repro.core.compiled`, so its sums are bit-identical to a
+vertex-by-vertex dict DP (kept as an oracle in ``tests/oracles/``).
 
 The P* oracle (§6.2.3) needs the full multiset of *distinct* path
 estimates; :func:`distinct_estimates` runs a second DP over value sets
@@ -34,11 +31,9 @@ __all__ = [
     "HopStats",
     "PATH_LENGTH_CHOICES",
     "AGGREGATOR_CHOICES",
-    "hop_statistics",
     "hop_statistics_compiled",
     "estimate_from_ceg",
     "distinct_estimates",
-    "min_weight_path",
 ]
 
 PATH_LENGTH_CHOICES = ("max", "min", "all")
@@ -54,61 +49,34 @@ class HopStats:
     minimum: float = float("inf")
     maximum: float = float("-inf")
 
-    def absorb(self, other: "HopStats", rate: float) -> None:
-        """Fold in paths arriving through an edge with the given rate."""
-        self.count += other.count
-        self.total += other.total * rate
-        self.minimum = min(self.minimum, other.minimum * rate)
-        self.maximum = max(self.maximum, other.maximum * rate)
 
-
-def hop_statistics(ceg: CEG) -> dict[int, HopStats]:
-    """Per-hop-count path statistics at the CEG's target vertex."""
-    table: dict[object, dict[int, HopStats]] = {
-        ceg.source: {0: HopStats(count=1.0, total=1.0, minimum=1.0, maximum=1.0)}
-    }
-    for node in ceg.topological_order():
-        at_node = table.get(node)
-        if not at_node:
-            continue
-        for edge in ceg.out_edges(node):
-            into = table.setdefault(edge.target, {})
-            for hops, stats in at_node.items():
-                slot = into.get(hops + 1)
-                if slot is None:
-                    slot = HopStats()
-                    into[hops + 1] = slot
-                slot.absorb(stats, edge.rate)
-    return table.get(ceg.target, {})
-
-
-def hop_statistics_compiled(compiled) -> dict[int, HopStats]:
-    """Per-hop-count path statistics via the array-compiled CEG.
+def hop_statistics_compiled(ceg: CEG) -> dict[int, HopStats]:
+    """Per-hop-count path statistics at the CEG's target vertex.
 
     One hop level at a time: ``stats_{k+1}[v]`` folds every in-edge
     contribution ``stats_k[u] ∘ rate`` with unbuffered ufunc
     accumulation (``np.add.at`` applies repeated indexes sequentially in
-    array order).  The compiled in-edge order is (target, source
-    topological position, insertion order) — the same per-vertex
-    ordering :func:`hop_statistics` uses — so every float sum reproduces
-    the reference DP bit for bit.
+    array order).  The in-edge order is (target, source topological
+    position, emission order), so every float sum reproduces a
+    vertex-by-vertex DP bit for bit.
     """
-    n = compiled.num_nodes
+    n = ceg.num_nodes
     count = np.zeros(n)
     total = np.zeros(n)
     minimum = np.full(n, np.inf)
     maximum = np.full(n, -np.inf)
-    count[compiled.source] = 1.0
-    total[compiled.source] = 1.0
-    minimum[compiled.source] = 1.0
-    maximum[compiled.source] = 1.0
-    target = compiled.target
+    source = ceg.source_pos
+    count[source] = 1.0
+    total[source] = 1.0
+    minimum[source] = 1.0
+    maximum[source] = 1.0
+    target = ceg.target_pos
     result: dict[int, HopStats] = {}
-    if target == compiled.source:
+    if target == source:
         result[0] = HopStats(count=1.0, total=1.0, minimum=1.0, maximum=1.0)
-    sources = compiled.in_source
-    targets = compiled.in_target
-    rates = compiled.in_rate
+    sources = ceg.in_source
+    targets = ceg.in_target
+    rates = ceg.in_rate
     hops = 0
     while hops < n:
         live = count[sources] > 0.0
@@ -139,24 +107,17 @@ def hop_statistics_compiled(compiled) -> dict[int, HopStats]:
     return result
 
 
-def estimate_from_ceg(
-    ceg: CEG, path_length: str, aggregator: str, compiled: bool = True
-) -> float:
+def estimate_from_ceg(ceg: CEG, path_length: str, aggregator: str) -> float:
     """One of the nine §4.2 estimates from a built CEG.
 
-    ``compiled`` selects the NumPy DP over the array-compiled CEG (the
-    default) or the dict-based reference DP; both produce bit-identical
-    estimates.  Raises :class:`EstimationError` when the CEG has no
-    (source, target) path — the estimator has no formula for the query.
+    Raises :class:`EstimationError` when the CEG has no (source, target)
+    path — the estimator has no formula for the query.
     """
     if path_length not in PATH_LENGTH_CHOICES:
         raise ValueError(f"path_length must be one of {PATH_LENGTH_CHOICES}")
     if aggregator not in AGGREGATOR_CHOICES:
         raise ValueError(f"aggregator must be one of {AGGREGATOR_CHOICES}")
-    if compiled:
-        per_hop = hop_statistics_compiled(ceg.compiled())
-    else:
-        per_hop = hop_statistics(ceg)
+    per_hop = hop_statistics_compiled(ceg)
     if not per_hop:
         raise EstimationError("CEG has no bottom-to-top path")
     if path_length == "max":
@@ -201,33 +162,3 @@ def _round_sig(value: float, digits: int = 12) -> float:
     if value == 0.0 or value != value or value in (float("inf"), float("-inf")):
         return value
     return float(f"%.{digits}e" % value)
-
-
-def min_weight_path(ceg: CEG) -> tuple[float, list]:
-    """Minimum-product path (as used by pessimistic estimators, §5).
-
-    Returns ``(product, edges)``.  The DAG structure makes a simple
-    topological relaxation sufficient (no Dijkstra needed); rates must be
-    non-negative, and the relaxation works on products directly.
-    """
-    best: dict[object, float] = {ceg.source: 1.0}
-    parent: dict[object, object] = {}
-    via: dict[object, object] = {}
-    for node in ceg.topological_order():
-        if node not in best:
-            continue
-        for edge in ceg.out_edges(node):
-            candidate = best[node] * edge.rate
-            if candidate < best.get(edge.target, float("inf")):
-                best[edge.target] = candidate
-                parent[edge.target] = node
-                via[edge.target] = edge
-    if ceg.target not in best:
-        raise EstimationError("CEG has no bottom-to-top path")
-    edges = []
-    node = ceg.target
-    while node != ceg.source:
-        edges.append(via[node])
-        node = parent[node]
-    edges.reverse()
-    return best[ceg.target], edges

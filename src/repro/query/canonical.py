@@ -10,19 +10,28 @@ variable orderings is cheap and avoids graph-isomorphism heuristics.
 
 from __future__ import annotations
 
+import functools
 from itertools import permutations
+from typing import Iterable
 
-from repro.query.pattern import QueryPattern
+from repro.query.pattern import QueryEdge, QueryPattern
 
 __all__ = [
     "canonical_key",
     "canonical_order",
     "canonical_pattern",
+    "key_pattern",
+    "subpattern_form",
     "key_from_json",
     "key_to_json",
 ]
 
 _MAX_BRUTE_FORCE_VARS = 8
+
+#: Entries of the :func:`subpattern_form` memo.  An entry is a shape and
+#: its canonical form, never a statistic, so it stays valid across data
+#: changes and generation swaps.
+SUBPATTERN_MEMO_SIZE = 8192
 
 
 def _encode(pattern: QueryPattern, order: tuple[str, ...]) -> tuple:
@@ -80,8 +89,45 @@ def canonical_order(pattern: QueryPattern) -> tuple[str, ...]:
 
 def canonical_pattern(pattern: QueryPattern) -> QueryPattern:
     """The pattern rebuilt with canonical variable names ``v0, v1, ...``."""
-    key = canonical_key(pattern)
+    return key_pattern(canonical_key(pattern))
+
+
+def key_pattern(key: tuple) -> QueryPattern:
+    """The canonical pattern a canonical key denotes (``v0, v1, ...``)."""
     return QueryPattern((f"v{s}", f"v{d}", label) for s, d, label in key)
+
+
+def subpattern_form(edges: Iterable[QueryEdge]) -> tuple[tuple, tuple[int, ...]]:
+    """Canonical key and order of the pattern made of ``edges``.
+
+    ``order[i]`` is the position, among the edges' variables in order of
+    first appearance, of the variable playing canonical ``v{i}``.  For
+    at most :data:`_MAX_BRUTE_FORCE_VARS` variables the search never
+    reads variable names, so the form is memoized (up to
+    :data:`SUBPATTERN_MEMO_SIZE` shapes) under the atoms with variables
+    numbered by first appearance: a hit builds no
+    :class:`QueryPattern` and runs no search.  The CEG builders call this
+    for every ≤h subpattern of every query.
+    """
+    edges = tuple(edges)
+    numbering: dict[str, int] = {}
+    atoms = []
+    for edge in edges:
+        src = numbering.setdefault(edge.src, len(numbering))
+        dst = numbering.setdefault(edge.dst, len(numbering))
+        atoms.append((src, dst, edge.label))
+    if len(numbering) > _MAX_BRUTE_FORCE_VARS:
+        pattern = QueryPattern(edges)
+        order = canonical_order(pattern)
+        return canonical_key(pattern), tuple(numbering[v] for v in order)
+    return _numbered_form(tuple(atoms))
+
+
+@functools.lru_cache(maxsize=SUBPATTERN_MEMO_SIZE)
+def _numbered_form(atoms: tuple) -> tuple[tuple, tuple[int, ...]]:
+    pattern = QueryPattern((str(s), str(d), label) for s, d, label in atoms)
+    key = canonical_key(pattern)
+    return key, tuple(int(var) for var in canonical_order(pattern))
 
 
 def key_to_json(key: tuple) -> list:

@@ -14,11 +14,12 @@ two LRU caches:
 * **estimate cache** — (canonical shape, estimator config) → estimate,
   so they never re-run the path DP either.
 
-``CEG_M`` has no materialised skeleton (MOLP explores it lazily); its
-expensive shared state — the degree statistics of small joins — already
-lives in :class:`~repro.catalog.degrees.DegreeCatalog`, which the
-session holds once and reuses across the batch, and finished bounds land
-in the estimate cache like everything else.
+``CEG_M`` has no cached skeleton: MOLP runs a DP over the query's
+attribute lattice without building the graph.  Its shared state — the
+degree statistics of small joins — lives in
+:class:`~repro.catalog.degrees.DegreeCatalog`, which the session holds
+once and reuses across the batch, and finished bounds land in the
+estimate cache like everything else.
 
 Because every estimator in this library computes from the *canonical*
 pattern (see :meth:`repro.core.estimators.OptimisticEstimator.build_ceg`),

@@ -2,14 +2,24 @@
 
 import pytest
 
+from oracles import ceg as oracle
 from repro.core import (
     CEG,
     distinct_estimates,
     estimate_from_ceg,
-    hop_statistics,
-    min_weight_path,
+    hop_statistics_compiled,
 )
 from repro.errors import EstimationError
+
+DIAMOND_NODES = [("s", 0), ("a", 1), ("b", 1), ("c", 2), ("t", 3)]
+DIAMOND_EDGES = [
+    ("s", "a", 2.0),
+    ("s", "b", 3.0),
+    ("a", "t", 5.0),
+    ("b", "t", 7.0),
+    ("a", "c", 2.0),
+    ("c", "t", 2.0),
+]
 
 
 def _diamond_ceg() -> CEG:
@@ -18,50 +28,44 @@ def _diamond_ceg() -> CEG:
     Paths: 2*5=10 (2 hops), 3*7=21 (2 hops), and a long route
     source -> a -> c -> target: 2*2*2 = 8 (3 hops).
     """
-    ceg = CEG(source="s", target="t")
-    ceg.add_node("s", 0)
-    ceg.add_node("a", 1)
-    ceg.add_node("b", 1)
-    ceg.add_node("c", 2)
-    ceg.add_node("t", 3)
-    ceg.add_edge("s", "a", 2.0)
-    ceg.add_edge("s", "b", 3.0)
-    ceg.add_edge("a", "t", 5.0)
-    ceg.add_edge("b", "t", 7.0)
-    ceg.add_edge("a", "c", 2.0)
-    ceg.add_edge("c", "t", 2.0)
-    return ceg
+    return CEG.from_edges("s", "t", DIAMOND_NODES, DIAMOND_EDGES)
+
+
+def _no_path_ceg() -> CEG:
+    return CEG.from_edges("s", "t", [("s", 0), ("t", 1)], [])
 
 
 class TestCEGStructure:
     def test_rank_must_increase(self):
-        ceg = CEG(source="s", target="t")
-        ceg.add_node("s", 0)
-        ceg.add_node("t", 0)
         with pytest.raises(ValueError):
-            ceg.add_edge("s", "t", 1.0)
+            CEG.from_edges("s", "t", [("s", 0), ("t", 0)], [("s", "t", 1.0)])
 
     def test_unregistered_nodes_rejected(self):
-        ceg = CEG(source="s", target="t")
-        ceg.add_node("s", 0)
         with pytest.raises(ValueError):
-            ceg.add_edge("s", "t", 1.0)
+            CEG.from_edges("s", "t", [("s", 0)], [("s", "t", 1.0)])
+        with pytest.raises(ValueError):
+            CEG.from_edges(
+                "s", "t", [("s", 0), ("t", 1)], [("s", "x", 1.0)]
+            )
 
     def test_rank_reregistration_conflict(self):
-        ceg = CEG(source="s", target="t")
-        ceg.add_node("s", 0)
         with pytest.raises(ValueError):
-            ceg.add_node("s", 1)
+            CEG.from_edges("s", "s", [("s", 0), ("s", 1)], [])
 
     def test_topological_order(self):
         ceg = _diamond_ceg()
         order = ceg.topological_order()
         assert order.index("s") < order.index("a") < order.index("t")
+        assert [ceg.rank(key) for key in order] == [0, 1, 1, 2, 3]
+        assert [e.target for e in ceg.out_edges("a")] == ["t", "c"]
 
     def test_prune_unreachable(self):
-        ceg = _diamond_ceg()
-        ceg.add_node("dead", 1)
-        ceg.add_edge("s", "dead", 9.0)  # no path onward to target
+        """The explicit CEG_M oracle prunes dead vertices."""
+        ceg = oracle.CEG(source="s", target="t")
+        for key, rank in DIAMOND_NODES + [("dead", 1)]:
+            ceg.add_node(key, rank)
+        for edge in DIAMOND_EDGES + [("s", "dead", 9.0)]:
+            ceg.add_edge(*edge)  # "dead" has no path onward to target
         ceg.prune_unreachable()
         assert "dead" not in ceg.nodes
         assert "a" in ceg.nodes
@@ -69,22 +73,19 @@ class TestCEGStructure:
 
 class TestHopStatistics:
     def test_hop_buckets(self):
-        stats = hop_statistics(_diamond_ceg())
+        stats = hop_statistics_compiled(_diamond_ceg())
         assert set(stats) == {2, 3}
         assert stats[2].count == 2
         assert stats[3].count == 1
 
     def test_two_hop_values(self):
-        stats = hop_statistics(_diamond_ceg())[2]
+        stats = hop_statistics_compiled(_diamond_ceg())[2]
         assert stats.minimum == pytest.approx(10.0)
         assert stats.maximum == pytest.approx(21.0)
         assert stats.total == pytest.approx(31.0)
 
     def test_no_path(self):
-        ceg = CEG(source="s", target="t")
-        ceg.add_node("s", 0)
-        ceg.add_node("t", 1)
-        assert hop_statistics(ceg) == {}
+        assert hop_statistics_compiled(_no_path_ceg()) == {}
 
 
 class TestEstimateFromCeg:
@@ -108,11 +109,8 @@ class TestEstimateFromCeg:
             estimate_from_ceg(ceg, "max", "bogus")
 
     def test_no_path_raises(self):
-        ceg = CEG(source="s", target="t")
-        ceg.add_node("s", 0)
-        ceg.add_node("t", 1)
         with pytest.raises(EstimationError):
-            estimate_from_ceg(ceg, "max", "max")
+            estimate_from_ceg(_no_path_ceg(), "max", "max")
 
 
 class TestDistinctEstimates:
@@ -121,27 +119,23 @@ class TestDistinctEstimates:
         assert estimates == [8.0, 10.0, 21.0]
 
     def test_duplicates_collapse(self):
-        ceg = CEG(source="s", target="t")
-        ceg.add_node("s", 0)
-        ceg.add_node("a", 1)
-        ceg.add_node("b", 1)
-        ceg.add_node("t", 2)
-        ceg.add_edge("s", "a", 2.0)
-        ceg.add_edge("s", "b", 4.0)
-        ceg.add_edge("a", "t", 6.0)
-        ceg.add_edge("b", "t", 3.0)
+        ceg = CEG.from_edges(
+            "s",
+            "t",
+            [("s", 0), ("a", 1), ("b", 1), ("t", 2)],
+            [("s", "a", 2.0), ("s", "b", 4.0), ("a", "t", 6.0), ("b", "t", 3.0)],
+        )
         assert distinct_estimates(ceg) == [12.0]
 
 
 class TestMinWeightPath:
+    """The oracle's topological relaxation reads any CEG's views."""
+
     def test_min_path(self):
-        product, edges = min_weight_path(_diamond_ceg())
+        product, edges = oracle.min_weight_path(_diamond_ceg())
         assert product == pytest.approx(8.0)
         assert [e.target for e in edges] == ["a", "c", "t"]
 
     def test_no_path_raises(self):
-        ceg = CEG(source="s", target="t")
-        ceg.add_node("s", 0)
-        ceg.add_node("t", 1)
         with pytest.raises(EstimationError):
-            min_weight_path(ceg)
+            oracle.min_weight_path(_no_path_ceg())

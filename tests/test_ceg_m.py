@@ -1,14 +1,14 @@
-"""Tests for the CEG_M builder, the lazy Dijkstra, and MolpEdge metadata."""
+"""Tests for the MOLP lattice DP, its paths, and MolpEdge metadata.
+
+The explicit ``CEG_M`` and the Dijkstra live in ``tests/oracles/ceg.py``;
+the library's bound must equal both bit for bit.
+"""
 
 import pytest
 
+from oracles import ceg as oracle
 from repro.catalog import DegreeCatalog
-from repro.core import (
-    build_ceg_m,
-    min_weight_path,
-    molp_bound,
-    molp_min_path,
-)
+from repro.core import MOLP_MAX_ATTRIBUTES, molp_bound, molp_min_path
 from repro.core.ceg_m import MolpEdge
 from repro.engine import count_pattern
 from repro.errors import EstimationError
@@ -21,6 +21,7 @@ class TestMolpMinPath:
         catalog = DegreeCatalog(tiny_graph, h=1)
         bound, path = molp_min_path(query, catalog)
         assert bound > 0
+        assert bound == oracle.molp_min_path(query, catalog)[0]
         assert path[0].source_attrs == frozenset()
         assert path[-1].target_attrs == frozenset(query.variables)
         for first, second in zip(path, path[1:]):
@@ -33,7 +34,7 @@ class TestMolpMinPath:
         product = 1.0
         for edge in path:
             product *= edge.rate
-        assert product == pytest.approx(bound)
+        assert product == bound  # the left fold, bit for bit
 
     def test_first_hop_is_unbound(self, tiny_graph):
         """The path starts at ∅, so its first edge conditions on X=∅."""
@@ -47,6 +48,7 @@ class TestMolpMinPath:
         catalog = DegreeCatalog(tiny_graph, h=1)
         bound, path = molp_min_path(query, catalog)
         assert bound == 0.0 and path == []
+        assert molp_bound(query, catalog) == 0.0
 
     def test_bound_upper_bounds_truth(self, medium_random_graph):
         labels = list(medium_random_graph.labels)
@@ -56,6 +58,7 @@ class TestMolpMinPath:
             query = template.with_labels(labels[: len(template)])
             truth = count_pattern(medium_random_graph, query)
             assert molp_bound(query, catalog) >= truth - 1e-6
+            assert molp_bound(query, catalog) == oracle.molp_bound(query, catalog)
 
 
 class TestExplicitCegM:
@@ -63,31 +66,34 @@ class TestExplicitCegM:
         query = parse_pattern("a -[A]-> b -[B]-> c")
         catalog = DegreeCatalog(tiny_graph, h=1)
         lazy = molp_bound(query, catalog)
-        ceg = build_ceg_m(query, catalog)
-        explicit, _ = min_weight_path(ceg)
-        assert explicit == pytest.approx(lazy)
+        ceg = oracle.build_ceg_m(query, catalog)
+        explicit, _ = oracle.min_weight_path(ceg)
+        assert explicit == lazy
 
     def test_explicit_matches_lazy_with_joins(self, tiny_graph):
         query = parse_pattern("a -[A]-> b -[B]-> c -[C]-> d")
         catalog = DegreeCatalog(tiny_graph, h=2)
         lazy = molp_bound(query, catalog)
-        ceg = build_ceg_m(query, catalog)
-        explicit, _ = min_weight_path(ceg)
-        assert explicit == pytest.approx(lazy)
+        ceg = oracle.build_ceg_m(query, catalog)
+        explicit, _ = oracle.min_weight_path(ceg)
+        assert explicit == lazy
 
     def test_payloads_are_molp_edges(self, tiny_graph):
         query = parse_pattern("a -[A]-> b")
         catalog = DegreeCatalog(tiny_graph, h=1)
-        ceg = build_ceg_m(query, catalog)
+        ceg = oracle.build_ceg_m(query, catalog)
         for edge in ceg.iter_edges():
             assert isinstance(edge.payload, MolpEdge)
             assert edge.payload.rate == edge.rate
 
     def test_attribute_cap(self, tiny_graph):
-        query = templates.star(15).with_labels(["A"] * 15)
+        atoms = MOLP_MAX_ATTRIBUTES  # a star has one attribute more
+        query = templates.star(atoms).with_labels(["A"] * atoms)
         catalog = DegreeCatalog(tiny_graph, h=1)
         with pytest.raises(EstimationError):
-            build_ceg_m(query, catalog)
+            oracle.build_ceg_m(query, catalog)
+        with pytest.raises(EstimationError):
+            molp_bound(query, catalog)
 
     def test_rightmost_path_semantics(self, tiny_graph):
         """Any (∅, A) path multiplies a relation size by max degrees —
@@ -96,7 +102,7 @@ class TestExplicitCegM:
 
         query = parse_pattern("a -[A]-> b -[B]-> c")
         catalog = DegreeCatalog(tiny_graph, h=1)
-        ceg = build_ceg_m(query, catalog)
+        ceg = oracle.build_ceg_m(query, catalog)
         truth = count_pattern(tiny_graph, query)
         for estimate in distinct_estimates(ceg, cap=500):
             assert estimate >= truth - 1e-6

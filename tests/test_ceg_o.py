@@ -65,9 +65,9 @@ class TestCegOStructure:
         labels = list(small_random_graph.labels[:5])
         query = templates.fork(2, 3).with_labels(labels)
         ceg = build_ceg_o(query, MarkovTable(small_random_graph, h=3))
-        from repro.core import hop_statistics
+        from repro.core import hop_statistics_compiled
 
-        per_hop = hop_statistics(ceg)
+        per_hop = hop_statistics_compiled(ceg)
         assert len(per_hop) >= 2  # at least two distinct path lengths
 
     def test_zero_cardinality_extension(self, tiny_graph):

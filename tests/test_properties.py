@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CEG, distinct_estimates, estimate_from_ceg, hop_statistics
+from repro.core import (
+    CEG,
+    distinct_estimates,
+    estimate_from_ceg,
+    hop_statistics_compiled,
+)
 from repro.engine import count_pattern, extend_by_edge, start_table
 from repro.graph import LabeledDiGraph
 from repro.query import templates
@@ -28,14 +33,13 @@ def random_dags(draw):
     """A small layered DAG with positive rates."""
     layers = draw(st.integers(min_value=2, max_value=4))
     width = draw(st.integers(min_value=1, max_value=3))
-    ceg = CEG(source=("n", 0, 0), target=("t",))
     names: list[list[tuple]] = []
+    nodes = []
     for layer in range(layers):
         row = [("n", layer, i) for i in range(width)]
         names.append(row)
-        for node in row:
-            ceg.add_node(node, rank=layer)
-    ceg.add_node(("t",), rank=layers)
+        nodes.extend((node, layer) for node in row)
+    nodes.append((("t",), layers))
     edges = []
     for layer in range(layers - 1):
         for a in names[layer]:
@@ -44,13 +48,11 @@ def random_dags(draw):
                     rate = draw(
                         st.floats(min_value=0.1, max_value=9.0)
                     )
-                    ceg.add_edge(a, b, rate)
                     edges.append((a, b, rate))
     for a in names[-1]:
         rate = draw(st.floats(min_value=0.1, max_value=9.0))
-        ceg.add_edge(a, ("t",), rate)
         edges.append((a, ("t",), rate))
-    return ceg
+    return CEG.from_edges(("n", 0, 0), ("t",), nodes, edges)
 
 
 def _enumerate_paths(ceg: CEG):
@@ -73,7 +75,7 @@ class TestPathDpAgainstEnumeration:
     @settings(max_examples=60, deadline=None)
     def test_hop_statistics_match(self, ceg):
         paths = _enumerate_paths(ceg)
-        per_hop = hop_statistics(ceg)
+        per_hop = hop_statistics_compiled(ceg)
         assert sum(s.count for s in per_hop.values()) == len(paths)
         if not paths:
             return

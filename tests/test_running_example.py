@@ -16,8 +16,9 @@ verify the claims the text makes about it:
 
 import pytest
 
+from oracles import ceg as oracle
 from repro.catalog import MarkovTable
-from repro.core import build_ceg_o, distinct_estimates, hop_statistics
+from repro.core import build_ceg_o, distinct_estimates, hop_statistics_compiled
 from repro.graph import LabeledDiGraph
 from repro.query import QueryPattern, templates
 
@@ -51,6 +52,7 @@ class TestFigure3:
         markov = MarkovTable(running_graph, h=3)
         estimates = distinct_estimates(build_ceg_o(q5f, markov))
         assert len(estimates) == 2
+        assert estimates == distinct_estimates(oracle.build_ceg_o(q5f, markov))
 
     def test_short_and_long_hop_formulas(self, running_graph, q5f):
         markov = MarkovTable(running_graph, h=3)
@@ -80,8 +82,9 @@ class TestFigure3:
     def test_hop_lengths(self, running_graph, q5f):
         """The short-hop path has 2 edges; the long-hop path has 3."""
         markov = MarkovTable(running_graph, h=3)
-        per_hop = hop_statistics(build_ceg_o(q5f, markov))
+        per_hop = hop_statistics_compiled(build_ceg_o(q5f, markov))
         assert set(per_hop) == {2, 3}
+        assert set(oracle.hop_statistics(oracle.build_ceg_o(q5f, markov))) == {2, 3}
 
 
 class TestFigure4:
@@ -90,17 +93,22 @@ class TestFigure4:
     def test_many_paths_few_estimates(self, running_graph, q5f):
         markov = MarkovTable(running_graph, h=2)
         ceg = build_ceg_o(q5f, markov)
-        per_hop = hop_statistics(ceg)
+        per_hop = hop_statistics_compiled(ceg)
         total_paths = sum(stats.count for stats in per_hop.values())
         estimates = distinct_estimates(ceg)
         assert total_paths > 30  # the §1 formula-space explosion
         assert len(estimates) < total_paths
+        reference = oracle.build_ceg_o(q5f, markov)
+        assert total_paths == sum(
+            stats.count for stats in oracle.hop_statistics(reference).values()
+        )
+        assert estimates == distinct_estimates(reference)
 
     def test_all_paths_have_four_hops(self, running_graph, q5f):
         """With h=2 every path extends one atom at a time after the
         2-atom seed: 1 seed hop + 3 extension hops."""
         markov = MarkovTable(running_graph, h=2)
-        per_hop = hop_statistics(build_ceg_o(q5f, markov))
+        per_hop = hop_statistics_compiled(build_ceg_o(q5f, markov))
         assert set(per_hop) == {4}
 
 

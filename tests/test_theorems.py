@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.ceg import build_ceg_m
 from repro.catalog import DegreeCatalog
 from repro.core import (
     agm_bound,
     best_dbplp_bound,
-    build_ceg_m,
     cbs_bound,
     dbplp_bound,
     distinct_estimates,
