@@ -2,12 +2,13 @@
 
 Times exact homomorphism counting of triangles through 6-cycles (the
 Figure 10/11 cyclic shapes) on the synthetic Table-2 presets, comparing
-the match-frame join counter (``impl="vectorized"``, the serving
-default) against the per-candidate Python backtracker it replaced
-(``impl="python"``).  Counts must agree exactly; the acceptance bar is a
->= 5x geometric-mean speedup (>= 1x in ``--quick`` CI-smoke mode, which
-only guards against the vectorized path regressing below the legacy
-one).
+the match-frame join counter (:func:`repro.engine.count_pattern`, the
+library's only exact counter) against the per-candidate Python
+backtracker it replaced (``count_general_backtracking`` in
+``tests/oracles/engine.py``).  Counts must agree exactly; the acceptance
+bar is a >= 5x geometric-mean speedup (>= 1x in ``--quick`` CI-smoke
+mode, which only guards against the vectorized path regressing below
+the legacy one).
 
 Runs standalone (no pytest): ``python benchmarks/bench_engine_vectorized.py
 [--quick] [--json PATH]``.  Exit code 0 iff every scenario matched
@@ -23,8 +24,11 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "tests"))
 
+from oracles.engine import count_general_backtracking  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
 from repro.engine import count_pattern  # noqa: E402
 from repro.query import templates  # noqa: E402
@@ -42,12 +46,12 @@ def _cycle_scenarios(graph, dataset: str):
         yield f"{dataset}/cycle{k}", pattern
 
 
-def _time_count(graph, pattern, impl: str, repeats: int) -> tuple[float, float]:
+def _time_count(graph, pattern, counter, repeats: int) -> tuple[float, float]:
     best = float("inf")
     value = None
     for _ in range(repeats):
         started = time.perf_counter()
-        value = count_pattern(graph, pattern, impl=impl)
+        value = counter(graph, pattern)
         best = min(best, time.perf_counter() - started)
     return value, best
 
@@ -62,10 +66,10 @@ def run(quick: bool = False) -> dict:
         graph = load_dataset(dataset, scale)
         for name, pattern in _cycle_scenarios(graph, dataset):
             legacy_count, legacy_s = _time_count(
-                graph, pattern, "python", repeats
+                graph, pattern, count_general_backtracking, repeats
             )
             vector_count, vector_s = _time_count(
-                graph, pattern, "vectorized", repeats
+                graph, pattern, count_pattern, repeats
             )
             assert vector_count == legacy_count, (
                 f"{name}: vectorized {vector_count} != legacy {legacy_count}"

@@ -33,7 +33,12 @@ import itertools
 
 import numpy as np
 
-from repro.engine.join import extend_by_edge, start_table
+from repro.engine.frames import (
+    Frame,
+    encode_columns,
+    extend_frame,
+    frame_from_edge,
+)
 from repro.errors import MissingStatisticError
 from repro.graph.digraph import LabeledDiGraph
 from repro.query.canonical import (
@@ -58,37 +63,25 @@ __all__ = [
 ]
 
 
-def materialise_table(graph, pattern: QueryPattern, max_rows: int | None):
+def materialise_table(
+    graph, pattern: QueryPattern, max_rows: int | None
+) -> Frame:
     """The full match table of a pattern (spanning tree, then closures).
 
     The one join-order recipe shared by graph-backed catalogs, the
-    offline bulk builder and delta maintenance — every plane must
-    produce the same rows or bit-identity between them breaks.
+    entropy catalog, the offline bulk builder and delta maintenance —
+    every plane must produce the same rows or bit-identity between them
+    breaks.  ``max_rows`` aborts an oversized intermediate with
+    :class:`~repro.errors.PlanningError`.
     """
     tree, closures = spanning_tree_and_closures(pattern)
     order = tree + closures
-    table = start_table(graph, pattern.edges[order[0]])
+    frame = frame_from_edge(graph, pattern.edges[order[0]])
     for index in order[1:]:
-        table = extend_by_edge(
-            graph, table, pattern.edges[index], max_rows=max_rows
+        frame, _ = extend_frame(
+            graph, frame, pattern.edges[index], max_rows=max_rows
         )
-    return table
-
-
-def _encode_columns(rows: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Pack row tuples into scalar keys (or structured fallback)."""
-    if rows.shape[1] == 0:
-        return np.zeros(rows.shape[0], dtype=np.int64)
-    width = rows.shape[1]
-    # Check the radix encoding fits in int64.
-    if num_vertices ** width < 2 ** 62:
-        keys = rows[:, 0].astype(np.int64)
-        for column in range(1, width):
-            keys = keys * np.int64(num_vertices) + rows[:, column]
-        return keys
-    # Fallback: lexicographic unique on the raw rows via void view.
-    packed = np.ascontiguousarray(rows.astype(np.int64))
-    return packed.view([("", np.int64)] * width).reshape(-1)
+    return frame
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,14 +171,15 @@ def key_arity(key: tuple) -> int:
 
 
 def all_degree_pairs(
-    rows: np.ndarray,
-    columns: tuple[str, ...],
+    columns: tuple[np.ndarray, ...],
+    names: tuple[str, ...],
     num_vertices: int,
 ) -> np.ndarray:
-    """Every ``deg(X, Y)`` with ``X ⊆ Y ⊆ columns``, in image order.
+    """Every ``deg(X, Y)`` with ``X ⊆ Y ⊆ names``, in image order.
 
-    The ``3^k`` values are laid out by :func:`pair_table`, bit ``i``
-    standing for the ``i``-th of the sorted column names.  Rows are
+    ``columns[j]`` holds the bindings of ``names[j]`` (a frame's column
+    arrays).  The ``3^k`` values are laid out by :func:`pair_table`, bit
+    ``i`` standing for the ``i``-th of the sorted names.  Rows are
     sorted once per column order of :func:`_sort_plan`; after a
     lexicographic sort, the rows sharing a prefix of that order form one
     run, so ``deg(X, Y)`` for an ``X``-prefix and a longer ``Y``-prefix
@@ -193,17 +187,17 @@ def all_degree_pairs(
     ``deg(X, X)`` is 1 on a non-empty table and needs no sort.  Values
     are exact tuple counts.
     """
-    names = tuple(sorted(columns))
+    column_of = dict(zip(names, columns))
+    names = tuple(sorted(names))
     width = len(names)
-    if rows.shape[0] == 0:
+    if len(columns[0]) == 0:
         return np.zeros(3 ** width, dtype=np.float64)
     index = _pair_index(width)
     x_masks, y_masks = pair_table(width)
     values = np.where(x_masks == y_masks, 1.0, 0.0)
-    col_of = {var: i for i, var in enumerate(columns)}
     for order, pairs in _sort_plan(width):
         starts = _prefix_run_starts(
-            rows[:, [col_of[names[i]] for i in order]], num_vertices
+            [column_of[names[i]] for i in order], num_vertices
         )
         masks = [0]
         for column in order:
@@ -221,7 +215,9 @@ def all_degree_pairs(
     return values
 
 
-def _prefix_run_starts(rows: np.ndarray, num_vertices: int) -> np.ndarray:
+def _prefix_run_starts(
+    columns: list[np.ndarray], num_vertices: int
+) -> np.ndarray:
     """Sort rows lexicographically and mark where each prefix changes.
 
     Row ``j - 1`` of the result flags, for every sorted row, whether it
@@ -229,10 +225,10 @@ def _prefix_run_starts(rows: np.ndarray, num_vertices: int) -> np.ndarray:
     does).  Radix keys are sorted as int64 and their prefixes read off by
     division; tables whose keys would overflow sort a structured view.
     """
-    count, width = rows.shape
+    count, width = len(columns[0]), len(columns)
     starts = np.empty((width, count), dtype=bool)
     starts[:, 0] = True
-    keys = _encode_columns(rows, num_vertices)
+    keys = encode_columns(columns, num_vertices)
     keys.sort()
     if keys.dtype == np.int64:
         for j in range(1, width + 1):
@@ -306,7 +302,7 @@ class StatRelation:
 
     @classmethod
     def from_table(
-        cls, pattern: QueryPattern, table, num_vertices: int
+        cls, pattern: QueryPattern, table: Frame, num_vertices: int
     ) -> "StatRelation":
         """The canonical relation of ``pattern`` from its match table.
 
@@ -318,11 +314,11 @@ class StatRelation:
         (degree values are renaming-invariant).
         """
         position = {var: i for i, var in enumerate(canonical_order(pattern))}
-        columns = tuple(f"v{position[var]}" for var in table.variables)
+        names = tuple(f"v{position[var]}" for var in table.variables)
         return cls(
             canonical_key(pattern),
-            float(table.rows.shape[0]),
-            all_degree_pairs(table.rows, columns, num_vertices),
+            float(table.size),
+            all_degree_pairs(table.columns, names, num_vertices),
         )
 
     def to_json(self) -> dict:

@@ -20,14 +20,17 @@ import math
 
 import numpy as np
 
-from repro.catalog.degrees import _encode_columns
+from repro.catalog.degrees import materialise_table
 from repro.engine.counter import count_pattern
-from repro.engine.join import extend_by_edge, start_table
-from repro.errors import MissingStatisticError, check_format_version
+from repro.engine.frames import encode_columns
+from repro.errors import (
+    MissingStatisticError,
+    PlanningError,
+    check_format_version,
+)
 from repro.graph.digraph import LabeledDiGraph
 from repro.query.canonical import canonical_key, canonical_pattern
 from repro.query.pattern import QueryPattern
-from repro.query.shape import spanning_tree_and_closures
 
 __all__ = ["EntropyCatalog", "degree_irregularity", "ENTROPY_FORMAT_VERSION"]
 
@@ -118,27 +121,21 @@ class EntropyCatalog:
     def _compute(
         self, extension: QueryPattern, intersection_vars: frozenset[str]
     ) -> float:
-        tree, closures = spanning_tree_and_closures(extension)
-        order = tree + closures
         try:
-            table = start_table(self.graph, extension.edges[order[0]])
-            for index in order[1:]:
-                table = extend_by_edge(
-                    self.graph, table, extension.edges[index],
-                    max_rows=self.max_rows,
-                )
-        except Exception:
+            table = materialise_table(self.graph, extension, self.max_rows)
+        except PlanningError:
+            # Over max_rows: too large to measure, scored as regular.
             return 0.0
         if table.size == 0:
             return 0.0
         columns = [
-            table.variables.index(var)
+            table.column(var)
             for var in sorted(intersection_vars)
             if var in table.variables
         ]
         if not columns:
             return 0.0
-        keys = _encode_columns(table.rows[:, columns], self.graph.num_vertices)
+        keys = encode_columns(columns, self.graph.num_vertices)
         _, counts = np.unique(keys, return_counts=True)
         # Number of groups: all distinct bindings of the intersection
         # variables that have at least one match of the *intersection*

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.engine.backtracking import COUNT_IMPLS
 from repro.engine.counter import count_pattern
 from repro.errors import (
     DatasetError,
@@ -62,15 +61,9 @@ class MarkovTable:
         count_budget: int | None = None,
         labels: tuple[str, ...] | None = None,
         complete: bool = False,
-        count_impl: str | None = None,
     ):
         if h < 1:
             raise ValueError("Markov table size h must be >= 1")
-        if count_impl is not None and count_impl not in COUNT_IMPLS:
-            # Fail at construction, not on the first lazy miss mid-batch.
-            raise ValueError(
-                f"count_impl must be one of {COUNT_IMPLS}, got {count_impl!r}"
-            )
         if graph is None and labels is None:
             raise ValueError(
                 "a graph-free Markov table needs its label universe"
@@ -78,9 +71,6 @@ class MarkovTable:
         self.graph = graph
         self.h = h
         self.count_budget = count_budget
-        # Which cyclic-core counter lazy misses use (None = engine
-        # default).  A runtime knob, not part of the persisted artifact.
-        self.count_impl = count_impl
         self.labels = tuple(labels) if labels is not None else None
         self.complete = complete
         self._cache: dict[tuple, float] = {}
@@ -146,12 +136,7 @@ class MarkovTable:
     def _on_miss(self, pattern: QueryPattern) -> float:
         if self.graph is not None:
             return float(
-                count_pattern(
-                    self.graph,
-                    pattern,
-                    budget=self.count_budget,
-                    impl=self.count_impl,
-                )
+                count_pattern(self.graph, pattern, budget=self.count_budget)
             )
         assert self.labels is not None
         known = set(self.labels)

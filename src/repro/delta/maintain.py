@@ -187,7 +187,7 @@ def _cold_count(
         table = materialise_table(graph, pattern, max_rows)
     except PlanningError:
         return float(count_pattern(graph, pattern)), None
-    return float(table.rows.shape[0]), table
+    return float(table.size), table
 
 
 def _resample_cycle_rates(

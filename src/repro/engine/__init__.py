@@ -1,9 +1,7 @@
 """Exact counting, sampling, and join execution over labeled graphs."""
 
 from repro.engine.acyclic_dp import count_acyclic, tree_weight_array
-from repro.engine.backtracking import COUNT_IMPLS, count_general, two_core_edges
-from repro.engine.bruteforce import count_bruteforce
-from repro.engine.counter import count_pattern
+from repro.engine.counter import count_general, count_pattern
 from repro.engine.frames import (
     Frame,
     RowBudget,
@@ -14,26 +12,21 @@ from repro.engine.frames import (
     plan_core_edges,
     sorted_intersects,
 )
-from repro.engine.join import BindingTable, extend_by_edge, start_table
+from repro.engine.join import join_frames
 from repro.engine.sampler import CombinedAdjacency, PatternSampler
 
 __all__ = [
-    "COUNT_IMPLS",
     "count_pattern",
     "count_acyclic",
     "count_general",
-    "count_bruteforce",
     "count_core_frames",
-    "two_core_edges",
     "tree_weight_array",
-    "BindingTable",
-    "start_table",
-    "extend_by_edge",
     "expand_ranges",
     "Frame",
     "RowBudget",
     "extend_frame",
     "frame_from_edge",
+    "join_frames",
     "plan_core_edges",
     "sorted_intersects",
     "CombinedAdjacency",

@@ -1,21 +1,34 @@
 """Front door for exact cardinality computation.
 
-:func:`count_pattern` dispatches to the polynomial acyclic DP or the
-core-based cyclic counter, and handles disconnected patterns by
-multiplying per-component counts (the join of disconnected components is
-their Cartesian product).  Cyclic cores default to the vectorized
-match-frame join counter; ``impl="python"`` selects the legacy
-backtracker (the differential-testing reference).
+:func:`count_pattern` multiplies per-component counts of a disconnected
+pattern (the join of disconnected components is their Cartesian
+product).  An acyclic component goes to the polynomial tree DP; a cyclic
+one goes to :func:`count_general`, which peels it to its 2-core (the
+cyclic skeleton), counts the trees hanging off each core variable with
+the acyclic DP (:func:`repro.engine.acyclic_dp.tree_weight_array`), and
+counts core assignments with the match-frame join counter
+(:func:`repro.engine.frames.count_core_frames`).  The exponential part
+is confined to the core, which for the paper's workloads is at most a
+9-cycle or K4.
+
+A ``budget`` bounds the core join and raises
+:class:`~repro.errors.CountBudgetExceeded` when exhausted — the
+library's equivalent of the per-query timeouts used in §6.  Its unit is
+materialized frame rows (:class:`repro.engine.frames.RowBudget`).
 """
 
 from __future__ import annotations
 
-from repro.engine.acyclic_dp import count_acyclic
-from repro.engine.backtracking import COUNT_IMPLS, count_general, two_core_edges
+import numpy as np
+
+from repro.engine.acyclic_dp import count_acyclic, tree_weight_array
+from repro.engine.frames import count_core_frames
+from repro.errors import PatternError
 from repro.graph.digraph import LabeledDiGraph
 from repro.query.pattern import QueryPattern
+from repro.query.shape import two_core_edges
 
-__all__ = ["count_pattern"]
+__all__ = ["count_pattern", "count_general"]
 
 
 def _components(pattern: QueryPattern) -> list[QueryPattern]:
@@ -37,41 +50,93 @@ def _components(pattern: QueryPattern) -> list[QueryPattern]:
     return parts
 
 
+def _hanging_trees(
+    pattern: QueryPattern, core: frozenset[int]
+) -> list[tuple[str, list[int]]]:
+    """Split non-core edges into components, each rooted at a core variable.
+
+    Returns ``(root_var, edge_indexes)`` per hanging tree.  When the core
+    is empty the pattern is acyclic and this function is not used.
+    """
+    non_core = [i for i in range(len(pattern)) if i not in core]
+    if not non_core:
+        return []
+    core_vars = pattern.variables_of(core)
+    unassigned = set(non_core)
+    trees: list[tuple[str, list[int]]] = []
+    while unassigned:
+        seed = min(unassigned)
+        component = {seed}
+        frontier = [seed]
+        while frontier:
+            current = frontier.pop()
+            for var in pattern.edges[current].variables():
+                # Do not cross through core variables: trees hanging at
+                # different core vertices must stay separate components.
+                if var in core_vars:
+                    continue
+                for neighbor in pattern.edges_at(var):
+                    if neighbor in unassigned and neighbor not in component:
+                        component.add(neighbor)
+                        frontier.append(neighbor)
+        unassigned -= component
+        roots = sorted(pattern.variables_of(component) & core_vars)
+        if len(roots) != 1:
+            raise PatternError(
+                "hanging component attaches to "
+                f"{len(roots)} core variables (expected 1)"
+            )
+        trees.append((roots[0], sorted(component)))
+    return trees
+
+
+def count_general(
+    graph: LabeledDiGraph,
+    pattern: QueryPattern,
+    budget: int | None = None,
+) -> float:
+    """Exact homomorphism count for an arbitrary connected pattern.
+
+    Hanging trees become per-variable weight arrays; the 2-core is
+    counted by :func:`~repro.engine.frames.count_core_frames`, which
+    charges ``budget`` one unit per materialized frame row.
+    """
+    core = two_core_edges(pattern)
+    if not core:
+        return count_acyclic(graph, pattern)
+    weights: dict[str, np.ndarray] = {}
+    for root, tree_edges in _hanging_trees(pattern, core):
+        tree = pattern.subpattern(tree_edges)
+        array = tree_weight_array(graph, tree, root)
+        if root in weights:
+            weights[root] = weights[root] * array
+        else:
+            weights[root] = array
+    core_pattern = pattern.subpattern(sorted(core))
+    return count_core_frames(graph, core_pattern, weights, budget)
+
+
 def count_pattern(
     graph: LabeledDiGraph,
     pattern: QueryPattern,
     budget: int | None = None,
-    impl: str | None = None,
 ) -> float:
     """Exact homomorphism (join-output) count of ``pattern`` in ``graph``.
 
-    ``budget`` bounds counting work on cyclic patterns and raises
-    :class:`repro.errors.CountBudgetExceeded` when exhausted.  ``impl``
-    selects the cyclic-core counter (``"vectorized"``, the default, or
-    the legacy ``"python"`` backtracker); acyclic components always use
-    the polynomial tree DP.
-
-    The budget *unit* follows the impl: the backtracker charges one per
-    candidate expansion, the vectorized counter one per materialized
-    frame row (including the first core relation's rows, charged
-    upfront).  The magnitudes are comparable — both scale with the
-    intermediate-result sizes of the core join — but they are not equal,
-    so a budget tuned precisely to one impl's metric may cut off at a
-    different point under the other.  Budgets exist to bound runaway
-    work (the paper's per-query timeouts), not to be exact work meters;
-    pass ``impl="python"`` to keep the legacy metric exactly.
+    ``budget`` bounds the core join of each cyclic component and raises
+    :class:`repro.errors.CountBudgetExceeded` when exhausted.  Its unit
+    is materialized frame rows: the first core relation's rows are
+    charged up front, then every join step charges the rows it
+    produced, and the count fails once the total exceeds ``budget``.
+    Acyclic components use the polynomial tree DP and charge nothing.
     """
-    if impl is None:
-        impl = "vectorized"
-    elif impl not in COUNT_IMPLS:
-        raise ValueError(f"impl must be one of {COUNT_IMPLS}, got {impl!r}")
     for label in pattern.labels:
         if label not in graph:
             return 0.0
     total = 1.0
     for component in _components(pattern):
         if two_core_edges(component):
-            total *= count_general(graph, component, budget=budget, impl=impl)
+            total *= count_general(graph, component, budget=budget)
         else:
             total *= count_acyclic(graph, component)
         if total == 0.0:

@@ -1,4 +1,4 @@
-"""The shared vectorized match-frame kernel.
+"""The match-frame kernel: the library's one exact-count engine.
 
 A *frame* holds partial join results columnar: one sorted-gatherable
 int64 array per bound query variable, position ``i`` across all columns
@@ -7,20 +7,20 @@ expansion for edges that bind a new variable, sorted-key semijoins for
 edges whose endpoints are already bound — backs every match-table
 consumer in the library:
 
-* :func:`repro.engine.join.extend_by_edge` (the Figure-15 executor and
-  the offline statistics builder) wraps :func:`extend_frame` around its
-  row-matrix :class:`~repro.engine.join.BindingTable`;
-* :func:`count_core_frames` is the vectorized cyclic counter: it joins
-  the 2-core's edges along a greedy connected plan
-  (:func:`plan_core_edges`) while folding precomputed hanging-tree
-  weights into a per-row weight column, replacing the per-candidate
-  Python backtracking of :func:`repro.engine.backtracking.count_general`.
+* :func:`frame_from_edge` and :func:`extend_frame` grow full match
+  tables for the offline statistics builder, delta maintenance, the
+  degree and entropy catalogs and the Figure-15 plan executors;
+* :func:`count_core_frames` counts a cyclic 2-core: it joins the core's
+  edges along a greedy connected plan (:func:`plan_core_edges`) while
+  folding precomputed hanging-tree weights into a per-row weight column
+  (see :func:`repro.engine.counter.count_general`);
+* :func:`encode_columns` packs a frame's columns into one sortable key
+  per row for degree extraction, entropy groups and bushy joins.
 
-Budget semantics: the legacy backtracker charged one unit per candidate
-expansion; the vectorized counter preserves ``CountBudgetExceeded`` as a
-cap on *total materialized rows* across all join steps
-(:class:`RowBudget`) — the same order of magnitude of work, counted on
-the frame instead of the recursion tree.
+Budget semantics: :class:`RowBudget` caps the *total materialized rows*
+of a core count — the first core relation's rows up front, then the
+rows each join step produces — and raises ``CountBudgetExceeded`` once
+that total exceeds the cap.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "RowBudget",
     "expand_ranges",
     "sorted_intersects",
+    "encode_columns",
     "frame_from_edge",
     "extend_frame",
     "plan_core_edges",
@@ -75,13 +76,32 @@ def sorted_intersects(sorted_values: np.ndarray, sorted_probe: np.ndarray) -> bo
     return bool(np.any(sorted_values[slots[valid]] == sorted_probe[valid]))
 
 
+def encode_columns(columns: list[np.ndarray], num_vertices: int) -> np.ndarray:
+    """Pack parallel columns into one sortable key per row.
+
+    Radix keys in int64 while ``num_vertices ** width`` fits below
+    ``2**62``; wider tuples fall back to a structured view that sorts
+    and searches lexicographically.  The keys are a fresh array: sorting
+    them never touches a column.
+    """
+    width = len(columns)
+    if num_vertices ** width < 2 ** 62:
+        keys = columns[0].astype(np.int64)
+        for column in columns[1:]:
+            keys = keys * np.int64(num_vertices) + column
+        return keys
+    packed = np.stack(columns, axis=1).astype(np.int64)
+    return packed.view([("", np.int64)] * width).reshape(-1)
+
+
 class RowBudget:
     """Counts materialized rows and raises when a cap is exhausted.
 
-    The vectorized analogue of the backtracking expansion budget: every
-    join step charges the number of rows it materialized, and crossing
+    The one budget unit of exact counting: the starting frame and every
+    join step charge the rows they materialized, and a total above
     ``limit`` raises :class:`~repro.errors.CountBudgetExceeded` — the
-    library's equivalent of the per-query timeouts of §6.
+    library's equivalent of the per-query timeouts of §6.  A count that
+    materializes exactly ``limit`` rows passes.
     """
 
     __slots__ = ("limit", "spent")
@@ -97,7 +117,7 @@ class RowBudget:
         self.spent += int(rows)
         if self.spent > self.limit:
             raise CountBudgetExceeded(
-                f"vectorized counting exceeded budget of {self.limit} "
+                f"core counting exceeded budget of {self.limit} "
                 "materialized rows"
             )
 
@@ -280,8 +300,7 @@ def count_core_frames(
     (see :func:`repro.engine.acyclic_dp.tree_weight_array`); each is
     folded into a per-row float64 weight column the moment its variable
     is bound, so the final count is one vectorized sum.  All arithmetic
-    is products and sums of integer-valued float64 — exact below 2**53,
-    hence equal to the backtracking counter's nested accumulation.
+    is products and sums of integer-valued float64, exact below 2**53.
     """
     for edge in core_pattern.edges:
         if edge.label not in graph:

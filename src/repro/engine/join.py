@@ -1,122 +1,58 @@
-"""Binding-table join execution.
+"""Frame-frame joins for bushy plans.
 
-The plan-quality experiment (Figure 15) executes left-deep join orders
-for real.  A :class:`BindingTable` holds partial matches as a dense
-int64 matrix (one column per bound variable); :func:`extend_by_edge`
-joins it with one more query atom through the shared match-frame kernel
-of :mod:`repro.engine.frames` — the same searchsorted expansion /
-sorted-key semijoin that powers the vectorized cyclic counter and the
-offline statistics builder.  The executor's "runtime" metric is the
-total number of intermediate tuples produced, the standard C_out proxy.
+Left-deep plans grow one :class:`~repro.engine.frames.Frame` an atom at
+a time with :func:`~repro.engine.frames.extend_frame`.  A bushy plan
+(the Figure-15 bushy executor) also joins two intermediate frames:
+:func:`join_frames` sorts the right frame by its shared-variable key and
+expands per-left-row match ranges with the same
+:func:`~repro.engine.frames.expand_ranges` kernel.  The executor's
+"runtime" metric is the total number of intermediate tuples produced,
+the standard C_out proxy.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.engine.frames import (
     Frame,
+    _empty_frame,
+    encode_columns,
     expand_ranges,
-    extend_frame,
-    frame_from_edge,
 )
 from repro.errors import PlanningError
-from repro.graph.digraph import LabeledDiGraph
-from repro.query.pattern import QueryEdge
 
-__all__ = [
-    "BindingTable",
-    "start_table",
-    "extend_by_edge",
-    "expand_ranges",
-    "join_tables",
-]
+__all__ = ["join_frames"]
 
 
-@dataclass
-class BindingTable:
-    """Partial join results: ``rows[i, j]`` binds ``variables[j]``."""
-
-    variables: tuple[str, ...]
-    rows: np.ndarray  # shape (n, len(variables)), int64
-
-    @property
-    def size(self) -> int:
-        """Number of partial matches in the table."""
-        return int(self.rows.shape[0])
-
-
-def _to_table(frame: Frame) -> BindingTable:
-    if frame.size == 0:
-        rows = np.empty((0, len(frame.variables)), dtype=np.int64)
-    else:
-        rows = np.stack(frame.columns, axis=1)
-    return BindingTable(frame.variables, rows)
-
-
-def start_table(graph: LabeledDiGraph, edge: QueryEdge) -> BindingTable:
-    """A table initialised from one atom's relation."""
-    return _to_table(frame_from_edge(graph, edge))
-
-
-def extend_by_edge(
-    graph: LabeledDiGraph,
-    table: BindingTable,
-    edge: QueryEdge,
-    max_rows: int | None = None,
-) -> BindingTable:
-    """Join ``table`` with one more atom.
-
-    The atom must share at least one variable with the table (left-deep
-    plans over connected queries guarantee this).  ``max_rows`` aborts
-    runaway intermediates with :class:`PlanningError`.
-    """
-    frame = Frame(
-        table.variables,
-        tuple(table.rows[:, j] for j in range(len(table.variables))),
-    )
-    extended, _ = extend_frame(graph, frame, edge, max_rows=max_rows)
-    return _to_table(extended)
-
-
-def _encode_key_columns(rows: np.ndarray, columns: list[int], modulus: int) -> np.ndarray:
-    keys = rows[:, columns[0]].astype(np.int64)
-    for column in columns[1:]:
-        keys = keys * np.int64(modulus) + rows[:, column]
-    return keys
-
-
-def join_tables(
-    left: BindingTable,
-    right: BindingTable,
+def join_frames(
+    left: Frame,
+    right: Frame,
     num_vertices: int,
     max_rows: int | None = None,
-) -> BindingTable:
-    """Hash(-sort) join of two binding tables on their shared variables.
+) -> Frame:
+    """Sort-merge join of two frames on their shared variables.
 
-    The workhorse of bushy plans: sorts the right side by the shared-key
-    encoding and expands per-left-row match ranges.  The tables must
-    share at least one variable (bushy plans over connected queries
-    guarantee this).
+    The output binds ``left``'s variables, then ``right``'s others.  The
+    frames must share at least one variable (bushy plans over connected
+    queries guarantee this); ``max_rows`` aborts a runaway output with
+    :class:`~repro.errors.PlanningError`.
     """
     shared = [v for v in left.variables if v in right.variables]
     if not shared:
         raise PlanningError("bushy join requires a shared variable")
-    left_cols = [left.variables.index(v) for v in shared]
-    right_cols = [right.variables.index(v) for v in shared]
+    carry = [v for v in right.variables if v not in left.variables]
+    variables = left.variables + tuple(carry)
     if left.size == 0 or right.size == 0:
-        carry = [v for v in right.variables if v not in left.variables]
-        return BindingTable(
-            left.variables + tuple(carry),
-            np.empty((0, len(left.variables) + len(carry)), dtype=np.int64),
-        )
-    right_keys = _encode_key_columns(right.rows, right_cols, num_vertices)
+        return _empty_frame(variables)
+    right_keys = encode_columns(
+        [right.column(v) for v in shared], num_vertices
+    )
     order = np.argsort(right_keys, kind="stable")
-    right_sorted = right.rows[order]
     right_keys = right_keys[order]
-    left_keys = _encode_key_columns(left.rows, left_cols, num_vertices)
+    left_keys = encode_columns(
+        [left.column(v) for v in shared], num_vertices
+    )
     lo = np.searchsorted(right_keys, left_keys, side="left")
     hi = np.searchsorted(right_keys, left_keys, side="right")
     row_index, flat_index = expand_ranges(lo, hi)
@@ -124,14 +60,9 @@ def join_tables(
         raise PlanningError(
             f"bushy join exceeded {max_rows} rows on {shared}"
         )
-    carry = [v for v in right.variables if v not in left.variables]
-    carry_cols = [right.variables.index(v) for v in carry]
-    pieces = [left.rows[row_index]]
-    if carry_cols:
-        pieces.append(right_sorted[flat_index][:, carry_cols])
-    rows = (
-        np.concatenate(pieces, axis=1)
-        if len(pieces) > 1
-        else pieces[0].copy()
+    right_rows = order[flat_index]
+    return Frame(
+        variables,
+        tuple(column[row_index] for column in left.columns)
+        + tuple(right.column(v)[right_rows] for v in carry),
     )
-    return BindingTable(left.variables + tuple(carry), rows)

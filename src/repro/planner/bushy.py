@@ -4,7 +4,7 @@ The RDF-3X optimizer that Figure 15 injects estimates into is a bushy
 DP; this module extends the left-deep planner with full bushy search:
 ``cost(S) = min over connected splits (S1, S2) of cost(S1) + cost(S2)
 + card_est(S)`` — and an executor that runs the resulting join tree on
-:func:`repro.engine.join.join_tables`.
+:func:`repro.engine.join.join_frames`.
 
 Plan trees are nested tuples: a leaf is an atom index, an inner node is
 ``(left_tree, right_tree)``.
@@ -15,7 +15,8 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.engine.join import BindingTable, join_tables, start_table
+from repro.engine.frames import Frame, frame_from_edge
+from repro.engine.join import join_frames
 from repro.errors import PlanningError
 from repro.graph.digraph import LabeledDiGraph
 from repro.planner.executor import ExecutionResult
@@ -132,18 +133,18 @@ def execute_bushy(
     produced = 0.0
     started = time.perf_counter()
 
-    def run(node: PlanTree) -> BindingTable:
+    def run(node: PlanTree) -> Frame:
         nonlocal produced
         if isinstance(node, int):
-            table = start_table(graph, query.edges[node])
-            produced += float(table.size)
-            return table
+            frame = frame_from_edge(graph, query.edges[node])
+            produced += float(frame.size)
+            return frame
         left, right = node  # type: ignore[misc]
-        table = join_tables(
+        frame = join_frames(
             run(left), run(right), graph.num_vertices, max_rows=max_rows
         )
-        produced += float(table.size)
-        return table
+        produced += float(frame.size)
+        return frame
 
     try:
         final = run(tree)

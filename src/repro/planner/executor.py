@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.engine.join import extend_by_edge, start_table
+from repro.engine.frames import extend_frame, frame_from_edge
 from repro.errors import PlanningError
 from repro.graph.digraph import LabeledDiGraph
 from repro.query.pattern import QueryPattern
@@ -45,14 +45,14 @@ def execute_plan(
     if sorted(order) != list(range(len(query))):
         raise PlanningError(f"order {order} is not a permutation of the atoms")
     started = time.perf_counter()
-    table = start_table(graph, query.edges[order[0]])
-    produced = float(table.size)
+    frame = frame_from_edge(graph, query.edges[order[0]])
+    produced = float(frame.size)
     try:
         for index in order[1:]:
-            table = extend_by_edge(
-                graph, table, query.edges[index], max_rows=max_rows
+            frame, _ = extend_frame(
+                graph, frame, query.edges[index], max_rows=max_rows
             )
-            produced += float(table.size)
+            produced += float(frame.size)
     except PlanningError:
         elapsed = time.perf_counter() - started
         penalty = float(max_rows) if max_rows is not None else float("inf")
@@ -67,6 +67,6 @@ def execute_plan(
     return ExecutionResult(
         order=list(order),
         intermediate_tuples=produced,
-        final_cardinality=float(table.size),
+        final_cardinality=float(frame.size),
         elapsed_seconds=elapsed,
     )

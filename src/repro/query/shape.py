@@ -4,17 +4,21 @@ The paper's estimator choice depends on query *shape*: acyclic vs cyclic,
 and for cyclic queries on the length of the cycles (triangles vs larger).
 This module provides the shape predicates used throughout the library:
 
-* :func:`is_acyclic` / :func:`cycles` — cycle detection on the underlying
-  undirected multigraph of the pattern (edge directions are irrelevant for
-  join-graph cyclicity of binary relations);
+* :func:`two_core_edges` — the pattern's 2-core (its cyclic skeleton),
+  found by peeling degree-1 variables; the exact counter and the
+  statistics builder split patterns on it, and :func:`is_acyclic` is
+  its emptiness test (edge directions are irrelevant for join-graph
+  cyclicity of binary relations);
+* :func:`cycles` — the simple cycles of the underlying undirected
+  multigraph, self-loops and parallel atoms included;
 * :func:`largest_cycle_length` and :func:`has_only_triangles` — the
   classification used to pick between Figures 9/10/11 regimes;
 * :func:`depth` — the template "depth" used by the Acyclic workload of
   §6.1 (eccentricity of the pattern's center, i.e. stars have depth 2 and
   paths of k edges have depth k, matching Figure 8's convention);
 * :func:`spanning_tree_and_closures` — splits a cyclic pattern's edges
-  into a spanning tree plus cycle-closing edges (used by WanderJoin and
-  the backtracking counter).
+  into a spanning tree plus cycle-closing edges (the join order of
+  full match tables, WanderJoin's walk order).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.query.pattern import QueryPattern
 
 __all__ = [
     "to_multigraph",
+    "two_core_edges",
     "is_acyclic",
     "cycles",
     "largest_cycle_length",
@@ -51,19 +56,52 @@ def to_multigraph(pattern: QueryPattern) -> nx.MultiGraph:
     return graph
 
 
+def two_core_edges(pattern: QueryPattern) -> frozenset[int]:
+    """Edge indexes of the pattern's 2-core (empty iff acyclic).
+
+    Peels degree-1 variables with a worklist: removing an edge can only
+    expose its *other* endpoint as a new leaf, so each edge is examined
+    O(1) times — O(E) total instead of rescanning all remaining edges
+    every pass.  Self-loops contribute 2 to their variable's degree and
+    are never peeled.
+    """
+    removed: set[int] = set()
+    degree: dict[str, int] = {var: 0 for var in pattern.variables}
+    for edge in pattern.edges:
+        if edge.src == edge.dst:
+            degree[edge.src] += 2
+        else:
+            degree[edge.src] += 1
+            degree[edge.dst] += 1
+    worklist = [var for var in pattern.variables if degree[var] == 1]
+    while worklist:
+        var = worklist.pop()
+        if degree[var] != 1:
+            continue
+        for index in pattern.edges_at(var):
+            if index in removed:
+                continue
+            edge = pattern.edges[index]
+            if edge.src == edge.dst:
+                continue
+            removed.add(index)
+            degree[edge.src] -= 1
+            degree[edge.dst] -= 1
+            other = edge.other_end(var)
+            if degree[other] == 1:
+                worklist.append(other)
+            break
+    return frozenset(set(range(len(pattern))) - removed)
+
+
 def is_acyclic(pattern: QueryPattern) -> bool:
     """True if the pattern's join graph is a forest.
 
-    For binary relations this coincides with query acyclicity: a connected
-    pattern is acyclic iff it has exactly ``|vars| - 1`` edges and no
-    self-loops or parallel atoms between the same variable pair.
+    For binary relations this coincides with query acyclicity.  A
+    forest peels away entirely, while a cycle — a self-loop and two
+    parallel atoms included — survives in the 2-core.
     """
-    graph = to_multigraph(pattern)
-    try:
-        nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return True
-    return False
+    return not two_core_edges(pattern)
 
 
 def cycles(pattern: QueryPattern) -> list[frozenset[int]]:

@@ -262,7 +262,9 @@ class EstimationSession:
         Optional sampled cycle-closing rates enabling ``+ocr`` specs
         (defaults to the store's rates when a store is given).
     markov:
-        An existing Markov table to reuse (built lazily otherwise).
+        An existing Markov table to reuse.  Otherwise one is built
+        lazily over ``graph``, each miss counted exactly by
+        :func:`repro.engine.count_pattern`.
     store:
         A prebuilt :class:`~repro.stats.StatisticsStore` supplying the
         Markov table, degree catalog and cycle rates; its ``h`` and
@@ -272,11 +274,6 @@ class EstimationSession:
     max_workers:
         Default thread count for :meth:`estimate_batch` (None lets the
         executor decide; 1 forces serial execution).
-    count_impl:
-        Cyclic-core counter used by a lazily-built Markov table
-        (``"vectorized"`` by default; ``"python"`` selects the legacy
-        backtracker, e.g. for benchmark baselines).  Ignored when an
-        existing ``markov`` or ``store`` is supplied.
     """
 
     def __init__(
@@ -291,7 +288,6 @@ class EstimationSession:
         max_workers: int | None = None,
         max_rows: int | None = 5_000_000,
         store: StatisticsStore | None = None,
-        count_impl: str | None = None,
     ):
         catalog: DegreeCatalog | None = None
         if store is not None:
@@ -313,11 +309,7 @@ class EstimationSession:
         self.h = h
         self.molp_h = molp_h
         self.cycle_rates = cycle_rates
-        self.markov = (
-            markov
-            if markov is not None
-            else MarkovTable(graph, h=h, count_impl=count_impl)
-        )
+        self.markov = markov if markov is not None else MarkovTable(graph, h=h)
         self.max_workers = max_workers
         self.max_rows = max_rows
         self._skeletons: LRUCache[CEG] = LRUCache(skeleton_capacity)

@@ -77,10 +77,13 @@ from repro.catalog.entropy import EntropyCatalog
 from repro.catalog.markov import MarkovTable
 from repro.core.ceg_entropy import lowest_entropy_estimate
 from repro.core.ceg_o import build_ceg_o
-from repro.engine.backtracking import two_core_edges
 from repro.engine.counter import count_pattern
-from repro.engine.frames import sorted_intersects
-from repro.engine.join import BindingTable, extend_by_edge, start_table
+from repro.engine.frames import (
+    Frame,
+    extend_frame,
+    frame_from_edge,
+    sorted_intersects,
+)
 from repro.errors import (
     BuildInterrupted,
     DatasetError,
@@ -96,7 +99,7 @@ from repro.query.canonical import (
     key_to_json,
 )
 from repro.query.pattern import QueryEdge, QueryPattern
-from repro.query.shape import largest_cycle_length
+from repro.query.shape import largest_cycle_length, two_core_edges
 from repro.stats.artifact import (
     BUILD_STATE_DIR,
     CHECKPOINT_FILE,
@@ -162,7 +165,7 @@ def _pattern_from_key(key: tuple) -> QueryPattern:
 
 def _candidate_edges(
     pattern: QueryPattern,
-    table: BindingTable | None,
+    table: Frame | None,
     labels: tuple[str, ...],
     unique_src: dict[str, np.ndarray],
     unique_dst: dict[str, np.ndarray],
@@ -180,10 +183,7 @@ def _candidate_edges(
     if table is None:
         values = None
     else:
-        column_of = {var: i for i, var in enumerate(table.variables)}
-        values = {
-            var: np.unique(table.rows[:, column_of[var]]) for var in variables
-        }
+        values = {var: np.unique(table.column(var)) for var in variables}
     for var in variables:
         for label in labels:
             if values is None or sorted_intersects(unique_src[label], values[var]):
@@ -206,23 +206,24 @@ def _candidate_edges(
 def _budgeted_count(
     graph: LabeledDiGraph,
     pattern: QueryPattern,
-    table: BindingTable | None,
+    table: Frame | None,
     count_budget: int | None,
 ) -> float:
     """A pattern count honouring the lazy path's budget semantics.
 
-    The step budget applies only to cyclic backtracking
-    (:func:`count_general`); for acyclic patterns the match-table count
-    is the same number the budget-free DP returns, so the join-table
-    shortcut is exact.  For cyclic patterns under a budget, defer to the
-    engine so over-budget patterns raise ``CountBudgetExceeded`` exactly
-    where a lazy Markov table would — a budgeted driver (Figure 12) must
-    drop the same queries the old per-figure tables dropped.
+    The row budget applies only to cyclic cores
+    (:func:`~repro.engine.counter.count_general`); for acyclic patterns
+    the match-table count is the same number the budget-free DP returns,
+    so the join-table shortcut is exact.  For cyclic patterns under a
+    budget, defer to the engine so over-budget patterns raise
+    ``CountBudgetExceeded`` exactly where a lazy Markov table would — a
+    budgeted driver (Figure 12) must drop the same queries the old
+    per-figure tables dropped.
     """
     if table is not None and (
         count_budget is None or not two_core_edges(pattern)
     ):
-        return float(table.rows.shape[0])
+        return float(table.size)
     return float(count_pattern(graph, pattern, budget=count_budget))
 
 
@@ -292,7 +293,7 @@ def _record_pattern(
     config: StatsBuildConfig,
     pattern: QueryPattern,
     key: tuple,
-    table: BindingTable | None,
+    table: Frame | None,
     result: _TaskResult,
     store_zeros: bool,
 ) -> float | None:
@@ -354,7 +355,7 @@ def _full_shard_task(
             if key in seen:
                 continue
             seen.add(key)
-            table = start_table(graph, pattern.edges[0])
+            table = frame_from_edge(graph, pattern.edges[0])
             if _record_pattern(
                 graph, config, pattern, key, table, result, store_zeros=False
             ):
@@ -377,10 +378,10 @@ def _full_shard_task(
             if key in seen:
                 continue
             seen.add(key)
-            child_table: BindingTable | None = None
+            child_table: Frame | None = None
             if table is not None:
                 try:
-                    child_table = extend_by_edge(
+                    child_table, _ = extend_frame(
                         graph, table, edge, max_rows=config.max_rows
                     )
                 except PlanningError:
@@ -408,7 +409,7 @@ def _workload_chunk_task(
     result = _TaskResult()
     for key in keys:
         pattern = _pattern_from_key(key)
-        table: BindingTable | None = None
+        table: Frame | None = None
         if len(pattern) <= config.molp_h:
             try:
                 table = materialise_table(graph, pattern, config.max_rows)

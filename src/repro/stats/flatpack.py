@@ -34,7 +34,6 @@ zero-copy.  This module is that codec:
 from __future__ import annotations
 
 import io
-import json
 import struct
 import zipfile
 from pathlib import Path
@@ -240,7 +239,6 @@ def markov_from_flat(meta: dict, arrays: dict, graph=None):
     table.graph = graph
     table.h = int(meta["h"])
     table.count_budget = None
-    table.count_impl = None
     table.labels = tuple(labels) if labels is not None else None
     table.complete = bool(meta.get("complete", False))
     table._cache = {}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.catalog.degrees import _encode_columns
+from repro.engine.frames import encode_columns
 
 
 def group_max_distinct(
@@ -25,11 +25,18 @@ def group_max_distinct(
     """
     if rows.shape[0] == 0:
         return 0.0
-    y_keys = _encode_columns(rows[:, y_cols], num_vertices)
+    y_keys = _row_keys(rows, y_cols, num_vertices)
     y_unique_idx = np.unique(y_keys, return_index=True)[1]
     if not x_cols:
         return float(len(y_unique_idx))
     distinct_rows = rows[y_unique_idx]
-    x_keys = _encode_columns(distinct_rows[:, x_cols], num_vertices)
+    x_keys = _row_keys(distinct_rows, x_cols, num_vertices)
     _, counts = np.unique(x_keys, return_counts=True)
     return float(counts.max())
+
+
+def _row_keys(rows: np.ndarray, cols: list[int], num_vertices: int) -> np.ndarray:
+    """One key per row of the chosen columns (all equal when none)."""
+    if not cols:
+        return np.zeros(rows.shape[0], dtype=np.int64)
+    return encode_columns([rows[:, c] for c in cols], num_vertices)

@@ -1,9 +1,8 @@
-"""Tests for bushy planning and the table-table join."""
+"""Tests for bushy planning and the frame-frame join."""
 
 import pytest
 
-from repro.engine import count_pattern, start_table
-from repro.engine.join import join_tables
+from repro.engine import count_pattern, frame_from_edge, join_frames
 from repro.errors import PlanningError
 from repro.planner import (
     execute_bushy,
@@ -17,43 +16,43 @@ from repro.query import QueryEdge, parse_pattern, templates
 
 class TestJoinTables:
     def test_shared_variable_join(self, tiny_graph):
-        left = start_table(tiny_graph, QueryEdge("x", "y", "A"))
-        right = start_table(tiny_graph, QueryEdge("y", "z", "B"))
-        joined = join_tables(left, right, tiny_graph.num_vertices)
+        left = frame_from_edge(tiny_graph, QueryEdge("x", "y", "A"))
+        right = frame_from_edge(tiny_graph, QueryEdge("y", "z", "B"))
+        joined = join_frames(left, right, tiny_graph.num_vertices)
         assert set(joined.variables) == {"x", "y", "z"}
         assert joined.size == 5
 
     def test_join_commutative_in_count(self, tiny_graph):
-        left = start_table(tiny_graph, QueryEdge("x", "y", "A"))
-        right = start_table(tiny_graph, QueryEdge("y", "z", "B"))
-        a = join_tables(left, right, tiny_graph.num_vertices)
-        b = join_tables(right, left, tiny_graph.num_vertices)
+        left = frame_from_edge(tiny_graph, QueryEdge("x", "y", "A"))
+        right = frame_from_edge(tiny_graph, QueryEdge("y", "z", "B"))
+        a = join_frames(left, right, tiny_graph.num_vertices)
+        b = join_frames(right, left, tiny_graph.num_vertices)
         assert a.size == b.size
 
     def test_two_shared_variables(self, tiny_graph):
-        left = start_table(tiny_graph, QueryEdge("x", "y", "A"))
-        right = start_table(tiny_graph, QueryEdge("x", "y", "A"))
-        joined = join_tables(left, right, tiny_graph.num_vertices)
+        left = frame_from_edge(tiny_graph, QueryEdge("x", "y", "A"))
+        right = frame_from_edge(tiny_graph, QueryEdge("x", "y", "A"))
+        joined = join_frames(left, right, tiny_graph.num_vertices)
         assert joined.size == left.size  # self-join on both columns
 
     def test_no_shared_variable_rejected(self, tiny_graph):
-        left = start_table(tiny_graph, QueryEdge("x", "y", "A"))
-        right = start_table(tiny_graph, QueryEdge("p", "q", "B"))
+        left = frame_from_edge(tiny_graph, QueryEdge("x", "y", "A"))
+        right = frame_from_edge(tiny_graph, QueryEdge("p", "q", "B"))
         with pytest.raises(PlanningError):
-            join_tables(left, right, tiny_graph.num_vertices)
+            join_frames(left, right, tiny_graph.num_vertices)
 
     def test_empty_side(self, tiny_graph):
-        left = start_table(tiny_graph, QueryEdge("x", "y", "Z"))
-        right = start_table(tiny_graph, QueryEdge("y", "z", "B"))
-        joined = join_tables(left, right, tiny_graph.num_vertices)
+        left = frame_from_edge(tiny_graph, QueryEdge("x", "y", "Z"))
+        right = frame_from_edge(tiny_graph, QueryEdge("y", "z", "B"))
+        joined = join_frames(left, right, tiny_graph.num_vertices)
         assert joined.size == 0
         assert set(joined.variables) == {"x", "y", "z"}
 
     def test_max_rows(self, tiny_graph):
-        left = start_table(tiny_graph, QueryEdge("x", "y", "B"))
-        right = start_table(tiny_graph, QueryEdge("x", "z", "B"))
+        left = frame_from_edge(tiny_graph, QueryEdge("x", "y", "B"))
+        right = frame_from_edge(tiny_graph, QueryEdge("x", "z", "B"))
         with pytest.raises(PlanningError):
-            join_tables(left, right, tiny_graph.num_vertices, max_rows=1)
+            join_frames(left, right, tiny_graph.num_vertices, max_rows=1)
 
 
 class TestOptimizeBushy:

@@ -1,12 +1,13 @@
-"""Differential tests: vectorized frame counter == legacy backtracker.
+"""Differential tests: the frame counter == the backtracking oracle.
 
-The vectorized match-frame counter (``impl="vectorized"``, the default)
-must be observationally identical to the per-candidate Python
-backtracker it replaced (kept behind ``impl="python"``): exact float
+:func:`repro.engine.count_pattern`, the match-frame join counter, must
+be observationally identical to the per-candidate backtracker it
+replaced (kept verbatim in ``tests/oracles/engine.py``): exact float
 equality of every count on random graphs × random cyclic patterns,
 including hanging trees, self-loops, parallel atoms and disconnected
-components, plus budget-exhaustion parity (both impls raise
-``CountBudgetExceeded`` at compatible thresholds).
+components, plus budget-exhaustion parity (both raise
+``CountBudgetExceeded`` at compatible thresholds), and an exact pin of
+the frame counter's budget unit.
 """
 
 import numpy as np
@@ -14,15 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.engine import count_general_backtracking
 from repro.engine import (
     count_core_frames,
     count_pattern,
+    extend_frame,
+    frame_from_edge,
     plan_core_edges,
-    two_core_edges,
 )
+from repro.engine import counter as counter_module
 from repro.errors import CountBudgetExceeded
 from repro.graph import LabeledDiGraph
 from repro.query import QueryPattern, templates
+from repro.query.shape import two_core_edges
 
 
 @st.composite
@@ -109,22 +114,32 @@ class TestDifferential:
     @settings(max_examples=120, deadline=None)
     def test_vectorized_equals_python(self, case):
         graph, pattern = case
-        legacy = count_pattern(graph, pattern, impl="python")
-        vectorized = count_pattern(graph, pattern, impl="vectorized")
+        legacy = count_general_backtracking(graph, pattern)
+        vectorized = count_pattern(graph, pattern)
         assert vectorized == legacy  # exact float equality, no approx
 
     @given(graph_and_cyclic_pattern())
     @settings(max_examples=60, deadline=None)
     def test_default_impl_is_vectorized(self, case):
+        """Every cyclic component is counted by the frame counter."""
         graph, pattern = case
-        assert count_pattern(graph, pattern) == count_pattern(
-            graph, pattern, impl="vectorized"
-        )
+        cores = []
+
+        def spy(graph, core_pattern, weights, budget=None):
+            cores.append(core_pattern)
+            return count_core_frames(graph, core_pattern, weights, budget)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counter_module, "count_core_frames", spy)
+            value = count_pattern(graph, pattern)
+        assert value == count_general_backtracking(graph, pattern)
+        if all(label in graph for label in pattern.labels):
+            assert cores  # the pattern has a cyclic component
 
     @given(graph_and_cyclic_pattern())
     @settings(max_examples=60, deadline=None)
     def test_budget_parity(self, case):
-        """Both impls raise on tiny budgets and agree under generous ones.
+        """Both counters raise on tiny budgets, agree under generous ones.
 
         The budgets are *compatible*, not identical: the backtracker
         charges ``candidates + 1`` per expansion step, the frame counter
@@ -138,21 +153,14 @@ class TestDifferential:
         if not two_core_edges(pattern):
             return
         generous = 10_000_000
-        legacy = count_pattern(graph, pattern, budget=generous, impl="python")
-        vectorized = count_pattern(
-            graph, pattern, budget=generous, impl="vectorized"
-        )
+        legacy = count_general_backtracking(graph, pattern, budget=generous)
+        vectorized = count_pattern(graph, pattern, budget=generous)
         assert vectorized == legacy
         if legacy > 0.0:
             with pytest.raises(CountBudgetExceeded):
-                count_pattern(graph, pattern, budget=1, impl="python")
+                count_general_backtracking(graph, pattern, budget=1)
             with pytest.raises(CountBudgetExceeded):
-                count_pattern(graph, pattern, budget=0, impl="vectorized")
-
-    def test_bad_impl_rejected(self, tiny_graph):
-        pattern = templates.triangle().with_labels(["A", "A", "A"])
-        with pytest.raises(ValueError):
-            count_pattern(tiny_graph, pattern, impl="numba")
+                count_pattern(graph, pattern, budget=0)
 
 
 class TestFrameCounterDirect:
@@ -176,8 +184,8 @@ class TestFrameCounterDirect:
         pattern = QueryPattern(
             [("a", "b", "A"), ("b", "c", "B"), ("c", "a", "C"), ("a", "t", "A")]
         )
-        legacy = count_pattern(tiny_graph, pattern, impl="python")
-        vectorized = count_pattern(tiny_graph, pattern, impl="vectorized")
+        legacy = count_general_backtracking(tiny_graph, pattern)
+        vectorized = count_pattern(tiny_graph, pattern)
         assert vectorized == legacy
 
     def test_missing_label_core_counts_zero(self, tiny_graph):
@@ -198,8 +206,39 @@ class TestFrameCounterDirect:
             [(0, 0, "L"), (1, 1, "L"), (1, 2, "L")], num_vertices=3
         )
         pattern = QueryPattern([("a", "a", "L")])
-        assert count_pattern(graph, pattern, impl="vectorized") == 2.0
-        assert count_pattern(graph, pattern, impl="python") == 2.0
+        assert count_pattern(graph, pattern) == 2.0
+        assert count_general_backtracking(graph, pattern) == 2.0
+
+
+class TestBudgetUnit:
+    """``budget`` counts materialized frame rows: the first core
+    relation's rows up front, then each join step's output."""
+
+    def test_exact_boundary_on_triangle_with_hanging_trees(self):
+        triples = [
+            (u, v, "E") for u, v in [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (3, 4)]
+        ] + [(u, v, "T") for u, v in [(0, 5), (0, 6), (2, 5), (1, 6), (5, 6)]]
+        graph = LabeledDiGraph.from_triples(triples, num_vertices=7)
+        pattern = QueryPattern(
+            [
+                ("a", "b", "E"), ("b", "c", "E"), ("c", "a", "E"),
+                ("a", "t", "T"), ("t", "u", "T"), ("b", "s", "T"),
+            ]
+        )
+        core = pattern.subpattern(sorted(two_core_edges(pattern)))
+        order = plan_core_edges(graph, core)
+        frame = frame_from_edge(graph, core.edges[order[0]])
+        spent = frame.size
+        for index in order[1:]:
+            frame, _ = extend_frame(graph, frame, core.edges[index])
+            spent += frame.size
+        # By hand: 6 E rows, 8 after a -E-> b -E-> c, 3 close c -E-> a.
+        assert spent == 6 + 8 + 3
+        count = count_pattern(graph, pattern)
+        assert count == count_general_backtracking(graph, pattern) == 3.0
+        assert count_pattern(graph, pattern, budget=spent) == count
+        with pytest.raises(CountBudgetExceeded):
+            count_pattern(graph, pattern, budget=spent - 1)
 
 
 class TestTwoCoreWorklist:
@@ -263,14 +302,14 @@ class TestTwoCoreWorklist:
         pattern = QueryPattern(
             [("a", "b", "E"), ("b", "c", "E"), ("c", "a", "E"), ("a", "t", "T")]
         )
-        legacy = count_pattern(graph, pattern, impl="python")
-        assert count_pattern(graph, pattern, impl="vectorized") == legacy
+        legacy = count_general_backtracking(graph, pattern)
+        assert count_pattern(graph, pattern) == legacy
         assert legacy > 0.0
 
 
 @st.composite
 def acyclic_graph_pattern(draw):
-    """Random graphs with acyclic patterns: impl must not matter at all."""
+    """Random graphs with acyclic patterns: the core counter never runs."""
     n = draw(st.integers(min_value=2, max_value=5))
     triples = set()
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
@@ -288,8 +327,8 @@ class TestAcyclicUnaffected:
     @settings(max_examples=40, deadline=None)
     def test_impl_choice_is_inert(self, case):
         graph, pattern = case
-        assert count_pattern(graph, pattern, impl="python") == count_pattern(
-            graph, pattern, impl="vectorized"
+        assert count_general_backtracking(graph, pattern) == count_pattern(
+            graph, pattern
         )
 
 

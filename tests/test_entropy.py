@@ -65,6 +65,27 @@ class TestEntropyCatalog:
         catalog = EntropyCatalog(graph)
         assert catalog.irregularity(pattern, frozenset({"y"})) > 0.0
 
+    def test_extension_over_max_rows_scores_zero(self, medium_random_graph):
+        graph = medium_random_graph
+        labels = list(graph.labels)
+        pattern = QueryPattern([("x", "y", labels[0]), ("y", "z", labels[1])])
+        assert EntropyCatalog(graph).irregularity(pattern, frozenset({"y"})) > 0.0
+        capped = EntropyCatalog(graph, max_rows=1)
+        assert capped.irregularity(pattern, frozenset({"y"})) == 0.0
+
+    def test_join_errors_propagate(self, medium_random_graph, monkeypatch):
+        """Only the max_rows abort scores 0; a failing join is an error."""
+        graph = medium_random_graph
+        labels = list(graph.labels)
+        pattern = QueryPattern([("x", "y", labels[0]), ("y", "z", labels[1])])
+
+        def broken(self, label):
+            raise ValueError("injected join failure")
+
+        monkeypatch.setattr(LabeledDiGraph, "relation", broken)
+        with pytest.raises(ValueError, match="injected join failure"):
+            EntropyCatalog(graph).irregularity(pattern, frozenset({"y"}))
+
 
 class TestLowestEntropyEstimator:
     def test_exact_when_whole_query_stored(self, tiny_graph):

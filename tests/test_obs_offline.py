@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 import pytest
 from hypothesis import given, settings

@@ -23,7 +23,7 @@ from repro.core import (
     estimate_from_ceg,
     hop_statistics_compiled,
 )
-from repro.engine import count_pattern, extend_by_edge, start_table
+from repro.engine import count_pattern, extend_frame, frame_from_edge
 from repro.graph import LabeledDiGraph
 from repro.query import templates
 
@@ -147,9 +147,9 @@ class TestJoinEngineAgainstCounter:
 
         tree, closures = spanning_tree_and_closures(pattern)
         order = tree + closures
-        table = start_table(graph, pattern.edges[order[0]])
+        table = frame_from_edge(graph, pattern.edges[order[0]])
         for index in order[1:]:
-            table = extend_by_edge(graph, table, pattern.edges[index])
+            table, _ = extend_frame(graph, table, pattern.edges[index])
         assert table.size == pytest.approx(count_pattern(graph, pattern))
 
     @given(graph_query_pairs())
@@ -161,9 +161,9 @@ class TestJoinEngineAgainstCounter:
         counts = set()
         for order in itertools.permutations(range(len(pattern))):
             try:
-                table = start_table(graph, pattern.edges[order[0]])
+                table = frame_from_edge(graph, pattern.edges[order[0]])
                 for index in order[1:]:
-                    table = extend_by_edge(graph, table, pattern.edges[index])
+                    table, _ = extend_frame(graph, table, pattern.edges[index])
             except PlanningError:
                 continue  # disconnected prefix
             counts.add(table.size)

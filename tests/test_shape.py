@@ -1,5 +1,9 @@
 """Tests for query shape analysis (cycles, depth, decompositions)."""
 
+import networkx as nx
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.query import QueryPattern, shape, templates
 
 
@@ -106,3 +110,40 @@ class TestCycleCompletions:
     def test_not_triggered_for_small_cycles(self):
         pattern = templates.triangle()
         assert shape.cycle_completions(pattern, frozenset({0, 1}), h=3) == {}
+
+
+@st.composite
+def multigraph_patterns(draw):
+    """Random patterns with self-loops, parallel atoms and several parts."""
+    variables = [f"x{i}" for i in range(draw(st.integers(1, 6)))]
+    atoms = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(variables),
+                st.sampled_from(variables),
+                st.sampled_from(["A", "B"]),
+            ),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    return QueryPattern(atoms)
+
+
+class TestIsAcyclicAgainstNetworkx:
+    @staticmethod
+    def _find_cycle_says_acyclic(pattern: QueryPattern) -> bool:
+        try:
+            nx.find_cycle(shape.to_multigraph(pattern))
+        except nx.NetworkXNoCycle:
+            return True
+        return False
+
+    @given(multigraph_patterns())
+    @example(QueryPattern([("a", "a", "A")]))
+    @example(QueryPattern([("a", "b", "A"), ("b", "a", "A")]))
+    @example(QueryPattern([("a", "b", "A"), ("c", "d", "B")]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_find_cycle(self, pattern):
+        assert shape.is_acyclic(pattern) == self._find_cycle_says_acyclic(pattern)

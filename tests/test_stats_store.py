@@ -419,8 +419,8 @@ class TestStorePersistence:
 
         monkeypatch.setattr(markov_module, "count_pattern", forbidden)
         monkeypatch.setattr(counter_module, "count_pattern", forbidden)
-        monkeypatch.setattr(degrees_module, "start_table", forbidden)
-        monkeypatch.setattr(degrees_module, "extend_by_edge", forbidden)
+        monkeypatch.setattr(degrees_module, "frame_from_edge", forbidden)
+        monkeypatch.setattr(degrees_module, "extend_frame", forbidden)
 
         session = loaded.session()
         batch = session.estimate_batch(
