@@ -388,15 +388,14 @@ def _add_job_telemetry_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _job_telemetry(args: argparse.Namespace, verb: str):
-    """A JobTelemetry when any observability flag is set, else None.
+    """The job's telemetry bundle, built from the three shared flags.
 
-    None keeps the un-instrumented path literally free — the builders
-    skip every telemetry hook on a None bundle.
+    Always a :class:`~repro.obs.offline.JobTelemetry`, so the job runs
+    one code path; without ``--trace-log``/``--metrics-out`` the bundle
+    still collects spans and counters but writes nothing.
     """
     from repro.obs.offline import JobTelemetry
 
-    if not args.trace_log and not args.metrics_out:
-        return None
     return JobTelemetry(
         verb,
         trace_log=args.trace_log,
@@ -555,10 +554,9 @@ def run_stats(argv: list[str]) -> int:
         # The partial build's spans (completed levels, the checkpoint
         # write) are still worth a record: finish the trace as not-ok so
         # 'repro obs' can see what the interrupted run paid for.
-        if telemetry is not None:
-            telemetry.finish(
-                ok=False, event="build_interrupted", out=str(args.out)
-            )
+        telemetry.finish(
+            ok=False, event="build_interrupted", out=str(args.out)
+        )
         print(json.dumps({
             "event": "build_interrupted",
             "out": str(args.out),
@@ -567,14 +565,12 @@ def run_stats(argv: list[str]) -> int:
         }, indent=2 if args.indent else None))
         return 3
     except ReproError as error:
-        if telemetry is not None:
-            telemetry.finish(ok=False, error=str(error))
+        telemetry.finish(ok=False, error=str(error))
         print(f"repro stats build: {error}", file=sys.stderr)
         return 2
     store.manifest.build_config["scale"] = args.scale
     store.save(args.out)
-    if telemetry is not None:
-        telemetry.finish(ok=True, dataset=dataset_name, out=str(args.out))
+    telemetry.finish(ok=True, dataset=dataset_name, out=str(args.out))
     summary = {
         "out": str(args.out),
         "dataset": dataset_name,
@@ -705,12 +701,10 @@ def run_updates(argv: list[str]) -> int:
                 telemetry=telemetry,
             )
         except ReproError as error:
-            if telemetry is not None:
-                telemetry.finish(ok=False, error=str(error))
+            telemetry.finish(ok=False, error=str(error))
             print(f"repro updates apply: {error}", file=sys.stderr)
             return 2
-        if telemetry is not None:
-            telemetry.finish(ok=True, stats_dir=str(args.stats_dir))
+        telemetry.finish(ok=True, stats_dir=str(args.stats_dir))
         print(
             json.dumps(
                 outcome.as_dict(), indent=2 if args.indent else None
@@ -724,8 +718,7 @@ def run_updates(argv: list[str]) -> int:
         dataset, scale, base_graph = _updates_base_graph(args, manifest)
         graph = replay_graph(base_graph, args.stats_dir, telemetry=telemetry)
     except ReproError as error:
-        if telemetry is not None:
-            telemetry.finish(ok=False, error=str(error))
+        telemetry.finish(ok=False, error=str(error))
         print(f"repro updates replay: {error}", file=sys.stderr)
         return 2
     report = {
@@ -755,8 +748,7 @@ def run_updates(argv: list[str]) -> int:
         from repro.stats.flatpack import degree_images_equal
 
         if manifest.build_config.get("mode") not in (None, "full"):
-            if telemetry is not None:
-                telemetry.finish(ok=False, error="workload-directed artifact")
+            telemetry.finish(ok=False, error="workload-directed artifact")
             print(
                 "repro updates replay: --verify needs a full-enumeration "
                 "artifact (workload-directed builds have no recorded "
@@ -772,8 +764,7 @@ def run_updates(argv: list[str]) -> int:
                 dataset_name=manifest.dataset_name,
             )
         except ReproError as error:
-            if telemetry is not None:
-                telemetry.finish(ok=False, error=str(error))
+            telemetry.finish(ok=False, error=str(error))
             print(f"repro updates replay: {error}", file=sys.stderr)
             return 2
         checks = {
@@ -804,13 +795,12 @@ def run_updates(argv: list[str]) -> int:
         report["skipped"] = skipped
         if not all(checks.values()):
             exit_code = 1
-    if telemetry is not None:
-        telemetry.finish(
-            ok=exit_code == 0,
-            stats_dir=str(args.stats_dir),
-            generation=manifest.generation,
-            verified=args.verify,
-        )
+    telemetry.finish(
+        ok=exit_code == 0,
+        stats_dir=str(args.stats_dir),
+        generation=manifest.generation,
+        verified=args.verify,
+    )
     print(json.dumps(report, indent=2 if args.indent else None))
     return exit_code
 

@@ -91,13 +91,11 @@ def _lineage_age_seconds(applied_at: str | None) -> float | None:
 
 
 def _observe_apply(
-    telemetry: JobTelemetry | None,
+    telemetry: JobTelemetry,
     outcome: MaintenanceOutcome,
     previous_applied_at: str | None,
 ) -> None:
     """Record one apply's IVM-vs-rebuild decision and lineage freshness."""
-    if telemetry is None:
-        return
     registry = telemetry.registry
     registry.counter(
         "repro_delta_applies_total",
@@ -123,7 +121,7 @@ def _observe_apply(
             "Age of the previous delta generation when this apply landed "
             "(staleness of the lineage between updates).",
         ).set(round(age, 3))
-    telemetry.registry.gauge(
+    registry.gauge(
         "repro_delta_generation",
         "Artifact generation after the apply.",
     ).set(outcome.generation)
@@ -277,8 +275,8 @@ def apply_updates(
     ``deltas/NNNN.json`` update log and publishes the store as the
     artifact's next generation image (:meth:`StatisticsStore.save`).
 
-    ``telemetry`` (optional) records the apply as an offline-plane
-    trace — a ``maintain`` span (the IVM / cold-rebuild work), a
+    ``telemetry`` (a silent bundle when omitted) records the apply as
+    an offline-plane trace — a ``maintain`` span (the IVM / cold-rebuild work), a
     ``persist`` span (update log + generation image I/O), decision
     counters and a lineage-age gauge — without perturbing the outcome or
     any catalog bytes.
@@ -293,6 +291,7 @@ def apply_updates(
             "delta maintenance does not support budgeted Markov tables "
             "(stored counts may be missing); rebuild the artifact instead"
         )
+    telemetry = telemetry or JobTelemetry("updates.apply")
     started = time.perf_counter()
     previous_applied_at = store.manifest.last_delta_at
     # Maintenance diffs and mutates the catalog caches directly; fold
@@ -359,16 +358,15 @@ def apply_updates(
                 "an incomplete Markov table that a workload-free cold "
                 "rebuild cannot reproduce"
             )
-    if telemetry is not None:
-        telemetry.trace.add_span(
-            "maintain",
-            maintain_began,
-            time.perf_counter() - maintain_began,
-            generation=generation,
-            mode=outcome.mode,
-            inserts=len(inserts),
-            deletes=len(deletes),
-        )
+    telemetry.trace.add_span(
+        "maintain",
+        maintain_began,
+        time.perf_counter() - maintain_began,
+        generation=generation,
+        mode=outcome.mode,
+        inserts=len(inserts),
+        deletes=len(deletes),
+    )
 
     store.graph = new_graph
     store.markov.graph = new_graph if store.markov.graph is not None else None
@@ -415,14 +413,13 @@ def apply_updates(
         # The update log lands first: a crash before the swap leaves a
         # log the manifest does not list, and readers keep the old image.
         store.save(directory)
-        if telemetry is not None:
-            telemetry.trace.add_span(
-                "persist",
-                persist_began,
-                time.perf_counter() - persist_began,
-                generation=generation,
-                file=outcome.delta_file,
-            )
+        telemetry.trace.add_span(
+            "persist",
+            persist_began,
+            time.perf_counter() - persist_began,
+            generation=generation,
+            file=outcome.delta_file,
+        )
     outcome.seconds = time.perf_counter() - started
     _observe_apply(telemetry, outcome, previous_applied_at)
     return outcome
@@ -623,10 +620,11 @@ def replay_graph(
 
     Verifies the whole lineage: the base graph must fingerprint to the
     manifest's ``base_fingerprint``, every delta's parent must chain,
-    and the final graph must land on ``dataset_fingerprint``.  With
-    ``telemetry``, each generation's re-derivation lands as a
-    ``generation`` span (update count + fingerprint attrs).
+    and the final graph must land on ``dataset_fingerprint``.  Each
+    generation's re-derivation lands on ``telemetry`` (a silent bundle
+    when omitted) as a ``generation`` span (update count + edge attrs).
     """
+    telemetry = telemetry or JobTelemetry("updates.replay")
     directory = Path(directory)
     manifest = StoreManifest.load(directory)
     fingerprint = dataset_fingerprint(base_graph)
@@ -662,19 +660,18 @@ def replay_graph(
                 f"fingerprint {fingerprint}, expected "
                 f"{entry.get('fingerprint')}"
             )
-        if telemetry is not None:
-            telemetry.trace.add_span(
-                "generation",
-                began,
-                time.perf_counter() - began,
-                generation=int(entry.get("generation", 0)),
-                updates=len(batch),
-                edges=graph.num_edges,
-            )
-            telemetry.registry.counter(
-                "repro_delta_replayed_generations_total",
-                "Delta generations re-derived during graph replay.",
-            ).inc()
+        telemetry.trace.add_span(
+            "generation",
+            began,
+            time.perf_counter() - began,
+            generation=int(entry.get("generation", 0)),
+            updates=len(batch),
+            edges=graph.num_edges,
+        )
+        telemetry.registry.counter(
+            "repro_delta_replayed_generations_total",
+            "Delta generations re-derived during graph replay.",
+        ).inc()
     if fingerprint != manifest.dataset_fingerprint:
         raise DatasetError(
             f"replayed graph fingerprint {fingerprint} does not match the "

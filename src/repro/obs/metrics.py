@@ -156,6 +156,12 @@ class _Metric:
             ]
         return [((), float(value))]
 
+    def value(self, **labels: Any) -> float:
+        """One label set's counter or gauge value, callback included."""
+        key = self._key(labels)
+        polled = dict(self._callback_items()).get(key, 0.0)
+        return float(self._children.get(key, 0)) + polled
+
     def items(self) -> list[tuple[dict[str, str], float]]:
         """``(labels, value)`` pairs, callback-sourced values included."""
         out: list[tuple[dict[str, str], float]] = []
@@ -184,9 +190,6 @@ class Counter(_Metric):
         key = self._key(labels)
         self._children[key] = self._children.get(key, 0) + amount
 
-    def value(self, **labels: Any) -> float:
-        return float(self._children.get(self._key(labels), 0))
-
     def total(self) -> float:
         """Sum over every label set (callback values included)."""
         return sum(value for _labels, value in self.items())
@@ -199,9 +202,6 @@ class Gauge(_Metric):
 
     def set(self, value: float, **labels: Any) -> None:
         self._children[self._key(labels)] = value
-
-    def value(self, **labels: Any) -> float:
-        return float(self._children.get(self._key(labels), 0))
 
 
 class _HistogramChild:

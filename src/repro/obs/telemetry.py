@@ -8,8 +8,10 @@ lifecycle glue: :meth:`begin` mints a :class:`RequestTrace` and
 :meth:`finish` turns it into counters, stage histograms, a trace-log
 line and — past the threshold — a slow-query record.
 
-``enabled=False`` collapses every hook to a no-op (``begin`` returns
-``None`` and the server skips the rest), which is the baseline leg of
+``enabled=False`` collapses every hook to a no-op: ``begin`` returns
+the shared :data:`~repro.obs.tracing.NULL_TRACE`, whose spans, notes
+and annotations record nothing, and ``finish`` returns at once.  The
+server runs the same code either way; this is the baseline leg of
 ``benchmarks/bench_obs_overhead.py``.
 """
 
@@ -22,7 +24,7 @@ import time
 from typing import Any
 
 from repro.obs.metrics import LATENCY_BUCKETS_MS, MetricsRegistry
-from repro.obs.tracing import NdjsonSink, RequestTrace
+from repro.obs.tracing import NULL_TRACE, NdjsonSink, NullTrace, RequestTrace
 
 __all__ = ["Telemetry"]
 
@@ -100,17 +102,17 @@ class Telemetry:
     # ------------------------------------------------------------------
     def begin(
         self, verb: str, tenant: str | None, trace_id: str | None = None
-    ) -> RequestTrace | None:
-        """A trace for one request, or None when telemetry is off."""
+    ) -> RequestTrace | NullTrace:
+        """A trace for one request (:data:`NULL_TRACE` when off)."""
         if not self.enabled:
-            return None
+            return NULL_TRACE
         return RequestTrace(verb, tenant, trace_id=trace_id)
 
     def finish(
-        self, trace: RequestTrace | None, ok: bool, seconds: float
+        self, trace: RequestTrace | NullTrace, ok: bool, seconds: float
     ) -> None:
         """Close out one request: stage metrics, trace log, slow log."""
-        if trace is None:
+        if not self.enabled:
             return
         wall_ms = seconds * 1000.0
         for stage, ms in trace.stage_totals().items():

@@ -16,6 +16,10 @@ does not fabricate a CEG-build span of its own: it records a
 (``shared`` = ``"<trace_id>:<span_id>"``), so cross-request attribution
 survives coalescing.
 
+A request served with telemetry off gets :data:`NULL_TRACE` instead: the
+same interface with every hook a no-op, so instrumented code has one
+path and never asks whether it is being traced.
+
 Records are NDJSON lines written through :class:`NdjsonSink`: an
 ``O_APPEND`` fd (atomic line writes across the forked fleet workers
 that share one ``--trace-log`` path), with size-based rotation keeping
@@ -26,6 +30,7 @@ and reopen.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import json
 import os
@@ -35,7 +40,14 @@ import time
 from pathlib import Path
 from typing import Any
 
-__all__ = ["new_trace_id", "Span", "RequestTrace", "NdjsonSink"]
+__all__ = [
+    "new_trace_id", "Span", "RequestTrace", "NullTrace", "NULL_TRACE",
+    "NdjsonSink",
+]
+
+#: Attribute values a trace record carries as they are; anything else
+#: (a canonical shape key) is stringified by :meth:`RequestTrace.record`.
+_JSON_VALUES = (str, int, float, bool, list, dict, type(None))
 
 
 def new_trace_id() -> str:
@@ -150,6 +162,14 @@ class RequestTrace:
         """Attach request-level attributes (shape, generation, ...)."""
         self.attrs.update(attrs)
 
+    def annotate(self, result: dict[str, Any]) -> dict[str, Any]:
+        """Echo the trace id + per-stage timings in a result envelope."""
+        result["trace_id"] = self.trace_id
+        result["timings"] = {
+            f"{stage}_ms": ms for stage, ms in self.stage_totals().items()
+        }
+        return result
+
     def stage_totals(self) -> dict[str, float]:
         """Total ms per span name (summed over repeated stages)."""
         totals: dict[str, float] = {}
@@ -159,7 +179,12 @@ class RequestTrace:
         return {name: round(ms, 4) for name, ms in totals.items()}
 
     def record(self, **extra: Any) -> dict[str, Any]:
-        """The NDJSON trace record for this request."""
+        """The NDJSON trace record for this request.
+
+        Runs off the request path (the telemetry writer thread), so it
+        is where rich attribute values such as a canonical shape key
+        become strings.
+        """
         with self._lock:
             spans = [span.as_dict() for span in self.spans]
         record: dict[str, Any] = {
@@ -171,10 +196,45 @@ class RequestTrace:
         }
         if self.tenant is not None:
             record["tenant"] = self.tenant
-        record.update(self.attrs)
+        for name, value in self.attrs.items():
+            record[name] = (
+                value if isinstance(value, _JSON_VALUES) else str(value)
+            )
         record.update(extra)
         record["spans"] = spans
         return record
+
+
+class NullTrace:
+    """The :class:`RequestTrace` interface with every hook a no-op.
+
+    Handed to requests served with telemetry off: every span is one
+    shared, unrecorded :class:`Span` (``span_id`` None, ``ms`` settable),
+    notes are dropped, and :meth:`annotate` adds no ``trace_id`` or
+    ``timings`` to a response.
+    """
+
+    trace_id = None
+    _span = Span(None, "null", 0.0)  # type: ignore[arg-type]
+
+    def span(self, name: str, parent: str | None = None, **attrs: Any):
+        return contextlib.nullcontext(self._span)
+
+    def add_span(self, name: str, *args: Any, **attrs: Any) -> Span:
+        return self._span
+
+    def ref(self, span: Span) -> None:
+        return None
+
+    def note(self, **attrs: Any) -> None:
+        pass
+
+    def annotate(self, result: dict[str, Any]) -> dict[str, Any]:
+        return result
+
+
+#: The one shared trace of every untraced request.
+NULL_TRACE = NullTrace()
 
 
 class NdjsonSink:

@@ -44,17 +44,8 @@ class CoalescerStats:
 
     @property
     def calls(self) -> int:
-        """Total :meth:`SingleFlight.do` invocations."""
+        """Total :meth:`SingleFlight.run` invocations."""
         return self.leaders + self.followers
-
-    def as_dict(self) -> dict[str, int]:
-        """JSON-friendly representation (used by the ``stats`` verb)."""
-        return {
-            "leaders": self.leaders,
-            "followers": self.followers,
-            "calls": self.calls,
-            "in_flight": self.in_flight,
-        }
 
 
 @dataclass(frozen=True)
@@ -97,25 +88,18 @@ class SingleFlight:
         self._leaders = 0
         self._followers = 0
 
-    def do(self, key: Hashable, fn: Callable[[], T]) -> T:
+    def run(
+        self, key: Hashable, fn: Callable[[Callable[[str | None], None]], T]
+    ) -> FlightOutcome:
         """Run ``fn`` once per key among all concurrent callers.
 
-        Exactly one concurrent caller per key executes ``fn``; the rest
-        block until it finishes and receive the same result (or the
-        same raised exception).
-        """
-        return self.run(key, lambda publish_ref: fn()).value
-
-    def run(
-        self, key: Hashable, fn: Callable[[Callable[[str], None]], T]
-    ) -> FlightOutcome:
-        """Like :meth:`do`, but reporting *how* the value was obtained.
-
+        Exactly one concurrent caller per key (the leader) executes
+        ``fn``; the rest block until it finishes and receive the same
+        :attr:`FlightOutcome.value` (or the same raised exception).
         ``fn`` receives a ``publish_ref(ref)`` callable: the leader may
         call it (any time before it returns) to attach an opaque
         reference to the in-flight computation, which every follower
-        gets back as :attr:`FlightOutcome.shared_ref`.  Followers never
-        run ``fn``.
+        gets back as :attr:`FlightOutcome.shared_ref`.
         """
         with self._lock:
             call = self._inflight.get(key)
@@ -140,7 +124,7 @@ class SingleFlight:
                 shared_ref=call.ref,
             )
 
-        def publish_ref(ref: str) -> None:
+        def publish_ref(ref: str | None) -> None:
             call.ref = ref
 
         try:

@@ -89,9 +89,6 @@ class TenantEntry:
             "base_fingerprint": manifest.base_fingerprint,
             "artifact_generation": manifest.generation,
             "last_reload_at": self.loaded_at,
-            "generation_age_seconds": round(
-                time.monotonic() - self.loaded_monotonic, 3
-            ),
             "last_delta_at": manifest.last_delta_at,
             "h": manifest.h,
             "molp_h": manifest.molp_h,

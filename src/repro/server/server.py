@@ -38,22 +38,25 @@ after it use the new one — nothing in between can observe a torn state.
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
+import functools
+import operator
 import os
 import socket as socket_module
 import threading
 import time
-from collections import Counter
 from datetime import datetime, timezone
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import DatasetError, ReproError
 from repro.obs import (
     LATENCY_BUCKETS_MS,
     AuditProbe,
+    Counter,
     MetricsRegistry,
     NdjsonSink,
     RequestTrace,
@@ -61,6 +64,7 @@ from repro.obs import (
     merge_expositions,
     quantile_from_buckets,
 )
+from repro.obs.tracing import NullTrace
 from repro.query.canonical import canonical_key
 from repro.query.parser import parse_pattern
 from repro.query.pattern import QueryPattern
@@ -269,55 +273,64 @@ class EstimationServer:
             "Successful apply_deltas refreshes per tenant.",
             labels=("tenant",),
         )
-        registry.counter(
-            "repro_coalescer_leaders_total",
-            "Single-flight computations run (leaders).",
-            callback=lambda: self.coalescer.stats().leaders,
-        )
-        registry.counter(
-            "repro_coalescer_followers_total",
-            "Single-flight callers served by a leader's result.",
-            callback=lambda: self.coalescer.stats().followers,
-        )
-        registry.gauge(
-            "repro_coalescer_in_flight",
-            "Single-flight keys currently computing.",
-            callback=lambda: self.coalescer.stats().in_flight,
-        )
-        registry.counter(
+        # The ``coalescer`` and ``admission`` blocks of the stats verb,
+        # field by field (``repro_<block>_<field>``); stats_result reads
+        # these metrics back, so each value has one definition.
+        flight = self.coalescer.stats
+        self._coalescer_metrics = {
+            "leaders": registry.counter(
+                "repro_coalescer_leaders_total",
+                "Single-flight computations run (leaders).",
+                callback=lambda: flight().leaders,
+            ),
+            "followers": registry.counter(
+                "repro_coalescer_followers_total",
+                "Single-flight callers served by a leader's result.",
+                callback=lambda: flight().followers,
+            ),
+            "in_flight": registry.gauge(
+                "repro_coalescer_in_flight",
+                "Single-flight keys currently computing.",
+                callback=lambda: flight().in_flight,
+            ),
+        }
+        self._admission_metrics = {
+            "admitted": registry.gauge(
+                "repro_admission_admitted",
+                "Requests currently admitted (running + queued).",
+                callback=lambda: self._admitted,
+            ),
+            "running": registry.gauge(
+                "repro_admission_running",
+                "Requests currently computing on the thread pool.",
+                callback=lambda: self._running,
+            ),
+            "abandoned": registry.gauge(
+                "repro_admission_abandoned",
+                "Deadline-expired requests still holding a pool slot.",
+                callback=lambda: self._abandoned,
+            ),
+            "queue_depth": registry.gauge(
+                "repro_admission_queue_depth",
+                "Admitted requests waiting for a pool slot.",
+                callback=lambda: max(self._admitted - self._running, 0),
+            ),
+            "shed_total": registry.counter(
+                "repro_admission_shed_total",
+                "Requests shed at the admission capacity limit.",
+                callback=lambda: self._shed_total,
+            ),
+            "deadline_exceeded_total": registry.counter(
+                "repro_admission_deadline_exceeded_total",
+                "Requests that exceeded their deadline (queue time "
+                "included).",
+                callback=lambda: self._deadline_total,
+            ),
+        }
+        self._disk_parses = registry.counter(
             "repro_artifact_disk_parses_total",
             "Statistics generation images loaded from disk in this process.",
             callback=stats_parse_count,
-        )
-        registry.counter(
-            "repro_admission_shed_total",
-            "Requests shed at the admission capacity limit.",
-            callback=lambda: self._shed_total,
-        )
-        registry.counter(
-            "repro_admission_deadline_exceeded_total",
-            "Requests that exceeded their deadline (queue time included).",
-            callback=lambda: self._deadline_total,
-        )
-        registry.gauge(
-            "repro_admission_admitted",
-            "Requests currently admitted (running + queued).",
-            callback=lambda: self._admitted,
-        )
-        registry.gauge(
-            "repro_admission_running",
-            "Requests currently computing on the thread pool.",
-            callback=lambda: self._running,
-        )
-        registry.gauge(
-            "repro_admission_queue_depth",
-            "Admitted requests waiting for a pool slot.",
-            callback=lambda: max(self._admitted - self._running, 0),
-        )
-        registry.gauge(
-            "repro_admission_abandoned",
-            "Deadline-expired requests still holding a pool slot.",
-            callback=lambda: self._abandoned,
         )
         registry.gauge(
             "repro_server_info",
@@ -325,35 +338,29 @@ class EstimationServer:
             labels=("version",),
             callback=lambda: {(_server_version(),): 1},
         )
-        registry.gauge(
+        self._start_time = registry.gauge(
             "repro_process_start_time_seconds",
             "Unix time this serving process started.",
             callback=lambda: self._started_unix,
         )
-        registry.gauge(
+        self._uptime = registry.gauge(
             "repro_uptime_seconds",
             "Seconds since this serving process started.",
             callback=lambda: (
                 time.monotonic() - self._started_at if self._started_at else 0.0
             ),
         )
-        registry.gauge(
+        self._generation_age = registry.gauge(
             "repro_generation_age_seconds",
             "Seconds since each tenant's artifact generation was loaded.",
             labels=("tenant",),
-            callback=self._generation_ages,
+            callback=lambda: {
+                (name,): round(time.monotonic() - entry.loaded_monotonic, 3)
+                for name in self.registry.names()
+                if (entry := self.registry.get(name)) is not None
+            },
         )
         return telemetry
-
-    def _generation_ages(self) -> dict[tuple[str], float]:
-        ages: dict[tuple[str], float] = {}
-        for name in self.registry.names():
-            entry = self.registry.get(name)
-            if entry is not None:
-                ages[(name,)] = round(
-                    time.monotonic() - entry.loaded_monotonic, 3
-                )
-        return ages
 
     def _audit_graph(self, tenant: str):
         """Resolve the audit probe's reference graph for one tenant.
@@ -541,9 +548,10 @@ class EstimationServer:
             return protocol.error_response(None, error.code, error.message)
         telemetry.requests_total.inc(verb=request.verb)
         trace = telemetry.begin(request.verb, request.tenant, request.trace_id)
-        fan_wide = self.fleet is not None and not request.local
         try:
-            if request.verb == "ping":
+            if request.verb == "estimate":
+                response = await self._handle_estimate(request, trace)
+            elif request.verb == "ping":
                 response = protocol.ok_response(
                     request.id,
                     {"pong": True, "tenants": self.registry.names()},
@@ -552,41 +560,12 @@ class EstimationServer:
                 response = protocol.ok_response(
                     request.id, self.fleet_result()
                 )
-            elif request.verb == "stats":
-                if fan_wide:
-                    response = await self._fan_out(request, trace)
-                else:
-                    response = protocol.ok_response(
-                        request.id, self.stats_result()
-                    )
-            elif request.verb == "metrics":
-                if fan_wide:
-                    response = await self._fan_out(request, trace)
-                else:
-                    response = protocol.ok_response(
-                        request.id, self.metrics_result()
-                    )
-            elif request.verb == "shutdown":
-                if fan_wide:
-                    response = await self._fan_out(request, trace)
-                else:
-                    self._draining = True
-                    self._pending_shutdown = True
-                    response = protocol.ok_response(
-                        request.id, {"shutting_down": True}
-                    )
-            elif request.verb == "reload":
-                if fan_wide:
-                    response = await self._fan_out(request, trace)
-                else:
-                    response = await self._handle_reload(request)
-            elif request.verb == "apply_deltas":
-                if fan_wide:
-                    response = await self._fan_out(request, trace)
-                else:
-                    response = await self._handle_apply_deltas(request)
+            elif self.fleet is not None and not request.local:
+                response = await self._fan_out(request, trace)
             else:
-                response = await self._handle_estimate(request, trace)
+                response = protocol.ok_response(
+                    request.id, await self._control(request)
+                )
         except ProtocolError as error:
             response = protocol.error_response(
                 request.id, error.code, error.message
@@ -597,6 +576,12 @@ class EstimationServer:
                 protocol.INTERNAL_ERROR,
                 f"{type(error).__name__}: {error}",
             )
+        if request.verb == "shutdown":
+            # Locally or fleet-wide, this process drains too; the
+            # connection handler consumes the flag only after this
+            # response is on the wire.
+            self._draining = True
+            self._pending_shutdown = True
         elapsed = time.perf_counter() - started
         if (
             request.verb == "estimate"
@@ -633,8 +618,19 @@ class EstimationServer:
     # ------------------------------------------------------------------
     # Verbs
     # ------------------------------------------------------------------
+    def _entry(self, tenant: str) -> TenantEntry:
+        """The tenant's current registry entry, or ``unknown_tenant``."""
+        entry = self.registry.get(tenant)
+        if entry is None:
+            raise ProtocolError(
+                protocol.UNKNOWN_TENANT,
+                f"unknown tenant {tenant!r}; registered tenants: "
+                f"{self.registry.names()}",
+            )
+        return entry
+
     async def _handle_estimate(
-        self, request: Request, trace: RequestTrace | None = None
+        self, request: Request, trace: RequestTrace | NullTrace
     ) -> dict[str, Any]:
         if self._draining:
             raise ProtocolError(
@@ -665,30 +661,12 @@ class EstimationServer:
         finally:
             self._admitted -= 1
 
-    def _annotate(
-        self, result: dict[str, Any], trace: RequestTrace | None
-    ) -> dict[str, Any]:
-        """Echo the trace id + per-stage timings in a result envelope."""
-        if trace is not None:
-            result["trace_id"] = trace.trace_id
-            result["timings"] = {
-                f"{stage}_ms": ms
-                for stage, ms in trace.stage_totals().items()
-            }
-        return result
-
     async def _estimate_admitted(
-        self, request: Request, trace: RequestTrace | None = None
+        self, request: Request, trace: RequestTrace | NullTrace
     ) -> dict[str, Any]:
         assert request.tenant is not None and request.query is not None
         started = time.perf_counter()
-        entry = self.registry.get(request.tenant)
-        if entry is None:
-            raise ProtocolError(
-                protocol.UNKNOWN_TENANT,
-                f"unknown tenant {request.tenant!r}; registered tenants: "
-                f"{self.registry.names()}",
-            )
+        entry = self._entry(request.tenant)
         specs: list[EstimatorSpec] = []
         seen: set[str] = set()
         for name in request.estimators:
@@ -711,16 +689,16 @@ class EstimationServer:
             except ValueError as error:
                 raise ProtocolError(protocol.UNSUPPORTED_SPEC, str(error))
         probe_start = time.perf_counter()
-        if trace is not None:
-            # ``store_lookup`` covers entry lookup + spec/pattern
-            # parsing + validation — everything between admission and
-            # the cache probe, so the top-level spans tile the window.
-            trace.add_span("store_lookup", started, probe_start - started)
-            trace.note(
-                shape=str(canonical_key(pattern)),
-                estimators=[spec.name for spec in specs],
-                generation=entry.generation,
-            )
+        # ``store_lookup`` covers entry lookup + spec/pattern parsing +
+        # validation — everything between admission and the cache
+        # probe, so the top-level spans tile the window.  The shape key
+        # is stringified by the trace writer, off the request path.
+        trace.add_span("store_lookup", started, probe_start - started)
+        trace.note(
+            shape=canonical_key(pattern),
+            estimators=[spec.name for spec in specs],
+            generation=entry.generation,
+        )
         # Warm fast path: when every requested estimator is already in
         # the tenant's estimate LRU, answer on the event loop without
         # the executor round-trip.  The cached floats are the exact
@@ -728,16 +706,13 @@ class EstimationServer:
         # bit-identical; admission and deadline accounting still wrap
         # this call — only the thread hop (and a pool slot) is skipped.
         cached = entry.session.peek_estimates(pattern, specs)
-        if trace is not None:
-            trace.add_span(
-                "cache_probe",
-                probe_start,
-                time.perf_counter() - probe_start,
-            )
+        trace.add_span(
+            "cache_probe", probe_start, time.perf_counter() - probe_start
+        )
         if cached is not None:
             return protocol.ok_response(
                 request.id,
-                self._annotate(
+                trace.annotate(
                     {
                         "tenant": entry.name,
                         "generation": entry.generation,
@@ -745,8 +720,7 @@ class EstimationServer:
                         "estimates": cached,
                         "errors": {},
                         "seconds": time.perf_counter() - started,
-                    },
-                    trace,
+                    }
                 ),
             )
         assert self._semaphore is not None
@@ -755,20 +729,14 @@ class EstimationServer:
         await self._semaphore.acquire()
         self._running += 1
         exec_start = time.perf_counter()
-        exec_span = None
-        if trace is not None:
-            trace.add_span("queue", queue_start, exec_start - queue_start)
-            # Opened here, closed when the executor round-trip returns;
-            # the worker thread parents its count/coalesce spans on it.
-            exec_span = trace.add_span("exec", exec_start, 0.0)
+        trace.add_span("queue", queue_start, exec_start - queue_start)
+        # Opened here, closed when the executor round-trip returns; the
+        # worker thread parents its count/coalesce spans on it.
+        exec_span = trace.add_span("exec", exec_start, 0.0)
 
         def release_slot() -> None:
             self._running -= 1
             self._semaphore.release()
-
-        def close_exec_span() -> None:
-            if exec_span is not None:
-                exec_span.ms = (time.perf_counter() - exec_start) * 1000.0
 
         future = loop.run_in_executor(
             self._executor,
@@ -777,7 +745,7 @@ class EstimationServer:
             pattern,
             specs,
             trace,
-            exec_span.span_id if exec_span is not None else None,
+            exec_span.span_id,
         )
         try:
             # Shielded so a deadline cancellation reaches *us*, not the
@@ -786,7 +754,6 @@ class EstimationServer:
             # immediately instead of when the thread actually finishes.
             estimates, errors = await asyncio.shield(future)
         except asyncio.CancelledError:
-            close_exec_span()
             if future.done():
                 release_slot()
             else:
@@ -806,14 +773,14 @@ class EstimationServer:
                 future.add_done_callback(on_done)
             raise
         except BaseException:
-            close_exec_span()
             release_slot()  # the computation itself raised; slot is free
             raise
+        finally:
+            exec_span.ms = (time.perf_counter() - exec_start) * 1000.0
         release_slot()
-        close_exec_span()
         return protocol.ok_response(
             request.id,
-            self._annotate(
+            trace.annotate(
                 {
                     "tenant": entry.name,
                     "generation": entry.generation,
@@ -821,8 +788,7 @@ class EstimationServer:
                     "estimates": estimates,
                     "errors": errors,
                     "seconds": time.perf_counter() - started,
-                },
-                trace,
+                }
             ),
         )
 
@@ -831,8 +797,8 @@ class EstimationServer:
         entry: TenantEntry,
         pattern: QueryPattern,
         specs: list[EstimatorSpec],
-        trace: RequestTrace | None = None,
-        exec_ref: str | None = None,
+        trace: RequestTrace | NullTrace,
+        exec_ref: str | None,
     ) -> tuple[dict[str, float], dict[str, str]]:
         """Worker-thread body: coalesced estimates for every spec.
 
@@ -842,123 +808,119 @@ class EstimationServer:
         captures per-query data failures as values, so followers share
         the leader's error string exactly as they share its float.
 
-        With tracing on, a *leader* wraps the engine call in a
-        ``count`` span and publishes its reference through the
-        coalescer; a *follower* records only a ``coalesce`` wait span
-        carrying that shared reference — it never fabricates a build
-        span for work it did not do.
+        A *leader* wraps the engine call in a ``count`` span and
+        publishes its reference through the coalescer; a *follower*
+        records only a ``coalesce`` wait span carrying that shared
+        reference — it never fabricates a build span for work it did
+        not do.  Untraced, both spans are the null trace's no-ops.
         """
         shape = canonical_key(pattern)
         estimates: dict[str, float] = {}
         errors: dict[str, str] = {}
         for spec in specs:
             key = (entry.name, entry.generation, shape, spec.name)
-            if trace is None:
-                item = self.coalescer.do(
-                    key, lambda: entry.session.estimate_one(pattern, spec)
+            wait_start = time.perf_counter()
+
+            def lead(publish_ref, spec=spec):
+                with trace.span(
+                    "count", parent=exec_ref, estimator=spec.name
+                ) as span:
+                    publish_ref(trace.ref(span))
+                    return entry.session.estimate_one(pattern, spec)
+
+            outcome = self.coalescer.run(key, lead)
+            item = outcome.value
+            if not outcome.leader:
+                trace.add_span(
+                    "coalesce",
+                    wait_start,
+                    outcome.wait_seconds,
+                    parent=exec_ref,
+                    estimator=spec.name,
+                    shared=outcome.shared_ref,
                 )
-            else:
-                wait_start = time.perf_counter()
-
-                def lead(publish_ref, spec=spec):
-                    with trace.span(
-                        "count", parent=exec_ref, estimator=spec.name
-                    ) as span:
-                        publish_ref(trace.ref(span))
-                        return entry.session.estimate_one(pattern, spec)
-
-                outcome = self.coalescer.run(key, lead)
-                item = outcome.value
-                if not outcome.leader:
-                    trace.add_span(
-                        "coalesce",
-                        wait_start,
-                        outcome.wait_seconds,
-                        parent=exec_ref,
-                        estimator=spec.name,
-                        shared=outcome.shared_ref,
-                    )
             if item.ok:
                 estimates[spec.name] = item.estimate
             else:
                 errors[spec.name] = item.error
         return estimates, errors
 
-    async def _handle_reload(self, request: Request) -> dict[str, Any]:
-        assert request.tenant is not None
-        if self.registry.get(request.tenant) is None:
-            raise ProtocolError(
-                protocol.UNKNOWN_TENANT,
-                f"unknown tenant {request.tenant!r}; registered tenants: "
-                f"{self.registry.names()}",
-            )
-        loop = asyncio.get_running_loop()
+    async def _control(self, request: Request) -> dict[str, Any]:
+        """The result of one control verb on this process alone.
 
-        def work() -> TenantEntry:
-            return self.registry.reload(
-                request.tenant,
-                path=request.path,
-                allow_fingerprint_change=request.allow_fingerprint_change,
+        Both paths call it: a single process (or a ``scope=local``
+        request) answers with it, and a fleet fan-out uses it for its
+        own slot.  ``shutdown`` only acknowledges; :meth:`_dispatch`
+        sets the drain flags.
+        """
+        verb = request.verb
+        if verb == "stats":
+            return self.stats_result()
+        if verb == "metrics":
+            return self.metrics_result()
+        if verb == "shutdown":
+            return {"shutting_down": True}
+        if verb == "reload":
+            entry = await self._swap_tenant(
+                request,
+                self._tenant_reloads,
+                lambda tenant: self.registry.reload(
+                    tenant,
+                    path=request.path,
+                    allow_fingerprint_change=request.allow_fingerprint_change,
+                ),
             )
-
-        try:
-            entry = await loop.run_in_executor(self._executor, work)
-        except DatasetError as error:
-            raise ProtocolError(protocol.RELOAD_FAILED, str(error))
-        self._tenant_reloads.inc(tenant=entry.name)
-        return protocol.ok_response(
-            request.id,
-            {
+            return {
                 "tenant": entry.name,
                 "generation": entry.generation,
                 "path": str(entry.path),
                 "fingerprint": entry.fingerprint,
-            },
+            }
+        # apply_deltas: like reload the registry swap is atomic and
+        # in-flight requests finish on the entry they captured, but only
+        # the unseen delta generations are replayed (onto a
+        # copy-on-write clone), so a refresh costs what the batch costs.
+        entry, applied = await self._swap_tenant(
+            request, self._tenant_delta_refreshes, self.registry.apply_deltas
         )
+        return {
+            "tenant": entry.name,
+            "generation": entry.generation,
+            "artifact_generation": entry.store.manifest.generation,
+            "applied": applied,
+            "fingerprint": entry.fingerprint,
+            "path": str(entry.path),
+        }
 
-    async def _handle_apply_deltas(self, request: Request) -> dict[str, Any]:
-        """Live tenant refresh from the artifact's on-disk delta chain.
+    async def _swap_tenant(
+        self,
+        request: Request,
+        counter: Counter,
+        swap: Callable[[str], Any],
+    ) -> Any:
+        """Run one registry swap (``reload``/``apply_deltas``) on the pool.
 
-        Like ``reload``, the registry swap is atomic and in-flight
-        requests finish on the entry they captured; unlike ``reload``,
-        only the unseen delta generations are replayed (onto a
-        copy-on-write clone), so refreshing after a small update batch
-        costs proportionally to the batch, not to the artifact.
+        An unknown tenant fails fast with ``unknown_tenant``; a swap the
+        registry refuses (:class:`DatasetError`) is ``reload_failed``;
+        a swap that lands bumps the tenant's ``counter``.
         """
         assert request.tenant is not None
-        if self.registry.get(request.tenant) is None:
-            raise ProtocolError(
-                protocol.UNKNOWN_TENANT,
-                f"unknown tenant {request.tenant!r}; registered tenants: "
-                f"{self.registry.names()}",
-            )
+        self._entry(request.tenant)
         loop = asyncio.get_running_loop()
-
-        def work() -> tuple[TenantEntry, int]:
-            return self.registry.apply_deltas(request.tenant)
-
         try:
-            entry, applied = await loop.run_in_executor(self._executor, work)
+            outcome = await loop.run_in_executor(
+                self._executor, swap, request.tenant
+            )
         except DatasetError as error:
             raise ProtocolError(protocol.RELOAD_FAILED, str(error))
-        self._tenant_delta_refreshes.inc(tenant=entry.name)
-        return protocol.ok_response(
-            request.id,
-            {
-                "tenant": entry.name,
-                "generation": entry.generation,
-                "artifact_generation": entry.store.manifest.generation,
-                "applied": applied,
-                "fingerprint": entry.fingerprint,
-                "path": str(entry.path),
-            },
-        )
+        counter.inc(tenant=request.tenant)
+        return outcome
 
     # ------------------------------------------------------------------
     # Fleet fan-out
     # ------------------------------------------------------------------
     async def _fan_out(
-        self, request: Request, trace: RequestTrace | None = None
+        self, request: Request, trace: RequestTrace | NullTrace
     ) -> dict[str, Any]:
         """Fan a control verb out fleet-wide; one raw response per worker.
 
@@ -979,9 +941,11 @@ class EstimationServer:
             for member in self.fleet.members
             if member.index != self.fleet.index
         }
-        workers: dict[str, dict[str, Any]] = {
-            str(self.fleet.index): await self._local_control_response(request)
-        }
+        try:
+            local = protocol.ok_response(None, await self._control(request))
+        except ProtocolError as error:
+            local = protocol.error_response(None, error.code, error.message)
+        workers: dict[str, dict[str, Any]] = {str(self.fleet.index): local}
         for index, future in futures.items():
             workers[str(index)] = await future
         all_ok = all(slot.get("ok") for slot in workers.values())
@@ -991,7 +955,7 @@ class EstimationServer:
             "ok": all_ok,
             "workers": workers,
         }
-        if trace is not None:
+        if trace.trace_id:
             result["trace_id"] = trace.trace_id
         if request.verb == "stats":
             result["aggregate"] = _aggregate_fleet_stats(workers)
@@ -1005,17 +969,10 @@ class EstimationServer:
                 if slot.get("ok") and "exposition" in (slot.get("result") or {})
             )
             result["format"] = "prometheus-text-0.0.4"
-        if request.verb == "shutdown":
-            # Peers are draining; now schedule our own drain.  The flag
-            # is consumed by the connection handler *after* this
-            # response reaches the wire, so the caller always sees the
-            # fleet-wide acknowledgement before the socket dies.
-            self._draining = True
-            self._pending_shutdown = True
         return protocol.ok_response(request.id, result)
 
     def _peer_payload(
-        self, request: Request, trace: RequestTrace | None = None
+        self, request: Request, trace: RequestTrace | NullTrace
     ) -> dict[str, Any]:
         """The scope-local wire payload that replays ``request`` on a peer."""
         payload: dict[str, Any] = {
@@ -1023,9 +980,9 @@ class EstimationServer:
             "verb": request.verb,
             "scope": "local",
         }
-        # Propagate the fan-out's trace id so every worker's spans land
-        # under one id in a shared trace log.
-        trace_id = trace.trace_id if trace is not None else request.trace_id
+        # Propagate the fan-out's trace id (untraced: the client's) so
+        # every worker's spans land under one id in a shared trace log.
+        trace_id = trace.trace_id or request.trace_id
         if trace_id is not None:
             payload["trace_id"] = trace_id
         if request.tenant is not None:
@@ -1054,27 +1011,6 @@ class EstimationServer:
                 f"({type(error).__name__}: {error}); the supervisor "
                 "restarts crashed workers — retry shortly",
             )
-
-    async def _local_control_response(
-        self, request: Request
-    ) -> dict[str, Any]:
-        """This worker's own slot of a fan-out, as a raw wire response."""
-        try:
-            if request.verb == "stats":
-                return protocol.ok_response(None, self.stats_result())
-            if request.verb == "metrics":
-                return protocol.ok_response(None, self.metrics_result())
-            if request.verb == "shutdown":
-                # Flags are set by _fan_out after the peers answered.
-                return protocol.ok_response(None, {"shutting_down": True})
-            if request.verb == "reload":
-                response = await self._handle_reload(request)
-            else:
-                response = await self._handle_apply_deltas(request)
-            response["id"] = None
-            return response
-        except ProtocolError as error:
-            return protocol.error_response(None, error.code, error.message)
 
     def fleet_result(self) -> dict[str, Any]:
         """The ``fleet`` verb payload: worker topology and assignment."""
@@ -1142,23 +1078,36 @@ class EstimationServer:
         }
 
     def stats_result(self) -> dict[str, Any]:
-        """The ``stats`` verb payload (also handy in-process)."""
+        """The ``stats`` verb payload (also handy in-process).
+
+        Every live number is read back from the metrics registry — the
+        same series the ``metrics`` verb exposes — so the two views of
+        one process cannot disagree.
+        """
+        ages = {
+            labels["tenant"]: value
+            for labels, value in self._generation_age.items()
+        }
         tenants = self.registry.stats()
         for name, payload in tenants.items():
+            payload["generation_age_seconds"] = ages.get(name, 0.0)
             payload["requests"] = self._tenant_requests_dict(name)
         by_verb = {
             labels["verb"]: int(value)
             for labels, value in self.telemetry.requests_total.items()
             if value
         }
+        coalescer = {
+            field: int(metric.value())
+            for field, metric in self._coalescer_metrics.items()
+        }
+        coalescer["calls"] = coalescer["leaders"] + coalescer["followers"]
         result: dict[str, Any] = {
-            "uptime_seconds": (
-                time.monotonic() - self._started_at if self._started_at else 0.0
-            ),
+            "uptime_seconds": self._uptime.value(),
             "server": {
                 "version": _server_version(),
                 "start_time": self._started_at_iso,
-                "start_time_unix": self._started_unix,
+                "start_time_unix": self._start_time.value(),
                 "pid": os.getpid(),
             },
             "telemetry": self.telemetry.describe(),
@@ -1166,14 +1115,12 @@ class EstimationServer:
             "admission": {
                 "max_inflight": self.config.max_inflight,
                 "queue_limit": self.config.queue_limit,
-                "admitted": self._admitted,
-                "running": self._running,
-                "abandoned": self._abandoned,
-                "queue_depth": max(self._admitted - self._running, 0),
-                "shed_total": self._shed_total,
-                "deadline_exceeded_total": self._deadline_total,
+                **{
+                    field: int(metric.value())
+                    for field, metric in self._admission_metrics.items()
+                },
             },
-            "coalescer": self.coalescer.stats().as_dict(),
+            "coalescer": coalescer,
             "requests": {
                 "total": sum(by_verb.values()),
                 "by_verb": by_verb,
@@ -1185,7 +1132,7 @@ class EstimationServer:
         # nothing is published or attached any more; the two fields stay
         # at 0 for readers of the older shape.
         result["artifact_plane"] = {
-            "disk_parses": stats_parse_count(),
+            "disk_parses": int(self._disk_parses.value()),
             "publishes": 0,
             "attaches": 0,
         }
@@ -1288,42 +1235,15 @@ def _aggregate_fleet_stats(
     workers: dict[str, dict[str, Any]]
 ) -> dict[str, Any]:
     """Fleet-wide totals over the per-worker slots of a stats fan-out."""
-    by_verb: Counter = Counter()
+    reports = [
+        slot.get("result") or {}
+        for _index, slot in sorted(workers.items(), key=lambda kv: int(kv[0]))
+        if slot.get("ok")
+    ]
+    by_verb: collections.Counter = collections.Counter()
     tenants: dict[str, dict[str, Any]] = {}
-    totals = {
-        "requests_total": 0,
-        "shed_total": 0,
-        "deadline_exceeded_total": 0,
-        "abandoned": 0,
-    }
-    loads = {"disk_parses": 0, "publishes": 0, "attaches": 0}
-    memory = {"uss_kb_total": 0.0, "uss_kb_max": 0.0, "rss_kb_max": 0.0}
-    reporting = 0
-    for _index, slot in sorted(workers.items(), key=lambda kv: int(kv[0])):
-        if not slot.get("ok"):
-            continue
-        reporting += 1
-        stats = slot.get("result") or {}
-        requests = stats.get("requests") or {}
-        totals["requests_total"] += int(requests.get("total", 0))
-        by_verb.update(requests.get("by_verb") or {})
-        worker_loads = stats.get("artifact_plane") or {}
-        for field in loads:
-            loads[field] += int(worker_loads.get(field, 0))
-        worker_memory = stats.get("memory") or {}
-        memory["uss_kb_total"] += float(worker_memory.get("uss_kb", 0.0))
-        memory["uss_kb_max"] = max(
-            memory["uss_kb_max"], float(worker_memory.get("uss_kb", 0.0))
-        )
-        memory["rss_kb_max"] = max(
-            memory["rss_kb_max"], float(worker_memory.get("rss_kb", 0.0))
-        )
-        admission = stats.get("admission") or {}
-        totals["shed_total"] += int(admission.get("shed_total", 0))
-        totals["deadline_exceeded_total"] += int(
-            admission.get("deadline_exceeded_total", 0)
-        )
-        totals["abandoned"] += int(admission.get("abandoned", 0))
+    for stats in reports:
+        by_verb.update((stats.get("requests") or {}).get("by_verb") or {})
         assignment = stats.get("tenant_assignment") or {}
         for name, tenant_stats in (stats.get("tenants") or {}).items():
             aggregate = tenants.setdefault(
@@ -1338,13 +1258,33 @@ def _aggregate_fleet_stats(
             tenant_requests = tenant_stats.get("requests") or {}
             aggregate["requests"] += int(tenant_requests.get("requests", 0))
             aggregate["ok"] += int(tenant_requests.get("ok", 0))
+
+    def combine(block: str, field: str, how=operator.add, zero: Any = 0):
+        """One per-worker scalar, summed (or maxed) over the reports."""
+        values = (
+            type(zero)((stats.get(block) or {}).get(field, zero))
+            for stats in reports
+        )
+        return functools.reduce(how, values, zero)
+
     return {
-        "workers_reporting": reporting,
+        "workers_reporting": len(reports),
         "by_verb": dict(by_verb),
         "tenants": tenants,
-        "artifact_plane": loads,
-        "memory": memory,
-        **totals,
+        "artifact_plane": {
+            field: combine("artifact_plane", field)
+            for field in ("disk_parses", "publishes", "attaches")
+        },
+        "memory": {
+            "uss_kb_total": combine("memory", "uss_kb", zero=0.0),
+            "uss_kb_max": combine("memory", "uss_kb", max, 0.0),
+            "rss_kb_max": combine("memory", "rss_kb", max, 0.0),
+        },
+        "requests_total": combine("requests", "total"),
+        **{
+            field: combine("admission", field)
+            for field in ("shed_total", "deadline_exceeded_total", "abandoned")
+        },
     }
 
 

@@ -689,12 +689,12 @@ def _load_or_fresh_state(
     checkpoint: _BuildCheckpoint | None,
     resume: bool,
     num_shards: int,
-    telemetry: JobTelemetry | None = None,
+    telemetry: JobTelemetry,
 ) -> _BuildState:
     if checkpoint is not None and resume:
         state = checkpoint.load()
         if state is not None:
-            if telemetry is not None and state.completed_levels:
+            if state.completed_levels:
                 # Resume event: note which levels the checkpoint
                 # already covered so a trace reader can tell replayed
                 # progress from fresh enumeration work.
@@ -712,13 +712,13 @@ def _load_or_fresh_state(
 
 
 def _observe_level(
-    telemetry: JobTelemetry | None,
+    telemetry: JobTelemetry,
     began: float,
     entry: dict,
     results: Sequence[_TaskResult],
     shards: Sequence[int],
 ) -> None:
-    """One completed level's span tree + counters (no-op untraced).
+    """One completed level's span tree + counters.
 
     The level span carries the same ``{examined, stored, frontier}``
     counters the manifest's ``levels`` table stores; under ``jobs=N``
@@ -726,8 +726,6 @@ def _observe_level(
     wall time (start offsets inside the pool are unknown, so shard
     spans share the level's start and report duration only).
     """
-    if telemetry is None:
-        return
     trace = telemetry.trace
     span = trace.add_span(
         "level",
@@ -769,10 +767,8 @@ def _observe_level(
 
 
 def _observe_checkpoint(
-    telemetry: JobTelemetry | None, began: float, level: int
+    telemetry: JobTelemetry, began: float, level: int
 ) -> None:
-    if telemetry is None:
-        return
     telemetry.trace.add_span(
         "checkpoint",
         began,
@@ -804,7 +800,7 @@ def _enumerate_full_leveled(
     checkpoint: _BuildCheckpoint | None,
     resume: bool,
     stop_after_level: int | None,
-    telemetry: JobTelemetry | None = None,
+    telemetry: JobTelemetry,
 ) -> tuple[_Enumeration, list[dict]]:
     """Grow all non-empty connected patterns up to ``max(h, molp_h)``,
     one min-label shard per task, level-synchronously."""
@@ -884,7 +880,8 @@ def _enumerate_workload_leveled(
     resume: bool,
     stop_after_level: int | None,
     skip: set[tuple] | None = None,
-    telemetry: JobTelemetry | None = None,
+    *,
+    telemetry: JobTelemetry,
 ) -> tuple[_Enumeration, list[dict]]:
     """Count each canonical subpattern the workload needs, exactly once,
     level = pattern size, each level sharded into sorted key chunks."""
@@ -948,6 +945,7 @@ def _enumerate_workload(
         enumeration, _ = _enumerate_workload_leveled(
             graph, workload, config, runner,
             checkpoint=None, resume=False, stop_after_level=None, skip=skip,
+            telemetry=JobTelemetry("stats.extend"),
         )
     finally:
         runner.close()
@@ -1026,12 +1024,14 @@ def build_statistics(
     level's checkpoint is durable — the hook the interruption tests and
     the CI resume smoke use in place of ``kill -9``.
 
-    ``telemetry`` (a :class:`~repro.obs.offline.JobTelemetry`) records
-    per-level/per-shard spans plus build counters and an edges/sec
-    gauge on the bundle; it never touches the artifact — bytes stay
-    identical with telemetry on, off, serial, parallel, or resumed.
+    ``telemetry`` (a :class:`~repro.obs.offline.JobTelemetry`; a silent
+    one when omitted) records per-level/per-shard spans plus build
+    counters and an edges/sec gauge on the bundle; it never touches the
+    artifact — bytes stay identical whether or not the bundle writes
+    anything, serial, parallel, or resumed.
     """
     config = config or StatsBuildConfig()
+    telemetry = telemetry or JobTelemetry("stats.build")
     started = time.perf_counter()
     if stop_after_level is not None and checkpoint_dir is None:
         raise DatasetError("stop_after_level requires a checkpoint_dir")
@@ -1067,31 +1067,30 @@ def build_statistics(
         runner.close()
     if checkpoint is not None:
         checkpoint.clear()
-    if telemetry is not None:
-        build_seconds = time.perf_counter() - started
-        telemetry.trace.note(
-            mode=mode,
-            jobs=max(1, int(jobs)),
-            enumerated=enumeration.enumerated,
-            edges=graph.num_edges,
-        )
-        registry = telemetry.registry
-        registry.gauge(
-            "repro_build_seconds",
-            "Wall seconds of the last statistics build.",
-        ).set(round(build_seconds, 6))
-        registry.gauge(
-            "repro_build_edges_per_second",
-            "Graph edges divided by build wall time (throughput).",
-        ).set(
-            round(graph.num_edges / build_seconds, 3)
-            if build_seconds > 0
-            else 0.0
-        )
-        registry.gauge(
-            "repro_build_peak_level_width",
-            "Widest level (stored patterns) of the last build.",
-        ).set(max((entry["stored"] for entry in level_stats), default=0))
+    build_seconds = time.perf_counter() - started
+    telemetry.trace.note(
+        mode=mode,
+        jobs=max(1, int(jobs)),
+        enumerated=enumeration.enumerated,
+        edges=graph.num_edges,
+    )
+    registry = telemetry.registry
+    registry.gauge(
+        "repro_build_seconds",
+        "Wall seconds of the last statistics build.",
+    ).set(round(build_seconds, 6))
+    registry.gauge(
+        "repro_build_edges_per_second",
+        "Graph edges divided by build wall time (throughput).",
+    ).set(
+        round(graph.num_edges / build_seconds, 3)
+        if build_seconds > 0
+        else 0.0
+    )
+    registry.gauge(
+        "repro_build_peak_level_width",
+        "Widest level (stored patterns) of the last build.",
+    ).set(max((entry["stored"] for entry in level_stats), default=0))
 
     markov = MarkovTable(
         graph,

@@ -355,6 +355,67 @@ class TestFleetServing:
                 assert slot["result"]["applied"] == 1
                 assert slot["result"]["artifact_generation"] == 1
 
+    def test_stats_aggregate_key_tree_is_pinned_and_matches_metrics(
+        self, fleet
+    ):
+        from repro.obs import parse_exposition
+        from repro.server import EstimationClient
+
+        with FleetClient(fleet.host, fleet.port) as client:
+            for tenant in ("t1", "t2"):
+                client.estimate(tenant, QUERIES[0], ["max-hop-max", "MOLP"])
+        with EstimationClient(fleet.host, fleet.port) as client:
+            stats = client.stats()
+            merged = parse_exposition(client.metrics()["exposition"])
+        aggregate = stats["aggregate"]
+        # Key tree and JSON value types as the aggregate has always had
+        # them; publishes/attaches stay (always 0) because perfbench
+        # reads them.
+        tenant_tree = dict.fromkeys(
+            ["requests", "ok", "owner", "generation"], "int"
+        )
+        assert _key_tree(aggregate) == {
+            "workers_reporting": "int",
+            "by_verb": dict.fromkeys(
+                ["estimate", "fleet", "ping", "stats"], "int"
+            ),
+            "tenants": {"t1": tenant_tree, "t2": tenant_tree},
+            "artifact_plane": dict.fromkeys(
+                ["disk_parses", "publishes", "attaches"], "int"
+            ),
+            "memory": dict.fromkeys(
+                ["uss_kb_total", "uss_kb_max", "rss_kb_max"], "float"
+            ),
+            "requests_total": "int",
+            "shed_total": "int",
+            "deadline_exceeded_total": "int",
+            "abandoned": "int",
+        }
+        assert aggregate["workers_reporting"] == 2
+        assert aggregate["artifact_plane"]["publishes"] == 0
+        assert aggregate["artifact_plane"]["attaches"] == 0
+        # One source of truth across processes: the summed stats agree
+        # with the merged exposition.
+        assert aggregate["by_verb"]["estimate"] == 2 == merged.value(
+            "repro_requests_total", verb="estimate"
+        )
+        for tenant in ("t1", "t2"):
+            assert aggregate["tenants"][tenant]["ok"] == 1 == merged.value(
+                "repro_tenant_ok_total", tenant=tenant
+            )
+        assert aggregate["requests_total"] == sum(
+            aggregate["by_verb"].values()
+        )
+
+
+def _key_tree(value):
+    """A JSON value's keys, recursively, with each leaf's type name."""
+    if isinstance(value, dict):
+        return {key: _key_tree(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_key_tree(item) for item in value[:1]]
+    return type(value).__name__
+
 
 class TestFleetChaos:
     def test_sigkill_under_load_restarts_and_loses_nothing(

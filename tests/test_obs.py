@@ -25,6 +25,7 @@ from repro.obs import (
     quantile_from_buckets,
     shape_class,
 )
+from repro.obs.tracing import NULL_TRACE
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +98,31 @@ class TestMetricFamilies:
         exposition = parse_exposition(registry.render())
         assert exposition.value("age_seconds", tenant="t1") == 1.5
         assert exposition.value("age_seconds", tenant="t2") == 2.5
+
+    def test_value_reads_a_scalar_callback(self):
+        registry = MetricsRegistry()
+        state = {"n": 3}
+        counter = registry.counter(
+            "x_total", "help.", callback=lambda: state["n"]
+        )
+        gauge = registry.gauge("depth", "help.", callback=lambda: 2)
+        assert counter.value() == 3.0
+        assert gauge.value() == 2.0
+        state["n"] = 8
+        assert counter.value() == 8.0, "value() polls like render() does"
+
+    def test_value_reads_a_labelled_callback(self):
+        registry = MetricsRegistry()
+        gauge = registry.gauge(
+            "age_seconds",
+            "help.",
+            labels=("tenant",),
+            callback=lambda: {("t1",): 1.5},
+        )
+        assert gauge.value(tenant="t1") == 1.5
+        assert gauge.value(tenant="t2") == 0.0
+        with pytest.raises(ValueError):
+            gauge.value(shard="t1")
 
 
 class TestQuantiles:
@@ -229,6 +255,25 @@ class TestRequestTrace:
         assert by_name["count"]["estimator"] == "MOLP"
         assert by_name["exec"]["ms"] == pytest.approx(10.0)
 
+    def test_record_stringifies_a_noted_shape_key(self):
+        key = ((0, 1, "A"), (1, 2, "B"))
+        trace = RequestTrace("estimate", tenant="t1")
+        trace.note(shape=key, estimators=["MOLP"], generation=3)
+        assert trace.attrs["shape"] is key, "noting costs no str()"
+        record = trace.record(ok=True)
+        assert record["shape"] == str(key)
+        assert record["estimators"] == ["MOLP"]
+        assert record["generation"] == 3
+
+    def test_annotate_echoes_id_and_stage_timings(self):
+        trace = RequestTrace("estimate", trace_id="tid")
+        import time as time_module
+
+        trace.add_span("cache_probe", time_module.perf_counter(), 0.001)
+        result = trace.annotate({"estimates": {}})
+        assert result["trace_id"] == "tid"
+        assert result["timings"] == {"cache_probe_ms": pytest.approx(1.0)}
+
     def test_stage_totals_sum_repeated_stages(self):
         trace = RequestTrace("estimate")
         import time as time_module
@@ -290,10 +335,21 @@ class TestNdjsonSink:
 # Telemetry bundle
 # ----------------------------------------------------------------------
 class TestTelemetry:
-    def test_disabled_begin_returns_none(self):
+    def test_disabled_begin_returns_the_null_trace(self):
         telemetry = Telemetry(enabled=False)
-        assert telemetry.begin("estimate", "t1") is None
-        telemetry.finish(None, ok=True, seconds=0.1)  # no-op, no crash
+        trace = telemetry.begin("estimate", "t1")
+        assert trace is NULL_TRACE
+        assert trace.trace_id is None
+        span = trace.add_span("exec", 0.0, 0.5)
+        assert span.span_id is None
+        span.ms = 12.0  # settable, and recorded nowhere
+        with trace.span("count", parent=span.span_id) as inner:
+            assert inner.span_id is None
+        assert trace.ref(inner) is None
+        trace.note(shape=("x",))
+        assert trace.annotate({"estimates": {}}) == {"estimates": {}}
+        telemetry.finish(trace, ok=True, seconds=0.1)  # no-op, no crash
+        assert telemetry.stage_ms.labeled() == []
 
     def test_finish_feeds_stage_histograms_and_slow_counter(self, tmp_path):
         sink = NdjsonSink(tmp_path / "trace.ndjson")

@@ -659,6 +659,31 @@ class TestObsCli:
         code, _, err = run_cli(capsys, "obs", "grep", str(log))
         assert code == 2 and "--trace-id" in err
 
+    def test_jobs_without_flags_write_no_telemetry_files(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Every job carries a bundle; without --trace-log/--metrics-out
+        # it must stay silent (relative paths would land in the cwd).
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ops.json").write_text(
+            json.dumps({"updates": [["+", 0, 5, "B"], ["-", 3, 5, "B"]]})
+        )
+        code, _, _ = run_cli(
+            capsys, "stats", "build", "--dataset", "example", "--out", "art"
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "updates", "apply", "--stats-dir", "art",
+            "--updates", "ops.json",
+        )
+        assert code == 0 and json.loads(out)["generation"] == 1
+        written = [
+            path.relative_to(tmp_path)
+            for pattern in ("*.ndjson*", "*.prom*")
+            for path in tmp_path.rglob(pattern)
+        ]
+        assert written == []
+
     def test_missing_log_is_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "obs", "summarize", str(tmp_path / "nope.ndjson")

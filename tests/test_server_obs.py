@@ -11,7 +11,9 @@ The PR 9 acceptance surface on a single-process server:
   telemetry on;
 * slow queries land in the NDJSON trace log as ``slow_query`` records;
 * ``telemetry=False`` strips the tracing surface but keeps the
-  stats/metrics verbs alive (the overhead benchmark's baseline).
+  stats/metrics verbs alive (the overhead benchmark's baseline);
+* the ``stats`` verb keeps its key tree and value types, and every
+  request number in it equals the same series in the exposition.
 """
 
 import json
@@ -19,11 +21,13 @@ import json
 import pytest
 
 from repro.datasets.presets import running_example_graph
-from repro.obs import parse_exposition
+from repro.obs import LATENCY_BUCKETS_MS, parse_exposition
+from repro.query.canonical import canonical_key
 from repro.query.parser import parse_pattern
 from repro.server import (
     EstimationClient,
     ServerConfig,
+    ServerError,
     StoreRegistry,
     ThreadedServer,
 )
@@ -127,6 +131,23 @@ class TestRequestTracing:
         assert {span["name"] for span in warm_record["spans"]} == {
             "store_lookup", "cache_probe",
         }
+
+    def test_shape_field_is_the_stringified_canonical_key(
+        self, artifact_dir, tmp_path
+    ):
+        trace_log = tmp_path / "shape.ndjson"
+        with make_server(
+            artifact_dir, trace_log=str(trace_log), slow_query_ms=0.0001
+        ) as server:
+            with EstimationClient(server.host, server.port) as client:
+                client.estimate("example", QUERY, SPECS)  # cold
+                client.estimate("example", QUERY, SPECS)  # warm
+            records = read_records(trace_log, server)
+        shape = str(canonical_key(parse_pattern(QUERY)))
+        estimates = [r for r in records if r["verb"] == "estimate"]
+        kinds = sorted(record["type"] for record in estimates)
+        assert kinds == ["slow_query", "slow_query", "trace", "trace"]
+        assert all(record["shape"] == shape for record in estimates)
 
     def test_client_supplied_trace_id_is_adopted(self, traced_server):
         server, trace_log = traced_server
@@ -401,6 +422,18 @@ class TestTelemetryDisabled:
                     == 1
                 )
 
+    def test_warm_cache_hit_carries_no_trace_surface(self, artifact_dir):
+        with make_server(artifact_dir, telemetry=False) as server:
+            with EstimationClient(server.host, server.port) as client:
+                cold = client.estimate("example", QUERY, SPECS)
+                warm = client.estimate("example", QUERY, SPECS)
+            leaders = server.server.coalescer.stats().leaders
+        assert leaders == len(SPECS), "the second request was a cache hit"
+        assert warm["estimates"] == cold["estimates"]
+        for result in (cold, warm):
+            assert "trace_id" not in result
+            assert "timings" not in result
+
     def test_disabled_floats_match_enabled_floats(self, artifact_dir):
         with make_server(artifact_dir, telemetry=False) as server:
             with EstimationClient(server.host, server.port) as client:
@@ -437,3 +470,193 @@ class TestAuditIntegration:
                 )
                 == 1
             )
+
+
+def key_tree(value):
+    """A JSON value's keys, recursively, with each leaf's type name."""
+    if isinstance(value, dict):
+        return {key: key_tree(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [key_tree(item) for item in value[:1]]
+    return type(value).__name__
+
+
+_CACHE_TREE = {
+    "capacity": "int",
+    "evictions": "int",
+    "hit_rate": "float",
+    "hits": "int",
+    "misses": "int",
+    "size": "int",
+}
+
+#: The single-server ``stats`` payload after two estimates and a ping,
+#: as the wire carries it (CI, perfbench and the load benchmarks read it).
+STATS_KEY_TREE = {
+    "uptime_seconds": "float",
+    "server": {
+        "version": "str",
+        "start_time": "str",
+        "start_time_unix": "float",
+        "pid": "int",
+    },
+    "telemetry": {
+        "enabled": "bool",
+        "trace_log": "NoneType",
+        "slow_query_ms": "float",
+        "audit_rate": "float",
+        "pid": "int",
+    },
+    "tenants": {
+        "example": {
+            "path": "str",
+            "generation": "int",
+            "dataset": "str",
+            "fingerprint": "str",
+            "base_fingerprint": "str",
+            "artifact_generation": "int",
+            "last_reload_at": "str",
+            "generation_age_seconds": "float",
+            "last_delta_at": "NoneType",
+            "h": "int",
+            "molp_h": "int",
+            "complete": "bool",
+            "catalogs": ["str"],
+            "image": "str",
+            "cache": {"skeletons": _CACHE_TREE, "estimates": _CACHE_TREE},
+            "requests": {
+                "requests": "int",
+                "ok": "int",
+                "errors": {},
+                "responses_with_estimator_errors": "int",
+                "latency_ms": {
+                    "buckets": dict.fromkeys(
+                        [
+                            "<=0.1ms", "<=0.25ms", "<=0.5ms", "<=1ms",
+                            "<=2ms", "<=5ms", "<=10ms", "<=25ms",
+                            "<=50ms", "<=100ms", "<=250ms", "<=500ms",
+                            "<=1000ms", "<=2500ms", "<=5000ms", ">5000ms",
+                        ],
+                        "int",
+                    ),
+                    "sum_ms": "float",
+                    "max_ms": "float",
+                    "p50": "float",
+                    "p95": "float",
+                    "p99": "float",
+                },
+            },
+        },
+    },
+    "admission": dict.fromkeys(
+        [
+            "max_inflight", "queue_limit", "admitted", "running",
+            "abandoned", "queue_depth", "shed_total",
+            "deadline_exceeded_total",
+        ],
+        "int",
+    ),
+    "coalescer": dict.fromkeys(
+        ["leaders", "followers", "calls", "in_flight"], "int"
+    ),
+    "requests": {
+        "total": "int",
+        "by_verb": {"estimate": "int", "ping": "int", "stats": "int"},
+    },
+    "memory": {
+        "rss_kb": "float",
+        "pss_kb": "float",
+        "uss_kb": "float",
+        "mapped": [
+            {
+                "name": "str",
+                "deleted": "bool",
+                "mapped_kb": "float",
+                "rss_kb": "float",
+            }
+        ],
+    },
+    # publishes/attaches are always 0 but stay: perfbench reads them.
+    "artifact_plane": dict.fromkeys(
+        ["disk_parses", "publishes", "attaches"], "int"
+    ),
+}
+
+
+class TestStatsContract:
+    def test_key_tree_and_value_types_are_pinned(self, artifact_dir):
+        with make_server(artifact_dir) as server:
+            with EstimationClient(server.host, server.port) as client:
+                client.estimate("example", QUERY, SPECS)
+                client.estimate("example", QUERY, SPECS)
+                client.ping()
+                stats = client.stats()
+        assert key_tree(stats) == STATS_KEY_TREE
+
+    def test_every_request_number_equals_its_exposition_series(
+        self, artifact_dir
+    ):
+        with make_server(artifact_dir) as server:
+            with EstimationClient(server.host, server.port) as client:
+                client.estimate("example", QUERY, SPECS)
+                client.estimate("example", QUERY, SPECS)
+                client.estimate("example", "a -[A]-> b", ["max-hop-max"])
+                with pytest.raises(ServerError):
+                    client.estimate("example", "a -[A", SPECS)
+                client.ping()
+            # Quiescent: read both views back to back, in-process.
+            stats = server.server.stats_result()
+            exposition = parse_exposition(
+                server.server.metrics_result()["exposition"]
+            )
+
+        def same(number, name, **labels):
+            assert number == exposition.value(name, **labels), (
+                name, labels, number
+            )
+
+        for field, number in stats["admission"].items():
+            if field not in ("max_inflight", "queue_limit"):
+                same(number, f"repro_admission_{field}")
+        coalescer = stats["coalescer"]
+        same(coalescer["leaders"], "repro_coalescer_leaders_total")
+        same(coalescer["followers"], "repro_coalescer_followers_total")
+        same(coalescer["in_flight"], "repro_coalescer_in_flight")
+        assert coalescer["calls"] == (
+            coalescer["leaders"] + coalescer["followers"]
+        )
+        for verb, number in stats["requests"]["by_verb"].items():
+            same(number, "repro_requests_total", verb=verb)
+        requests = stats["tenants"]["example"]["requests"]
+        same(requests["requests"], "repro_tenant_requests_total",
+             tenant="example")
+        same(requests["ok"], "repro_tenant_ok_total", tenant="example")
+        same(
+            requests["responses_with_estimator_errors"],
+            "repro_tenant_estimator_errors_total",
+            tenant="example",
+        )
+        assert requests["errors"] == {"malformed_query": 1}
+        for code, number in requests["errors"].items():
+            same(number, "repro_tenant_errors_total",
+                 tenant="example", code=code)
+        latency = requests["latency_ms"]
+        same(
+            sum(latency["buckets"].values()),
+            "repro_request_latency_ms_count",
+            tenant="example",
+        )
+        same(latency["sum_ms"], "repro_request_latency_ms_sum",
+             tenant="example")
+        top = LATENCY_BUCKETS_MS[-1]
+        same(
+            sum(latency["buckets"].values()) - latency["buckets"][f">{top}ms"],
+            "repro_request_latency_ms_bucket",
+            tenant="example",
+            le=str(top),
+        )
+        same(stats["artifact_plane"]["disk_parses"],
+             "repro_artifact_disk_parses_total")
+        same(stats["server"]["start_time_unix"],
+             "repro_process_start_time_seconds")
+        assert requests["requests"] == 4 and requests["ok"] == 3

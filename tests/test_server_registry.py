@@ -139,7 +139,7 @@ class TestSingleFlight:
 
         def run(slot):
             enter.wait(5)
-            results[slot] = flight.do("key", work)
+            results[slot] = flight.run("key", lambda _publish: work()).value
 
         threads = [
             threading.Thread(target=run, args=(slot,)) for slot in range(8)
@@ -165,16 +165,16 @@ class TestSingleFlight:
 
     def test_different_keys_do_not_coalesce(self):
         flight = SingleFlight()
-        assert flight.do("a", lambda: 1) == 1
-        assert flight.do("b", lambda: 2) == 2
+        assert flight.run("a", lambda _publish: 1).value == 1
+        assert flight.run("b", lambda _publish: 2).value == 2
         stats = flight.stats()
         assert stats.leaders == 2
         assert stats.followers == 0
 
     def test_results_are_not_cached(self):
         flight = SingleFlight()
-        flight.do("k", lambda: 1)
-        assert flight.do("k", lambda: 2) == 2, (
+        flight.run("k", lambda _publish: 1)
+        assert flight.run("k", lambda _publish: 2).value == 2, (
             "single-flight deduplicates concurrent work only; sequential "
             "calls each run (caching is the session LRU's job)"
         )
@@ -195,7 +195,7 @@ class TestSingleFlight:
         def follower():
             started.wait(5)
             try:
-                flight.do("k", fail)
+                flight.run("k", lambda _publish: fail())
             except ValueError as error:
                 follower_error.append(error)
 
@@ -204,7 +204,7 @@ class TestSingleFlight:
 
         def leader():
             try:
-                flight.do("k", fail)
+                flight.run("k", lambda _publish: fail())
             except ValueError as error:
                 leader_error.append(error)
 
@@ -219,4 +219,4 @@ class TestSingleFlight:
         assert leader_error == [boom]
         assert follower_error == [boom], "the follower saw the same failure"
         # Failures are never remembered: the next call is a fresh leader.
-        assert flight.do("k", lambda: 42) == 42
+        assert flight.run("k", lambda _publish: 42).value == 42
