@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -79,9 +79,10 @@ class CEG:
                 raise ValueError(f"node {key!r} re-registered with rank {rank}")
         if source not in rank_of or target not in rank_of:
             raise ValueError("register the source and target nodes")
-        index = {key: i for i, key in enumerate(rank_of)}
-        sources: list[int] = []
-        targets: list[int] = []
+        keys = sorted(rank_of, key=lambda key: (rank_of[key], repr(key)))
+        position = {key: i for i, key in enumerate(keys)}
+        tails: list[int] = []
+        heads: list[int] = []
         rates: list[float] = []
         for tail, head, rate in edges:
             if tail not in rank_of or head not in rank_of:
@@ -90,12 +91,17 @@ class CEG:
                 raise ValueError(
                     f"edge {tail!r} -> {head!r} does not increase rank"
                 )
-            sources.append(index[tail])
-            targets.append(index[head])
+            tails.append(position[tail])
+            heads.append(position[head])
             rates.append(rate)
-        return assemble(
-            list(rank_of), list(rank_of.values()), index[source],
-            index[target], sources, targets, rates,
+        return layout(
+            tuple(keys),
+            np.asarray([rank_of[key] for key in keys], dtype=np.int64),
+            position[source],
+            position[target],
+            np.asarray(tails, dtype=np.int64),
+            np.asarray(heads, dtype=np.int64),
+            np.asarray(rates, dtype=np.float64),
         )
 
     # ------------------------------------------------------------------
@@ -161,39 +167,34 @@ class CEG:
         return out
 
 
-def assemble(
-    keys: Sequence[NodeKey],
-    ranks: Sequence[int],
+def layout(
+    keys: tuple,
+    ranks: np.ndarray,
     source: int,
     target: int,
-    sources: Sequence[int],
-    targets: Sequence[int],
-    rates: Sequence[float],
+    tails: np.ndarray,
+    heads: np.ndarray,
+    rates: np.ndarray,
 ) -> CEG:
-    """Lay out a CEG from vertices and edges given by index into ``keys``.
+    """A CEG from vertices already at their positions.
 
-    Positions sort the vertices by (rank, ``repr``); edges keep the
-    given order as their emission order and are then sorted stably by
-    (target, source) position.
+    ``tails``/``heads`` are int64 positions and ``rates`` float64, one
+    per edge in emission order; the in-edges are that order sorted
+    stably by (target, source) position.
     """
     count = len(keys)
-    order = sorted(range(count), key=lambda i: (ranks[i], repr(keys[i])))
-    position = np.empty(count, dtype=np.int64)
-    position[order] = np.arange(count, dtype=np.int64)
-    tails = position[np.asarray(sources, dtype=np.int64)]
-    heads = position[np.asarray(targets, dtype=np.int64)]
     emission = np.lexsort((tails, heads))
     in_target = heads[emission]
     in_indptr = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(np.bincount(in_target, minlength=count), out=in_indptr[1:])
     return CEG(
-        keys=tuple(keys[i] for i in order),
-        ranks=np.asarray(ranks, dtype=np.int64)[order],
-        source_pos=int(position[source]),
-        target_pos=int(position[target]),
+        keys=keys,
+        ranks=ranks,
+        source_pos=source,
+        target_pos=target,
         in_indptr=in_indptr,
         in_source=tails[emission],
         in_target=in_target,
-        in_rate=np.asarray(rates, dtype=np.float64)[emission],
+        in_rate=rates[emission],
         in_emission=emission,
     )

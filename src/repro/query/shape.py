@@ -10,7 +10,8 @@ This module provides the shape predicates used throughout the library:
   its emptiness test (edge directions are irrelevant for join-graph
   cyclicity of binary relations);
 * :func:`cycles` — the simple cycles of the underlying undirected
-  multigraph, self-loops and parallel atoms included;
+  multigraph, self-loops and parallel atoms included, enumerated over
+  atom bitmasks (:func:`cycle_masks`);
 * :func:`largest_cycle_length` and :func:`has_only_triangles` — the
   classification used to pick between Figures 9/10/11 regimes;
 * :func:`depth` — the template "depth" used by the Acyclic workload of
@@ -23,8 +24,6 @@ This module provides the shape predicates used throughout the library:
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import networkx as nx
 
 from repro.query.pattern import QueryPattern
@@ -34,6 +33,7 @@ __all__ = [
     "two_core_edges",
     "is_acyclic",
     "cycles",
+    "cycle_masks",
     "largest_cycle_length",
     "has_only_triangles",
     "is_cyclic_with_large_cycles",
@@ -104,64 +104,80 @@ def is_acyclic(pattern: QueryPattern) -> bool:
     return not two_core_edges(pattern)
 
 
+def cycle_masks(pattern: QueryPattern) -> list[int]:
+    """Atom bitmasks (bit ``i`` = atom ``i``) of the pattern's simple
+    cycles, in :func:`cycles` order.
+
+    A cycle is a self-loop, two parallel atoms between one variable
+    pair, or a simple cycle of three or more variables with one atom
+    chosen per consecutive pair.  Each variable cycle is recorded once:
+    rooted at its smallest variable, through larger variables only, in
+    the direction whose second variable is the smaller of the root's
+    two neighbours on the cycle.
+    """
+    position = {var: i for i, var in enumerate(pattern.variables)}
+    found: set[int] = set()
+    # pair_atoms[(u, v)], u < v: the atoms joining variables u and v.
+    pair_atoms: dict[tuple[int, int], list[int]] = {}
+    for atom, edge in enumerate(pattern.edges):
+        u, v = sorted((position[edge.src], position[edge.dst]))
+        if u == v:
+            found.add(1 << atom)
+        else:
+            pair_atoms.setdefault((u, v), []).append(atom)
+    neighbours = [0] * len(position)
+    for (u, v), parallel in pair_atoms.items():
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+        for i, first in enumerate(parallel):
+            for second in parallel[i + 1:]:
+                found.add(1 << first | 1 << second)
+    for root in range(len(position)):
+        above = -1 << (root + 1)
+        stack = [
+            ([root, low], 1 << low) for low in _bits(neighbours[root] & above)
+        ]
+        while stack:
+            path, seen = stack.pop()
+            end = path[-1]
+            if len(path) >= 3 and neighbours[end] >> root & 1 and path[1] < end:
+                _add_atom_choices(found, path, pair_atoms)
+            for nxt in _bits(neighbours[end] & above & ~seen):
+                stack.append((path + [nxt], seen | 1 << nxt))
+    return sorted(found, key=lambda mask: (mask.bit_count(), _bits(mask)))
+
+
+def _add_atom_choices(
+    found: set[int],
+    path: list[int],
+    pair_atoms: dict[tuple[int, int], list[int]],
+) -> None:
+    """Add every atom choice along the closed variable cycle ``path``."""
+    masks = [0]
+    for u, v in zip(path, path[1:] + path[:1]):
+        atoms = pair_atoms[(u, v) if u < v else (v, u)]
+        masks = [mask | 1 << atom for mask in masks for atom in atoms]
+    found.update(masks)
+
+
+def _bits(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending."""
+    result = []
+    while mask:
+        low = mask & -mask
+        result.append(low.bit_length() - 1)
+        mask ^= low
+    return result
+
+
 def cycles(pattern: QueryPattern) -> list[frozenset[int]]:
     """Edge-index sets of the simple cycles of the pattern.
 
-    Uses the cycle basis of the multigraph plus explicit handling of
-    self-loops (length-1) and parallel-edge cycles (length-2), then
-    expands to all simple cycles via networkx for small patterns.
+    Self-loops (length 1), parallel atoms (length 2) and longer simple
+    cycles of the underlying undirected multigraph, sorted by (length,
+    sorted atoms); see :func:`cycle_masks`.
     """
-    result: set[frozenset[int]] = set()
-    # Self-loops.
-    for index, edge in enumerate(pattern.edges):
-        if edge.src == edge.dst:
-            result.add(frozenset([index]))
-    # Parallel atoms between the same unordered variable pair.
-    by_pair: dict[frozenset[str], list[int]] = {}
-    for index, edge in enumerate(pattern.edges):
-        if edge.src != edge.dst:
-            by_pair.setdefault(frozenset((edge.src, edge.dst)), []).append(index)
-    for indexes in by_pair.values():
-        if len(indexes) >= 2:
-            for i in range(len(indexes)):
-                for j in range(i + 1, len(indexes)):
-                    result.add(frozenset([indexes[i], indexes[j]]))
-    # Simple cycles of length >= 3 on the simple graph, mapped back to
-    # every combination of parallel atoms along the cycle.
-    simple = nx.Graph()
-    simple.add_nodes_from(pattern.variables)
-    for pair in by_pair:
-        u, v = tuple(pair)
-        simple.add_edge(u, v)
-    for cycle_nodes in nx.simple_cycles(simple):
-        if len(cycle_nodes) < 3:
-            continue
-        choices: list[list[int]] = []
-        ok = True
-        for position, node in enumerate(cycle_nodes):
-            nxt = cycle_nodes[(position + 1) % len(cycle_nodes)]
-            indexes = by_pair.get(frozenset((node, nxt)))
-            if not indexes:
-                ok = False
-                break
-            choices.append(indexes)
-        if not ok:
-            continue
-        result.update(_combinations(choices))
-    return sorted(result, key=lambda s: (len(s), sorted(s)))
-
-
-def _combinations(choices: list[list[int]]) -> Iterable[frozenset[int]]:
-    if not choices:
-        return
-    stack: list[tuple[int, list[int]]] = [(0, [])]
-    while stack:
-        position, chosen = stack.pop()
-        if position == len(choices):
-            yield frozenset(chosen)
-            continue
-        for index in choices[position]:
-            stack.append((position + 1, chosen + [index]))
+    return [frozenset(_bits(mask)) for mask in cycle_masks(pattern)]
 
 
 def largest_cycle_length(pattern: QueryPattern) -> int:

@@ -1,10 +1,11 @@
 """The array ``CEG_O`` and the lattice MOLP against the verbatim oracles.
 
-``tests/oracles/ceg.py`` keeps the dict-of-lists ``CEG_O`` builder, the
-dict path DP and the MOLP Dijkstra exactly as the library used to run
-them.  Every check here is bit for bit: the in-edge arrays, all nine
-optimistic estimates with and without cycle-closing rates, the
-distinct path estimates, and the MOLP bound.  The MOLP *path* may pick
+``tests/oracles/ceg.py`` keeps the dict-of-lists ``CEG_O`` builder (a
+stack BFS over atom subsets), the dict path DP and the MOLP Dijkstra
+exactly as the library used to run them.  Every check here is bit for
+bit: the in-edge arrays, all nine optimistic estimates with and without
+cycle-closing rates and with each §4.2 rule switched off, the distinct
+path estimates, and the MOLP bound.  The MOLP *path* may pick
 another of several equal-weight paths, so it is checked for what it
 must be: an (∅, A) chain whose left-fold product is the bound.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from repro.core import (
     molp_bound,
     molp_min_path,
 )
-from repro.core import ceg_m
+from repro.core import build_ceg_ocr, ceg_m, ceg_o
 from repro.core.bound_sketch import sketch_attributes
 from repro.datasets import load_dataset
 from repro.engine.sampler import PatternSampler
@@ -39,6 +41,13 @@ from repro.query.shape import cycles
 from repro.stats import StatsBuildConfig, build_statistics
 
 NINE = [(hop, aggr) for hop in ("max", "min", "all") for aggr in ("max", "min", "avg")]
+
+#: The §4.2 rule ablations ``benchmarks/bench_ablation_rules.py`` runs.
+ABLATIONS = [
+    {"size_h_rule": False},
+    {"early_cycle_closing": False},
+    {"size_h_rule": False, "early_cycle_closing": False},
+]
 
 
 class RecordingRates(CycleClosingRates):
@@ -62,18 +71,23 @@ def _built(build):
 
 
 def assert_optimistic_agree(query, markov, graph=None, cap=50_000) -> None:
-    """CEG_O (and CEG_OCR when ``graph`` is given) match the oracle.
+    """CEG_O under the default rules and each ablation (and CEG_OCR when
+    ``graph`` is given) match the oracle.
 
     ``cap`` bounds :func:`distinct_estimates`; a hit cap makes the
     values depend on the order edges are visited in.
     """
-    variants = [(None, None)]
+    variants = [(None, None, {})] + [(None, None, rules) for rules in ABLATIONS]
     if graph is not None:
-        variants.append((RecordingRates(graph), RecordingRates(graph)))
-    for rates, reference_rates in variants:
-        ceg = _built(lambda: build_ceg_o(query, markov, cycle_rates=rates))
+        variants.append((RecordingRates(graph), RecordingRates(graph), {}))
+    for rates, reference_rates, rules in variants:
+        ceg = _built(
+            lambda: build_ceg_o(query, markov, cycle_rates=rates, **rules)
+        )
         reference = _built(
-            lambda: oracle.build_ceg_o(query, markov, cycle_rates=reference_rates)
+            lambda: oracle.build_ceg_o(
+                query, markov, cycle_rates=reference_rates, **rules
+            )
         )
         if rates is not None:
             # One shared sampler stream: the call order fixes the values.
@@ -264,6 +278,72 @@ class TestCycleRateCallOrder:
         oracle.assert_same_ceg(ceg, reference)
 
 
+class TestNineToTwelveAtoms:
+    """From nine atoms on, a key's ``repr`` depends on the order its
+    atoms were inserted, so vertex positions do too."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "gcare_9path", "gcare_9star", "gcare_9tree", "gcare_12path",
+            "gcare_12tree", "gcare_9cycle", "gcare_9petal",
+        ],
+    )
+    @pytest.mark.parametrize("h", [2, 3])
+    def test_gcare_templates_with_random_labels(
+        self, small_random_graph, name, h
+    ):
+        template = {
+            **templates.gcare_acyclic_templates(),
+            **templates.gcare_cyclic_templates(),
+        }[name]
+        labels = sorted(small_random_graph.labels)
+        rng = random.Random(f"{name}-{h}")
+        query = template.with_labels([rng.choice(labels) for _ in template])
+        markov = MarkovTable(small_random_graph, h=h)
+        assert_optimistic_agree(query, markov, small_random_graph, cap=64)
+        ceg = build_ceg_o(query, markov)
+        reference = oracle.build_ceg_o(query, markov)
+        assert [repr(key) for key in ceg.keys] == [
+            repr(key) for key in reference.topological_order()
+        ]
+
+    def test_twelve_atom_star(self, small_random_graph):
+        labels = sorted(small_random_graph.labels)
+        query = templates.star(12).with_labels(
+            [labels[i % len(labels)] for i in range(12)]
+        )
+        markov = MarkovTable(small_random_graph, h=2)
+        oracle.assert_same_ceg(
+            build_ceg_o(query, markov), oracle.build_ceg_o(query, markov)
+        )
+
+
+class TestChunkedLattice:
+    def test_chunks_match_one_chunk(self, small_random_graph, monkeypatch):
+        """Row chunks of a few cells build the same CEG_O and CEG_OCR."""
+        labels = list(small_random_graph.labels)
+        query = templates.square_with_two_triangles().with_labels(
+            [labels[i % len(labels)] for i in range(8)]
+        )
+        markov = MarkovTable(small_random_graph, h=2)
+        whole = [
+            build_ceg_o(query, markov, cycle_rates=RecordingRates(small_random_graph)),
+            *(build_ceg_o(query, markov, **rules) for rules in ABLATIONS),
+        ]
+        monkeypatch.setattr(ceg_m, "_CHUNK_CELLS", 7)
+        chunked = [
+            build_ceg_o(query, markov, cycle_rates=RecordingRates(small_random_graph)),
+            *(build_ceg_o(query, markov, **rules) for rules in ABLATIONS),
+        ]
+        for ceg, reference in zip(chunked, whole):
+            assert ceg.keys == reference.keys
+            assert np.array_equal(ceg.in_source, reference.in_source)
+            assert np.array_equal(ceg.in_target, reference.in_target)
+            assert np.array_equal(ceg.in_emission, reference.in_emission)
+            assert ceg.in_rate.tobytes() == reference.in_rate.tobytes()
+
+
 class TestAttributeBound:
     def test_over_bound_fails_typed_without_the_lattice(
         self, tiny_graph, monkeypatch
@@ -311,3 +391,78 @@ class TestAttributeBound:
         whole = molp_min_path(query, catalog)
         monkeypatch.setattr(ceg_m, "_CHUNK_CELLS", 7)
         assert molp_min_path(query, catalog) == whole
+
+
+def _over_bound_query():
+    """A 17-atom path: one atom over the lattice bound."""
+    atoms = MOLP_MAX_ATTRIBUTES + 1
+    return templates.path(atoms).with_labels((["A", "B", "C"] * atoms)[:atoms])
+
+
+class TestAtomBound:
+    """CEG_O's subset lattice has the same bound as MOLP's, on atoms."""
+
+    def test_over_bound_fails_typed_without_the_lattice(
+        self, tiny_graph, monkeypatch
+    ):
+        query = _over_bound_query()
+        assert len(query) == MOLP_MAX_ATTRIBUTES + 1
+
+        def no_lattice(*args):
+            raise AssertionError("the 2^n lattice must not be allocated")
+
+        for name in ("_Lattice", "_popcount_layers", "_layout_order"):
+            monkeypatch.setattr(ceg_o, name, no_lattice)
+        markov = MarkovTable(tiny_graph, h=2)
+        rates = RecordingRates(tiny_graph)
+        with pytest.raises(EstimationError, match="limited to"):
+            build_ceg_o(query, markov)
+        with pytest.raises(EstimationError, match="limited to"):
+            build_ceg_ocr(query, markov, rates)
+        assert rates.calls == []
+
+    def test_over_bound_is_a_per_cell_error(self, tiny_graph):
+        from repro.service import EstimationSession
+
+        session = EstimationSession(tiny_graph, h=2, molp_h=2)
+        result = session.estimate_batch(
+            [_over_bound_query(), templates.path(2).with_labels(["A", "B"])],
+            ["max-hop-max", "all-hops-avg"],
+        )
+        for spec in ("max-hop-max", "all-hops-avg"):
+            assert result.item(0, spec).error.startswith("EstimationError")
+            assert result.item(1, spec).ok
+
+    def test_over_bound_over_the_wire(self, tiny_graph, tmp_path):
+        from repro.query.parser import format_pattern
+        from repro.server import EstimationClient, StoreRegistry, ThreadedServer
+        from repro.server import ServerConfig
+
+        store = build_statistics(
+            tiny_graph, StatsBuildConfig(h=2, molp_h=2), dataset_name="tiny"
+        )
+        store.save(tmp_path / "tiny")
+        registry = StoreRegistry()
+        registry.load("tiny", tmp_path / "tiny")
+        with ThreadedServer(registry, ServerConfig(port=0)) as server:
+            with EstimationClient(server.host, server.port) as client:
+                result = client.estimate(
+                    "tiny", format_pattern(_over_bound_query()), ["max-hop-max"]
+                )
+                assert result["estimates"] == {}
+                assert result["errors"]["max-hop-max"].startswith(
+                    "EstimationError"
+                )
+                after = client.estimate("tiny", "a -[A]-> b -[B]-> c", ["max-hop-max"])
+        assert after["errors"] == {}
+        assert after["estimates"]["max-hop-max"] > 0
+
+    def test_sixteen_atom_path_matches_the_oracle(self, small_random_graph):
+        labels = list(small_random_graph.labels)
+        query = templates.path(MOLP_MAX_ATTRIBUTES).with_labels(
+            [labels[i % len(labels)] for i in range(MOLP_MAX_ATTRIBUTES)]
+        )
+        markov = MarkovTable(small_random_graph, h=2)
+        ceg = build_ceg_o(query, markov)
+        oracle.assert_same_ceg(ceg, oracle.build_ceg_o(query, markov))
+        assert estimate_from_ceg(ceg, "max", "max") >= 0.0

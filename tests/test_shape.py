@@ -4,6 +4,7 @@ import networkx as nx
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import shape as oracle
 from repro.query import QueryPattern, shape, templates
 
 
@@ -147,3 +148,46 @@ class TestIsAcyclicAgainstNetworkx:
     @settings(max_examples=300, deadline=None)
     def test_matches_find_cycle(self, pattern):
         assert shape.is_acyclic(pattern) == self._find_cycle_says_acyclic(pattern)
+
+
+@st.composite
+def wide_multigraph_patterns(draw):
+    """Up to 12 atoms over up to 8 variables: self-loops, parallel
+    atoms (both directions, two labels) and disconnected parts."""
+    variables = [f"x{i}" for i in range(draw(st.integers(1, 8)))]
+    atoms = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(variables),
+                st.sampled_from(variables),
+                st.sampled_from(["A", "B"]),
+            ),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    return QueryPattern(atoms)
+
+
+class TestCyclesAgainstNetworkx:
+    """The bitmask enumeration returns the networkx oracle's list."""
+
+    @given(wide_multigraph_patterns())
+    @example(QueryPattern([("a", "a", "A")]))
+    @example(QueryPattern([("a", "b", "A"), ("b", "a", "A"), ("a", "b", "B")]))
+    @example(QueryPattern([("a", "b", "A"), ("b", "c", "A"), ("d", "e", "B")]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_cycles_in_the_same_order(self, pattern):
+        assert shape.cycles(pattern) == oracle.cycles(pattern)
+
+    def test_templates_up_to_twelve_atoms(self):
+        every = {
+            **templates.acyclic_templates((6, 7, 8)),
+            **templates.cyclic_templates(),
+            **templates.gcare_acyclic_templates(),
+            **templates.gcare_cyclic_templates(),
+            "clique5": templates.clique(5),
+        }
+        for name, template in every.items():
+            assert shape.cycles(template) == oracle.cycles(template), name
