@@ -39,7 +39,7 @@ from repro.stats import StatsBuildConfig, build_statistics  # noqa: E402
 #: Catalog files whose bytes must not depend on jobs/resume.  The
 #: manifest is excluded (it records timings and resume provenance);
 #: a generation image packs every catalog into one deterministic NPZ
-#: plus its metadata sidecar, so these two cover markov/degrees/sumrdf.
+#: plus its metadata sidecar, so these two cover markov/degrees.
 COMPARED_FILES = ["catalogs.npz", "catalogs.meta.json"]
 
 
@@ -62,7 +62,7 @@ def run(quick: bool = False) -> dict:
     scale = 0.02 if quick else 1.0
     jobs = 2 if quick else 8
     graph = load_dataset("synth1m", scale)
-    config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+    config = StatsBuildConfig(h=2, molp_h=2)
     cores = _available_cores()
 
     started = time.perf_counter()

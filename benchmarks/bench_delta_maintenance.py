@@ -42,7 +42,7 @@ def run(quick: bool = False) -> dict:
     # unaffected and skipped — the regime incremental maintenance is for.
     batch_ops = 4
     graph = load_dataset("hetionet", scale)
-    config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+    config = StatsBuildConfig(h=2, molp_h=2)
 
     started = time.perf_counter()
     store = build_statistics(graph, config, dataset_name="hetionet")

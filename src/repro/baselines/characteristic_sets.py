@@ -20,22 +20,17 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.errors import check_format_version
-
 from repro.graph.digraph import LabeledDiGraph
 from repro.query.pattern import QueryPattern
 
-__all__ = ["CharacteristicSetsEstimator", "CS_FORMAT_VERSION"]
-
-CS_FORMAT_VERSION = 1
+__all__ = ["CharacteristicSetsEstimator"]
 
 
 class CharacteristicSetsEstimator:
     """The CS summary and estimator (outgoing-label characteristic sets).
 
     The summary (set counts, per-label occurrences, subject count) is all
-    estimation reads, so an estimator rebuilt from an artifact
-    (:meth:`from_artifact`) serves without the graph.
+    estimation reads.
     """
 
     def __init__(self, graph: LabeledDiGraph):
@@ -59,8 +54,8 @@ class CharacteristicSetsEstimator:
             for label, count in labels.items():
                 occurrences[label] += count
         # Insert in sorted-label order so summary iteration (and hence
-        # the float summation order of estimate_star) is identical for a
-        # fresh build and an artifact round-trip.
+        # the float summation order of estimate_star) depends on the
+        # summary alone, not on the order vertices were visited.
         self.set_count: dict[frozenset[str], int] = defaultdict(int)
         self.set_occurrences: dict[frozenset[str], dict[str, int]] = defaultdict(
             lambda: defaultdict(int)
@@ -78,48 +73,6 @@ class CharacteristicSetsEstimator:
     def num_characteristic_sets(self) -> int:
         """Number of distinct characteristic sets in the summary."""
         return len(self.set_count)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def to_artifact(self) -> dict:
-        """JSON-serialisable snapshot of the CS summary."""
-        return {
-            "format_version": CS_FORMAT_VERSION,
-            "kind": "characteristic_sets",
-            "num_subjects": self.num_subjects,
-            "sets": [
-                {
-                    "labels": sorted(charset),
-                    "count": count,
-                    "occurrences": dict(
-                        sorted(self.set_occurrences[charset].items())
-                    ),
-                }
-                for charset, count in sorted(
-                    self.set_count.items(), key=lambda item: sorted(item[0])
-                )
-            ],
-        }
-
-    @classmethod
-    def from_artifact(cls, payload: dict) -> "CharacteristicSetsEstimator":
-        """A graph-free estimator serving the artifact's summary."""
-        check_format_version(
-            payload, CS_FORMAT_VERSION, "characteristic sets summary"
-        )
-        estimator = cls.__new__(cls)
-        estimator.graph = None
-        estimator.set_count = defaultdict(int)
-        estimator.set_occurrences = defaultdict(lambda: defaultdict(int))
-        for entry in payload["sets"]:
-            charset = frozenset(str(label) for label in entry["labels"])
-            estimator.set_count[charset] = int(entry["count"])
-            occurrences = estimator.set_occurrences[charset]
-            for label, count in entry["occurrences"].items():
-                occurrences[str(label)] = int(count)
-        estimator.num_subjects = int(payload["num_subjects"])
-        return estimator
 
     # ------------------------------------------------------------------
     # Star estimation

@@ -5,7 +5,8 @@ returns the *expected* cardinality of the query over all graphs
 consistent with the summary — a uniformity assumption over possible
 worlds (§6.4).  Vertices are bucketed by a hash of their incident
 label signature (so structurally similar vertices share buckets); each
-labeled bucket pair stores the edge count.
+labeled bucket pair stores the edge count.  The hash is a fixed integer
+mix, so the summary is a pure function of (graph, buckets, seed).
 
 The expected count is a weighted homomorphism count over the summary:
 every query-variable assignment to buckets contributes
@@ -21,26 +22,35 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.errors import CountBudgetExceeded, PatternError, check_format_version
+from repro.errors import CountBudgetExceeded, PatternError
 from repro.graph.digraph import LabeledDiGraph
 from repro.query.pattern import QueryPattern
 from repro.query.shape import spanning_tree_and_closures
 
-__all__ = ["SumRdfEstimator", "SUMRDF_FORMAT_VERSION"]
+__all__ = ["SumRdfEstimator"]
 
-SUMRDF_FORMAT_VERSION = 1
+
+def _signature_bits(direction: int, label_id: int) -> int:
+    """A fixed 32-bit mix of (edge direction, label id).
+
+    murmur3's finalizer over ``2 * label_id + direction + 1``: unlike
+    Python's ``hash`` of a tuple, it does not depend on the process's
+    ``PYTHONHASHSEED``.
+    """
+    x = (2 * label_id + direction + 1) & 0xFFFFFFFF
+    x ^= x >> 16
+    x = (x * 0x85EBCA6B) & 0xFFFFFFFF
+    x ^= x >> 13
+    x = (x * 0xC2B2AE35) & 0xFFFFFFFF
+    x ^= x >> 16
+    return x
 
 
 class SumRdfEstimator:
     """Summary-graph estimator with expected-value semantics.
 
     Estimation reads only the bucket sizes and per-label probability
-    matrices, so an estimator rebuilt from an artifact
-    (:meth:`from_artifact`) serves without the graph.  Persisting the
-    summary additionally *stabilises* it: bucket assignment hashes label
-    signatures with Python's per-process ``hash``, so two processes
-    building from the same graph get different (equally valid) summaries
-    — a saved artifact is the only way to serve the same one twice.
+    matrices.
     """
 
     def __init__(self, graph: LabeledDiGraph, num_buckets: int = 64, seed: int = 0):
@@ -75,57 +85,14 @@ class SumRdfEstimator:
         for lid, label in enumerate(self.graph.labels):
             relation = self.graph.relation(label)
             for u in np.unique(relation.src_by_src):
-                signature[int(u)] ^= hash(("out", lid)) & 0xFFFFFFFF
+                signature[int(u)] ^= _signature_bits(0, lid)
             for v in np.unique(relation.dst_by_src):
-                signature[int(v)] ^= hash(("in", lid)) & 0xFFFFFFFF
+                signature[int(v)] ^= _signature_bits(1, lid)
         buckets = np.zeros(self.graph.num_vertices, dtype=np.int64)
         for vertex in range(self.graph.num_vertices):
             mixed = (signature.get(vertex, 0) * 2654435761 + seed) & 0xFFFFFFFF
             buckets[vertex] = mixed % self.num_buckets
         return buckets
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def to_artifact(self) -> dict:
-        """Array-valued snapshot of the summary (NPZ-friendly).
-
-        Values are numpy arrays plus scalars; :class:`repro.stats`
-        writes them as one ``.npz`` member set.
-        """
-        labels = sorted(self._matrices)
-        if labels:
-            matrices = np.stack([self._matrices[label] for label in labels])
-        else:
-            matrices = np.zeros((0, self.num_buckets, self.num_buckets))
-        return {
-            "format_version": SUMRDF_FORMAT_VERSION,
-            "kind": "sumrdf",
-            "num_buckets": self.num_buckets,
-            "sizes": self._sizes,
-            "labels": labels,
-            "matrices": matrices,
-        }
-
-    @classmethod
-    def from_artifact(cls, payload: dict) -> "SumRdfEstimator":
-        """A graph-free estimator serving the artifact's summary."""
-        payload = dict(payload)
-        if "format_version" in payload:
-            # NPZ members come back as 0-d arrays; normalise for the check.
-            payload["format_version"] = int(payload["format_version"])
-        check_format_version(payload, SUMRDF_FORMAT_VERSION, "SumRDF summary")
-        estimator = cls.__new__(cls)
-        estimator.graph = None
-        estimator.num_buckets = int(payload["num_buckets"])
-        estimator._bucket_of = None
-        estimator._sizes = np.asarray(payload["sizes"], dtype=np.float64)
-        labels = [str(label) for label in payload["labels"]]
-        matrices = np.asarray(payload["matrices"], dtype=np.float64)
-        estimator._matrices = {
-            label: matrices[index] for index, label in enumerate(labels)
-        }
-        return estimator
 
     def _matrix(self, label: str) -> np.ndarray:
         matrix = self._matrices.get(label)

@@ -638,9 +638,10 @@ def build_updates_replay_parser() -> argparse.ArgumentParser:
             "Replay an artifact's delta lineage: re-derive the mutated "
             "graph from the base dataset plus the recorded update logs, "
             "verifying every fingerprint in the chain.  With --verify, "
-            "additionally rebuild the statistics cold from the replayed "
-            "graph and diff them against the artifact (the differential "
-            "gate as a CLI)."
+            "additionally load the current image (checking every file "
+            "against its recorded sha256), rebuild the statistics cold "
+            "from the replayed graph and diff them against it (the "
+            "differential gate as a CLI)."
         ),
     )
     parser.add_argument("--stats-dir", type=Path, required=True, metavar="DIR")
@@ -772,22 +773,13 @@ def run_updates(argv: list[str]) -> int:
             == cold.markov.to_artifact(),
             "degrees": degree_images_equal(loaded.degrees, cold.degrees),
         }
-        if loaded.characteristic_sets is not None:
-            fresh = cold.characteristic_sets
-            checks["characteristic_sets"] = (
-                fresh is not None
-                and loaded.characteristic_sets.to_artifact()
-                == fresh.to_artifact()
-            )
         report["verified"] = checks
         # Catalogs present in the artifact that a cross-process cold
         # rebuild cannot reproduce byte-for-byte are listed explicitly,
-        # never silently passed: SumRDF buckets by the per-process
-        # hash; cycle rates are a resampled statistic; entropy entries
-        # are primed in workload order the artifact does not record.
+        # never silently passed: cycle rates are a resampled statistic;
+        # entropy entries are primed in workload order the artifact
+        # does not record.
         skipped = []
-        if loaded.sumrdf is not None:
-            skipped.append("sumrdf")
         if loaded.cycle_rates is not None:
             skipped.append("cycle_rates")
         if loaded.entropy is not None:

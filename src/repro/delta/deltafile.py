@@ -17,7 +17,7 @@ generation.  A delta file carries
   refreshed (e.g. resampled cycle rates).
 
 Catalog contents live only in the generation images.  Delta files of
-older writers also carry catalog patches (and a ``NNNN.sumrdf.npz``
+older writers also carry catalog patches (and name summary files
 beside them); readers ignore both.
 """
 

@@ -17,9 +17,8 @@ mutated graph — without rebuilding from scratch:
   actually changed (the seeded joins double as exact change detectors);
   untouched relations are carried over byte-identically.
 * **Cycle rates** are resampled and **entropy** irregularities
-  recomputed for touched shapes; **baseline summaries** (CS, SumRDF)
-  are whole-graph passes and rebuilt outright.  The *staleness ledger*
-  records which catalogs are exact vs merely refreshed.
+  recomputed for touched shapes.  The *staleness ledger* records which
+  catalogs are exact vs merely refreshed.
 
 When the effective update volume crosses ``compact_threshold`` of the
 graph, incremental bookkeeping stops paying for itself and
@@ -39,8 +38,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.baselines.characteristic_sets import CharacteristicSetsEstimator
-from repro.baselines.sumrdf import SumRdfEstimator
 from repro.catalog.cycle_rates import CycleClosingRates
 from repro.catalog.degrees import StatRelation, materialise_table
 from repro.catalog.entropy import EntropyCatalog
@@ -557,19 +554,6 @@ def _maintain_incremental(
             "resampled on the new graph (statistically equivalent, not "
             "RNG-stream-identical to a cold workload-order rebuild)"
         )
-    if store.characteristic_sets is not None:
-        store.characteristic_sets = CharacteristicSetsEstimator(new_graph)
-        ledger["characteristic_sets"] = "rebuilt (single whole-graph pass)"
-    if store.sumrdf is not None:
-        build_config = store.manifest.build_config
-        store.sumrdf = SumRdfEstimator(
-            new_graph,
-            num_buckets=store.sumrdf.num_buckets,
-            seed=int(build_config.get("sumrdf_seed", 0)),
-        )
-        ledger["sumrdf"] = (
-            "rebuilt (bucketing hashes label signatures per process)"
-        )
     outcome.ledger = ledger
 
 
@@ -590,17 +574,6 @@ def _rebuild_cold(
     )
     store.markov = built.markov
     store.degrees = built.degrees
-    if store.characteristic_sets is not None:
-        store.characteristic_sets = (
-            built.characteristic_sets
-            or CharacteristicSetsEstimator(new_graph)
-        )
-    if store.sumrdf is not None:
-        store.sumrdf = built.sumrdf or SumRdfEstimator(
-            new_graph,
-            num_buckets=store.sumrdf.num_buckets,
-            seed=int(store.manifest.build_config.get("sumrdf_seed", 0)),
-        )
     outcome.mode = "compacted"
     outcome.markov = {"rebuilt_entries": store.markov.num_entries}
     outcome.degrees = {"rebuilt_entries": store.degrees.num_entries}

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines import Rdf3xDefaultEstimator, WanderJoinEstimator
+from repro.baselines import (
+    CharacteristicSetsEstimator,
+    Rdf3xDefaultEstimator,
+    SumRdfEstimator,
+    WanderJoinEstimator,
+)
 from repro.catalog import CycleClosingRates, MarkovTable
 from repro.core import (
     all_nine_estimators,
@@ -39,7 +44,6 @@ from repro.stats import (
     StatisticsStore,
     StatsBuildConfig,
     build_statistics,
-    ensure_baselines,
     extend_statistics,
 )
 
@@ -135,11 +139,7 @@ def _dataset_store(
     if store is None:
         store = build_statistics(
             graph,
-            # Baselines (CS/SumRDF) are whole-graph passes only Figure 13
-            # reads; it builds them on demand via ensure_baselines.
-            StatsBuildConfig(
-                h=h, molp_h=2, count_budget=count_budget, baselines=False
-            ),
+            StatsBuildConfig(h=h, molp_h=2, count_budget=count_budget),
             workload=patterns,
             dataset_name=dataset,
         )
@@ -384,19 +384,18 @@ def figure13_summary_comparison(config: ExperimentConfig | None = None):
     for dataset in chosen:
         graph = load_dataset(dataset, config.scale)
         workload = config.workload_for(dataset, graph, "acyclic")
-        # Every summary — Markov table, degree catalog, CS, SumRDF —
-        # comes from the dataset's bulk-built store; queries that repeat
-        # a canonical shape are additionally served from the session's
-        # estimate cache.
-        store = ensure_baselines(
-            _dataset_store(dataset, graph, 2, workload), graph
-        )
+        # The CEG estimators serve from the dataset's bulk-built store
+        # (queries that repeat a canonical shape are additionally served
+        # from the session's estimate cache).  The baselines are built
+        # here from the graph and nowhere else: no statistics store
+        # holds them, because only this figure reads them.
+        store = _dataset_store(dataset, graph, 2, workload)
         session = EstimationSession(graph, store=store)
         estimators = {
             "max-hop-max": session.estimator("max-hop-max"),
             "MOLP": session.estimator("MOLP"),
-            "CS": store.characteristic_sets,
-            "SumRDF": store.sumrdf,
+            "CS": CharacteristicSetsEstimator(graph),
+            "SumRDF": SumRdfEstimator(graph),
         }
         result = run_harness(workload, estimators)
         for name, summary in result.summaries().items():

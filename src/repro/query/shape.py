@@ -36,10 +36,8 @@ __all__ = [
     "cycle_masks",
     "largest_cycle_length",
     "has_only_triangles",
-    "is_cyclic_with_large_cycles",
     "depth",
     "spanning_tree_and_closures",
-    "cycle_completions",
 ]
 
 
@@ -194,11 +192,6 @@ def has_only_triangles(pattern: QueryPattern) -> bool:
     return bool(found) and all(len(c) <= 3 for c in found)
 
 
-def is_cyclic_with_large_cycles(pattern: QueryPattern, h: int = 3) -> bool:
-    """True if some cycle is longer than ``h`` (the Markov-table size)."""
-    return largest_cycle_length(pattern) > h
-
-
 def depth(pattern: QueryPattern) -> int:
     """Template depth as used by the Acyclic workload (Figure 8).
 
@@ -252,26 +245,3 @@ def spanning_tree_and_closures(pattern: QueryPattern) -> tuple[list[int], list[i
                     frontier.append(other)
     return tree, closures
 
-
-def cycle_completions(
-    pattern: QueryPattern, subset: frozenset[int], h: int
-) -> dict[int, frozenset[int]]:
-    """Map each edge index that would complete a large cycle to that cycle.
-
-    Given a CEG vertex ``subset`` (edge indexes already covered), returns
-    ``{edge_index: cycle}`` for every edge outside the subset that is the
-    single missing atom of some cycle longer than ``h``.  This is the
-    condition under which ``CEG_OCR`` swaps in a cycle-closing-rate weight
-    (§4.3: the sub-query contains ``k-1`` edges of a ``k``-cycle).
-    """
-    result: dict[int, frozenset[int]] = {}
-    for cycle in cycles(pattern):
-        if len(cycle) <= h:
-            continue
-        missing = cycle - subset
-        if len(missing) == 1:
-            (index,) = tuple(missing)
-            previous = result.get(index)
-            if previous is None or len(cycle) < len(previous):
-                result[index] = cycle
-    return result

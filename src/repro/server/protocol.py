@@ -19,10 +19,10 @@ Verbs::
     fleet     {"v": 1, "verb": "fleet"}
     shutdown  {"v": 1, "verb": "shutdown"}
 
-``apply_deltas`` refreshes a tenant from the delta chain appended to its
-artifact directory by ``repro updates apply`` — the live-refresh path of
-the dynamic-graph subsystem (only unseen generations are replayed, onto
-a copy-on-write clone).
+``apply_deltas`` swaps a tenant to the newest generation image that
+``repro updates apply`` published in its artifact directory — the
+live-refresh path of the dynamic-graph subsystem (one manifest read
+plus, when the artifact moved, one memory-mapped load of the new image).
 
 ``fleet`` describes the multi-process worker fleet serving the port
 (worker identity, per-worker direct ports, the consistent-hash tenant

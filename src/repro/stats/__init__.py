@@ -26,7 +26,6 @@ from repro.stats.artifact import (
 from repro.stats.build import (
     StatsBuildConfig,
     build_statistics,
-    ensure_baselines,
     extend_statistics,
 )
 from repro.stats.store import StatisticsStore, inspect_artifact
@@ -37,7 +36,6 @@ __all__ = [
     "dataset_fingerprint",
     "StatsBuildConfig",
     "build_statistics",
-    "ensure_baselines",
     "extend_statistics",
     "StatisticsStore",
     "inspect_artifact",

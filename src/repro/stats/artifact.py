@@ -7,14 +7,18 @@ published state, plus the manifest naming the current one::
       manifest.json               # format version, fingerprint, lineage,
                                   # config, and "image": the current one
       gen-0003/                   # the current generation image
-        manifest.json             # the same manifest, frozen with it
-        catalogs.npz              # markov/degrees/sumrdf as aligned arrays
+        manifest.json             # the same manifest, frozen with it,
+                                  # plus the sha256 of every file below
+        catalogs.npz              # markov/degrees as aligned arrays
         catalogs.meta.json        # vocabularies, flags, irregular fallbacks
         cycle_rates.json          # optional: CycleClosingRates.to_artifact()
         entropy.json              # optional: EntropyCatalog.to_artifact()
-        characteristic_sets.json  # CharacteristicSetsEstimator.to_artifact()
       gen-0002/                   # the previous image (in-flight readers)
       deltas/0001.json ...        # lineage: one update log per generation
+
+An image holds only what serving reads: the comparison baselines of
+Figure 13 are built from the graph by their figure driver and never
+persisted.
 
 A writer (``repro stats build``, ``repro updates apply``) never touches
 a published image: it writes the next one under a temporary name,
@@ -22,7 +26,9 @@ fsyncs it, renames it into place and only then replaces the root
 ``manifest.json`` (tmp + ``os.replace``).  A reader therefore sees the
 old generation or the new one, never a mix, and a memory-mapped image
 never changes under it.  Images older than the previous one are
-deleted after the swap.
+deleted after the swap.  A load checks every image file against the
+sha256 its frozen manifest records (:func:`verify_digests`), so a
+flipped or truncated file is refused rather than served.
 
 The manifest carries a *dataset fingerprint* — a content hash of the
 graph's relations — so a serving process can refuse statistics built
@@ -56,6 +62,8 @@ __all__ = [
     "image_name",
     "image_sequence",
     "image_dir",
+    "file_digest",
+    "verify_digests",
     "write_file_durably",
     "fsync_file",
     "fsync_dir",
@@ -89,7 +97,7 @@ def delta_file_name(generation: int) -> str:
     """Relative path of one delta generation's update log."""
     return f"{DELTAS_DIR}/{generation:04d}.json"
 
-#: The array-backed catalogs (markov/degrees/sumrdf): one uncompressed,
+#: The array-backed catalogs (markov/degrees): one uncompressed,
 #: mmap-able NPZ of columnar arrays plus its JSON metadata
 #: (vocabularies, completeness flags, irregular-entry fallbacks).
 CATALOG_ARRAYS_FILE = "catalogs.npz"
@@ -100,7 +108,6 @@ CATALOG_META_FILE = "catalogs.meta.json"
 SIDECAR_FILES = {
     "cycle_rates": "cycle_rates.json",
     "entropy": "entropy.json",
-    "characteristic_sets": "characteristic_sets.json",
 }
 
 _IMAGE_NAME = re.compile(r"^gen-(\d+)$")
@@ -152,6 +159,46 @@ def write_file_durably(path: Path, data: bytes) -> None:
         os.fsync(handle.fileno())
 
 
+def file_digest(path: str | Path) -> str:
+    """The sha256 of a file, read in chunks.
+
+    Plain reads, never a mapping: hashing a served image must not add
+    its pages to the process's resident set.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def verify_digests(image: Path, digests: dict, names) -> None:
+    """Check each of ``names`` in ``image`` against its recorded sha256.
+
+    A file the manifest records no digest for, a missing file and a
+    mismatch all raise :class:`DatasetError` naming the file.
+    """
+    for name in names:
+        path = image / name
+        recorded = digests.get(name)
+        if recorded is None:
+            raise DatasetError(
+                f"statistics artifact image {image} records no digest "
+                f"for {name}"
+            )
+        try:
+            found = file_digest(path)
+        except OSError as error:
+            raise DatasetError(
+                f"statistics artifact is missing {path}: {error}"
+            )
+        if found != recorded:
+            raise DatasetError(
+                f"corrupt statistics artifact {path}: sha256 {found} does "
+                f"not match the recorded {recorded}"
+            )
+
+
 def dataset_fingerprint(graph: LabeledDiGraph) -> str:
     """A content hash of the graph's relations.
 
@@ -182,7 +229,8 @@ class StoreManifest:
     entry per applied generation (update-log file, parent/child
     fingerprints, update counts, timestamp).  ``dataset_fingerprint``
     always names the *current* (post-delta) dataset, so fingerprint
-    validation works against the mutated graph.
+    validation works against the mutated graph.  ``digests`` maps each
+    image file (every one but the manifest itself) to its sha256.
     """
 
     dataset_fingerprint: str
@@ -198,6 +246,7 @@ class StoreManifest:
     base_fingerprint: str = ""
     deltas: list[dict] = field(default_factory=list)
     last_delta_at: str | None = None
+    digests: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.base_fingerprint:
@@ -221,6 +270,7 @@ class StoreManifest:
             "base_fingerprint": self.base_fingerprint,
             "deltas": list(self.deltas),
             "last_delta_at": self.last_delta_at,
+            "digests": dict(sorted(self.digests.items())),
         }
 
     @classmethod
@@ -252,6 +302,10 @@ class StoreManifest:
                 last_delta_at=(
                     str(last_delta_at) if last_delta_at is not None else None
                 ),
+                digests={
+                    str(name): str(value)
+                    for name, value in payload.get("digests", {}).items()
+                },
             )
         except (KeyError, ValueError, TypeError) as error:
             raise DatasetError(f"invalid statistics manifest: {error}")

@@ -41,9 +41,8 @@ Both modes run through one **level-synchronous, sharded** coordinator:
   of recounting.
 
 Degree statistics for the MOLP catalog are extracted from the same
-match tables in bulk, cycle-closing rates and entropy weights are primed
-by building each workload query's CEG once, and the two baseline
-summaries (Characteristic Sets, SumRDF) are single whole-graph passes.
+match tables in bulk, and cycle-closing rates and entropy weights are
+primed by building each workload query's CEG once.
 
 Every stored number is produced by the same deterministic integer
 arithmetic the lazy path uses, so estimates served from a built (or
@@ -65,8 +64,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.baselines.characteristic_sets import CharacteristicSetsEstimator
-from repro.baselines.sumrdf import SumRdfEstimator
 from repro.catalog.cycle_rates import CycleClosingRates
 from repro.catalog.degrees import (
     DegreeCatalog,
@@ -112,7 +109,6 @@ from repro.stats.store import StatisticsStore
 __all__ = [
     "StatsBuildConfig",
     "build_statistics",
-    "ensure_baselines",
     "extend_statistics",
 ]
 
@@ -135,9 +131,6 @@ class StatsBuildConfig:
     cycle_rates: bool = False
     cycle_seed: int = 0
     cycle_samples: int = 1000
-    baselines: bool = True
-    sumrdf_buckets: int = 64
-    sumrdf_seed: int = 0
     entropy: bool = False
 
     def as_dict(self) -> dict:
@@ -1123,14 +1116,6 @@ def build_statistics(
     if workload is not None and (rates is not None or entropy is not None):
         _prime_from_workload(graph, markov, workload, rates, entropy, config.h)
 
-    characteristic_sets = None
-    sumrdf = None
-    if config.baselines:
-        characteristic_sets = CharacteristicSetsEstimator(graph)
-        sumrdf = SumRdfEstimator(
-            graph, num_buckets=config.sumrdf_buckets, seed=config.sumrdf_seed
-        )
-
     manifest = StoreManifest(
         dataset_fingerprint=dataset_fingerprint(graph),
         dataset_name=dataset_name,
@@ -1154,32 +1139,10 @@ def build_statistics(
         manifest=manifest,
         markov=markov,
         degrees=degrees,
-        characteristic_sets=characteristic_sets,
-        sumrdf=sumrdf,
         cycle_rates=rates,
         entropy=entropy,
         graph=graph,
     )
-
-
-def ensure_baselines(
-    store: StatisticsStore,
-    graph: LabeledDiGraph,
-    sumrdf_buckets: int = 64,
-    sumrdf_seed: int = 0,
-) -> StatisticsStore:
-    """Build the CS / SumRDF summaries of a store that skipped them.
-
-    Stores built with ``baselines=False`` (the figure drivers' default —
-    only Figure 13 reads the baselines) get them on first demand.
-    """
-    if store.characteristic_sets is None:
-        store.characteristic_sets = CharacteristicSetsEstimator(graph)
-    if store.sumrdf is None:
-        store.sumrdf = SumRdfEstimator(
-            graph, num_buckets=sumrdf_buckets, seed=sumrdf_seed
-        )
-    return store
 
 
 def extend_statistics(

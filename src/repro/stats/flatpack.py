@@ -16,10 +16,11 @@ zero-copy.  This module is that codec:
   for degrees.
 * **Degree blocks** — a stored relation's ``values`` array (its
   ``3^k`` degrees in image order, see :mod:`repro.catalog.degrees`) is
-  written verbatim into one concatenated ``deg_value`` array; the
-  ``deg_x`` / ``deg_y`` masks beside it are the fixed per-arity table,
-  checked once per load by :func:`verify_degree_blocks`.  A mapped
-  relation is a slice of ``deg_value``.
+  written verbatim into one concatenated ``deg_value`` array.  The
+  ``(X, Y)`` pair of each position is a fixed function of the arity, so
+  it is not stored; :func:`verify_degree_blocks` checks once per load
+  that the offsets step by ``3^k``.  A mapped relation is a slice of
+  ``deg_value``.
 * **Image backings** — :class:`FlatMarkov` / :class:`FlatDegrees` hold
   the arrays and serve single entries on demand; the owning catalog
   memoises them in its ordinary ``_cache`` and calls ``materialize()``
@@ -40,12 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.catalog.degrees import (
-    DegreeCatalog,
-    StatRelation,
-    key_arity,
-    pair_table,
-)
+from repro.catalog.degrees import DegreeCatalog, StatRelation
 from repro.errors import DatasetError
 from repro.query.canonical import key_from_json, key_to_json
 
@@ -62,13 +58,15 @@ __all__ = [
     "degrees_from_flat",
     "degree_images_equal",
     "verify_degree_blocks",
-    "sumrdf_to_flat",
-    "sumrdf_from_flat",
     "catalogs_to_flat",
     "write_stored_npz",
 ]
 
-IMAGE_FORMAT_VERSION = 1
+#: Version 2: the manifest records every image file's sha256, and the
+#: image holds only served catalogs.  Version-1 images (which also held
+#: a baseline summary and per-position degree masks) are refused with a
+#: pointer at ``repro stats build``.
+IMAGE_FORMAT_VERSION = 2
 
 ATOM_BYTES = 6
 #: Largest vertex index / label id a packed atom can carry (u16, +1 bias).
@@ -258,9 +256,8 @@ def markov_from_flat(meta: dict, arrays: dict, graph=None):
 def degrees_to_flat(degrees) -> tuple[dict, dict[str, np.ndarray]]:
     """``(meta, arrays)`` snapshot of a (materialised) degree catalog.
 
-    ``deg_value`` is every relation's ``values`` back to back; each
-    relation's ``deg_x`` / ``deg_y`` run is its arity's
-    :func:`~repro.catalog.degrees.pair_table`.
+    ``deg_value`` is every relation's ``values`` back to back, in the
+    image order of its arity's :func:`~repro.catalog.degrees.pair_table`.
     """
     degrees.materialize()
     entries = sorted(degrees._cache.items())
@@ -278,7 +275,6 @@ def degrees_to_flat(degrees) -> tuple[dict, dict[str, np.ndarray]]:
             regular.append(relation)
     keys, order = _pack_sorted(encoded)
     regular = [regular[i] for i in order]
-    tables = [pair_table(key_arity(relation.key)) for relation in regular]
     offsets = np.zeros(len(regular) + 1, dtype=np.int64)
     np.cumsum([len(relation.values) for relation in regular], out=offsets[1:])
     meta = {
@@ -294,12 +290,6 @@ def degrees_to_flat(degrees) -> tuple[dict, dict[str, np.ndarray]]:
             [relation.cardinality for relation in regular], dtype=np.float64
         ),
         "degrees::offsets": offsets,
-        "degrees::deg_x": np.concatenate(
-            [np.empty(0, dtype=np.uint32)] + [x for x, _ in tables]
-        ),
-        "degrees::deg_y": np.concatenate(
-            [np.empty(0, dtype=np.uint32)] + [y for _, y in tables]
-        ),
         "degrees::deg_value": np.concatenate(
             [np.empty(0, dtype=np.float64)]
             + [relation.values for relation in regular]
@@ -324,18 +314,14 @@ def degree_images_equal(left, right) -> bool:
 
 
 def verify_degree_blocks(arrays: dict, path) -> None:
-    """Check every mapped relation's block against its arity's layout.
+    """Check that every mapped relation's block holds ``3^arity`` values.
 
-    Readers slice ``deg_value`` by position alone, so each relation's
-    block must hold ``3^k`` values and its ``deg_x`` / ``deg_y`` must be
-    the arity-``k`` :func:`~repro.catalog.degrees.pair_table` (``k``
-    read off the packed key).  One vectorised gather per arity; a
-    mismatch raises :class:`DatasetError` naming ``path``.
+    Readers slice ``deg_value`` by position alone, so the offsets must
+    step by ``3^k`` (``k`` read off the packed key).  A mismatch raises
+    :class:`DatasetError` naming ``path``.
     """
     keys = arrays["degrees::keys"]
     offsets = np.asarray(arrays["degrees::offsets"])
-    deg_x = arrays["degrees::deg_x"]
-    deg_y = arrays["degrees::deg_y"]
     count = int(keys.shape[0])
     width = int(keys.dtype.itemsize)
 
@@ -351,23 +337,12 @@ def verify_degree_blocks(arrays: dict, path) -> None:
         .reshape(count, width // ATOM_BYTES, 3)[:, :, :2]
     )
     arity = atoms.max(axis=(1, 2), initial=0).astype(np.int64)
-    total = int(offsets[-1])
     if (
         offsets[0] != 0
-        or deg_x.shape != (total,)
-        or deg_y.shape != (total,)
-        or arrays["degrees::deg_value"].shape != (total,)
+        or arrays["degrees::deg_value"].shape != (int(offsets[-1]),)
         or not np.array_equal(np.diff(offsets), 3 ** arity)
     ):
         fail("a degree block's length is not 3^arity")
-    for k in np.unique(arity).tolist():
-        x_masks, y_masks = pair_table(k)
-        rows = offsets[:-1][arity == k, None] + np.arange(3 ** k)
-        if not (
-            np.array_equal(deg_x[rows], np.broadcast_to(x_masks, rows.shape))
-            and np.array_equal(deg_y[rows], np.broadcast_to(y_masks, rows.shape))
-        ):
-            fail(f"an arity-{k} degree block is not in image order")
 
 
 class FlatDegrees:
@@ -428,42 +403,10 @@ def degrees_from_flat(meta: dict, arrays: dict, graph=None, max_rows=5_000_000):
 
 
 # ----------------------------------------------------------------------
-# SumRDF <-> flat arrays
-# ----------------------------------------------------------------------
-def sumrdf_to_flat(sumrdf) -> tuple[dict, dict[str, np.ndarray]]:
-    """``(meta, arrays)`` split of the SumRDF artifact payload."""
-    payload = sumrdf.to_artifact()
-    meta = {
-        "format_version": int(payload["format_version"]),
-        "kind": str(payload["kind"]),
-        "num_buckets": int(payload["num_buckets"]),
-        "labels": [str(label) for label in payload["labels"]],
-    }
-    arrays = {
-        "sumrdf::sizes": np.asarray(payload["sizes"], dtype=np.float64),
-        "sumrdf::matrices": np.asarray(payload["matrices"], dtype=np.float64),
-    }
-    return meta, arrays
-
-
-def sumrdf_from_flat(meta: dict, arrays: dict):
-    """Rebuild the estimator; stored arrays are served as-is (zero-copy)."""
-    from repro.baselines.sumrdf import SumRdfEstimator
-
-    return SumRdfEstimator.from_artifact(
-        {
-            **meta,
-            "sizes": arrays["sumrdf::sizes"],
-            "matrices": arrays["sumrdf::matrices"],
-        }
-    )
-
-
-# ----------------------------------------------------------------------
 # Whole-store catalogs
 # ----------------------------------------------------------------------
 def catalogs_to_flat(store) -> tuple[dict, dict[str, np.ndarray]]:
-    """The array-backed catalogs (markov/degrees/sumrdf) of a store.
+    """The array-backed catalogs (markov/degrees) of a store.
 
     This is the ``catalogs.meta.json`` / ``catalogs.npz`` content of a
     generation image; the small dict-shaped catalogs stay JSON sidecars.
@@ -476,12 +419,7 @@ def catalogs_to_flat(store) -> tuple[dict, dict[str, np.ndarray]]:
         "kind": "flat_catalogs",
         "markov": markov_meta,
         "degrees": degrees_meta,
-        "sumrdf": None,
     }
-    if store.sumrdf is not None:
-        sumrdf_meta, sumrdf_arrays = sumrdf_to_flat(store.sumrdf)
-        meta["sumrdf"] = sumrdf_meta
-        arrays.update(sumrdf_arrays)
     return meta, arrays
 
 

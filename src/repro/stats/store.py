@@ -1,16 +1,18 @@
 """The :class:`StatisticsStore` facade: one object, every summary.
 
 A store bundles everything the estimation plane reads — Markov table,
-MOLP degree catalog, optional cycle-closing rates and entropy weights,
-plus the Characteristic Sets and SumRDF baseline summaries — behind a
-single save/load surface.  The build plane produces it
+MOLP degree catalog, optional cycle-closing rates and entropy weights —
+behind a single save/load surface, and nothing else: the comparison
+baselines of Figure 13 are never served, so their figure driver builds
+them from the graph.  The build plane produces a store
 (:func:`repro.stats.build.build_statistics`), :meth:`StatisticsStore.save`
 publishes it as an immutable generation image of an artifact directory
 (see :mod:`repro.stats.artifact`), and :meth:`StatisticsStore.load`
 rebuilds the current generation — with or without the base graph.  A
 store loaded without a graph serves estimates from its artifacts alone:
 no ``count_pattern`` call, no match-table materialisation, no base-graph
-scan can happen after startup.
+scan can happen after startup.  Every load checks the image's files
+against the sha256 digests :meth:`StatisticsStore.save` recorded.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.baselines.characteristic_sets import CharacteristicSetsEstimator
-from repro.baselines.sumrdf import SumRdfEstimator
 from repro.catalog.cycle_rates import CycleClosingRates
 from repro.catalog.degrees import DegreeCatalog
 from repro.catalog.entropy import EntropyCatalog
@@ -37,11 +37,13 @@ from repro.stats.artifact import (
     SIDECAR_FILES,
     StoreManifest,
     dataset_fingerprint,
+    file_digest,
     fsync_dir,
     fsync_file,
     image_dir,
     image_name,
     image_sequence,
+    verify_digests,
     write_file_durably,
 )
 
@@ -72,8 +74,6 @@ class StatisticsStore:
     manifest: StoreManifest
     markov: MarkovTable
     degrees: DegreeCatalog
-    characteristic_sets: CharacteristicSetsEstimator | None = None
-    sumrdf: SumRdfEstimator | None = None
     cycle_rates: CycleClosingRates | None = None
     entropy: EntropyCatalog | None = None
     graph: LabeledDiGraph | None = None
@@ -107,8 +107,9 @@ class StatisticsStore:
 
         The image (deterministic, uncompressed, mmap-able
         ``catalogs.npz`` plus ``catalogs.meta.json``, the dict-shaped
-        catalogs as JSON sidecars and a frozen manifest) is written to
-        a temporary directory, fsynced and renamed to ``gen-NNNN``;
+        catalogs as JSON sidecars and a frozen manifest recording each
+        file's sha256) is written to a temporary directory, fsynced and
+        renamed to ``gen-NNNN``;
         only then is the root ``manifest.json`` atomically replaced to
         name it.  No published file is ever rewritten, so readers
         holding an older image mapped keep their bytes.  Images older
@@ -125,17 +126,11 @@ class StatisticsStore:
         shutil.rmtree(staging, ignore_errors=True)
         staging.mkdir()
         catalogs = ["markov", "degrees"]
-        if self.sumrdf is not None:
-            catalogs.append("sumrdf")
         meta, arrays = catalogs_to_flat(self)
         write_stored_npz(staging / CATALOG_ARRAYS_FILE, arrays)
         fsync_file(staging / CATALOG_ARRAYS_FILE)
         _write_json(staging / CATALOG_META_FILE, meta, sort_keys=True)
-        sidecars = {
-            "characteristic_sets": self.characteristic_sets,
-            "cycle_rates": self.cycle_rates,
-            "entropy": self.entropy,
-        }
+        sidecars = {"cycle_rates": self.cycle_rates, "entropy": self.entropy}
         for catalog, value in sidecars.items():
             if value is not None:
                 catalogs.append(catalog)
@@ -144,6 +139,9 @@ class StatisticsStore:
                 )
         self.manifest.catalogs = sorted(catalogs)
         self.manifest.image = name
+        self.manifest.digests = {
+            path.name: file_digest(path) for path in staging.iterdir()
+        }
         self.manifest.save(staging)
         os.rename(staging, root / name)
         fsync_dir(root)
@@ -203,11 +201,9 @@ class StatisticsStore:
                     f"{manifest.dataset_fingerprint}, graph {fingerprint})"
                 )
         from repro.stats.flatpack import (
-            IMAGE_FORMAT_VERSION,
             degrees_from_flat,
             markov_from_flat,
             read_npz_arrays,
-            sumrdf_from_flat,
             verify_degree_blocks,
         )
 
@@ -224,14 +220,22 @@ class StatisticsStore:
                 f"or {CATALOG_META_FILE}"
             )
         _PARSE_COUNT += 1
+        if not manifest.digests:
+            # Images before format 2 recorded no digests; name their
+            # format rather than calling them corrupt.
+            _check_image_format(_read_json(meta_path), meta_path)
+        verify_digests(
+            image,
+            manifest.digests,
+            [CATALOG_ARRAYS_FILE, CATALOG_META_FILE]
+            + [
+                SIDECAR_FILES[catalog]
+                for catalog in manifest.catalogs
+                if catalog in SIDECAR_FILES
+            ],
+        )
         meta = _read_json(meta_path)
-        if meta.get("kind") != "flat_catalogs" or (
-            int(meta.get("format_version", 0)) != IMAGE_FORMAT_VERSION
-        ):
-            raise DatasetError(
-                f"corrupt statistics artifact {meta_path}: unexpected "
-                f"kind/format_version"
-            )
+        _check_image_format(meta, meta_path)
         try:
             arrays = read_npz_arrays(arrays_path, mmap=mmap)
             verify_degree_blocks(arrays, arrays_path)
@@ -239,32 +243,14 @@ class StatisticsStore:
             degrees = degrees_from_flat(
                 meta["degrees"], arrays, graph, max_rows=max_rows
             )
-            sumrdf = None
-            if "sumrdf" in manifest.catalogs:
-                if meta.get("sumrdf") is None:
-                    raise DatasetError(
-                        f"statistics artifact {directory} lists the sumrdf "
-                        f"catalog but {CATALOG_META_FILE} has no sumrdf entry"
-                    )
-                sumrdf = sumrdf_from_flat(meta["sumrdf"], arrays)
         except KeyError as error:
             raise DatasetError(
                 f"corrupt statistics artifact {arrays_path}: missing "
                 f"member/field {error}"
             )
         store = cls(
-            manifest=manifest,
-            markov=markov,
-            degrees=degrees,
-            sumrdf=sumrdf,
-            graph=graph,
+            manifest=manifest, markov=markov, degrees=degrees, graph=graph
         )
-        if "characteristic_sets" in manifest.catalogs:
-            store.characteristic_sets = (
-                CharacteristicSetsEstimator.from_artifact(
-                    _read_json(image / SIDECAR_FILES["characteristic_sets"])
-                )
-            )
         if "cycle_rates" in manifest.catalogs:
             store.cycle_rates = CycleClosingRates.from_artifact(
                 _read_json(image / SIDECAR_FILES["cycle_rates"]), graph
@@ -276,6 +262,23 @@ class StatisticsStore:
                 max_rows=max_rows,
             )
         return store
+
+
+def _check_image_format(meta: dict, path: Path) -> None:
+    """Refuse image metadata of another kind or format version."""
+    from repro.stats.flatpack import IMAGE_FORMAT_VERSION
+
+    if meta.get("kind") != "flat_catalogs":
+        raise DatasetError(
+            f"corrupt statistics artifact {path}: not flat catalog metadata"
+        )
+    found = meta.get("format_version")
+    if found != IMAGE_FORMAT_VERSION:
+        raise DatasetError(
+            f"statistics artifact image {path.parent} has image format "
+            f"{found!r}, but this build reads format {IMAGE_FORMAT_VERSION} "
+            "only; rebuild the artifact with 'repro stats build'"
+        )
 
 
 def _published_images(root: Path) -> tuple[str | None, int]:
@@ -396,19 +399,16 @@ def inspect_artifact(directory: str | Path) -> dict:
     if (image / CATALOG_META_FILE).exists():
         report["flat"] = _inspect_flat(image, catalogs)
     for entry in manifest.deltas:
-        for name in (entry.get("file"), _delta_sibling(directory, entry)):
-            if not name:
-                continue
-            path = directory / name
-            if not path.exists():
-                files[name] = {"missing": True}
-                continue
-            size = path.stat().st_size
-            total += size
-            files[name] = {
-                "bytes": size,
-                "generation": entry.get("generation"),
-            }
+        name = entry.get("file")
+        if not name:
+            continue
+        path = directory / name
+        if not path.exists():
+            files[name] = {"missing": True}
+            continue
+        size = path.stat().st_size
+        total += size
+        files[name] = {"bytes": size, "generation": entry.get("generation")}
     report["files"] = files
     report["catalogs_sizes"] = catalogs
     report["total_bytes"] = total
@@ -454,7 +454,7 @@ def _inspect_flat(directory: Path, catalogs: dict) -> dict:
     except (OSError, zipfile.BadZipFile):
         mapped = {}
     report: dict[str, dict] = {}
-    for name in ("markov", "degrees", "sumrdf"):
+    for name in ("markov", "degrees"):
         catalog_meta = meta.get(name)
         if catalog_meta is None:
             continue
@@ -483,12 +483,3 @@ def _inspect_flat(directory: Path, catalogs: dict) -> dict:
             },
         )
     return report
-
-
-def _delta_sibling(directory: Path, entry: dict) -> str | None:
-    """The rebuilt-SumRDF sibling of a delta file, if it exists."""
-    file = entry.get("file")
-    if not file or not str(file).endswith(".json"):
-        return None
-    sibling = str(file)[: -len(".json")] + ".sumrdf.npz"
-    return sibling if (directory / sibling).exists() else None

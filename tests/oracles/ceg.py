@@ -483,10 +483,11 @@ def _cycle_completions(
 ) -> dict[int, int]:
     """Map each atom that would complete a large cycle to that cycle.
 
-    The bitmask twin of :func:`repro.query.shape.cycle_completions`:
     ``{atom_index: cycle_mask}`` for every atom outside ``node`` that is
     the single missing atom of some cycle longer than ``h`` (smallest
-    such cycle wins, ties by the cycle enumeration order).
+    such cycle wins, ties by the cycle enumeration order): the condition
+    under which ``CEG_OCR`` swaps in a cycle-closing-rate weight (§4.3,
+    the sub-query holds ``k-1`` atoms of a ``k``-cycle).
     """
     result: dict[int, int] = {}
     lengths: dict[int, int] = {}

@@ -1,5 +1,10 @@
 """Tests for the baseline estimators (CS, SumRDF, WJ, RDF-3X default)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import (
@@ -113,6 +118,34 @@ class TestSumRdf:
     def test_bucket_validation(self, tiny_graph):
         with pytest.raises(ValueError):
             SumRdfEstimator(tiny_graph, num_buckets=0)
+
+    def test_summary_does_not_depend_on_the_hash_seed(self):
+        """Bucketing mixes (direction, label id) with fixed integers, so
+        processes with different ``PYTHONHASHSEED`` build one summary."""
+        script = (
+            "import hashlib\n"
+            "from repro.baselines import SumRdfEstimator\n"
+            "from repro.datasets import load_dataset\n"
+            "summary = SumRdfEstimator(\n"
+            "    load_dataset('hetionet', 0.02), num_buckets=16, seed=3\n"
+            ")\n"
+            "digest = hashlib.sha256(summary._sizes.tobytes())\n"
+            "for label in sorted(summary._matrices):\n"
+            "    digest.update(label.encode())\n"
+            "    digest.update(summary._matrices[label].tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": str(src),
+                     "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(digests) == 1
 
 
 class TestWanderJoin:

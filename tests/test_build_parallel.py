@@ -26,11 +26,7 @@ from repro.stats.build import StatsBuildConfig, build_statistics
 
 PRESETS = [("hetionet", 0.03), ("epinions", 0.03)]
 
-COMPARED_FILES = [
-    "catalogs.npz",
-    "catalogs.meta.json",
-    "characteristic_sets.json",
-]
+COMPARED_FILES = ["catalogs.npz", "catalogs.meta.json"]
 
 
 def _workload(graph):
@@ -105,7 +101,7 @@ def test_resume_after_interrupt_byte_identical(dataset, scale, mode, tmp_path):
 
 def test_resume_without_checkpoint_starts_fresh(tmp_path):
     graph = load_dataset("hetionet", 0.02)
-    config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+    config = StatsBuildConfig(h=2, molp_h=2)
     fresh = build_statistics(
         graph, config, checkpoint_dir=tmp_path / "out", resume=True
     )
@@ -117,7 +113,7 @@ def test_resume_without_checkpoint_starts_fresh(tmp_path):
 
 
 def test_checkpoint_refuses_different_dataset(tmp_path):
-    config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+    config = StatsBuildConfig(h=2, molp_h=2)
     out = tmp_path / "out"
     with pytest.raises(BuildInterrupted):
         build_statistics(
@@ -136,12 +132,12 @@ def test_checkpoint_refuses_different_config(tmp_path):
     graph = load_dataset("hetionet", 0.02)
     with pytest.raises(BuildInterrupted):
         build_statistics(
-            graph, StatsBuildConfig(h=2, molp_h=2, baselines=False),
+            graph, StatsBuildConfig(h=2, molp_h=2),
             checkpoint_dir=out, stop_after_level=1,
         )
     with pytest.raises(DatasetError, match="mismatch"):
         build_statistics(
-            graph, StatsBuildConfig(h=2, molp_h=1, baselines=False),
+            graph, StatsBuildConfig(h=2, molp_h=1),
             checkpoint_dir=out, resume=True,
         )
 
@@ -149,7 +145,7 @@ def test_checkpoint_refuses_different_config(tmp_path):
 def test_checkpoint_refuses_other_format_version(tmp_path):
     out = tmp_path / "out"
     graph = load_dataset("hetionet", 0.02)
-    config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+    config = StatsBuildConfig(h=2, molp_h=2)
     with pytest.raises(BuildInterrupted):
         build_statistics(
             graph, config, checkpoint_dir=out, stop_after_level=1,
@@ -172,7 +168,7 @@ def test_stop_after_level_requires_checkpoint_dir():
 def test_manifest_records_level_timings():
     graph = load_dataset("hetionet", 0.02)
     store = build_statistics(
-        graph, StatsBuildConfig(h=2, molp_h=2, baselines=False), jobs=2
+        graph, StatsBuildConfig(h=2, molp_h=2), jobs=2
     )
     build = store.manifest.build_config
     levels = build["levels"]

@@ -195,7 +195,7 @@ def corpus():
     trees and its cyclic templates, sampled on a preset graph."""
     graph = load_dataset("hetionet", 0.05)
     store = build_statistics(
-        graph, StatsBuildConfig(h=2, molp_h=2, baselines=False)
+        graph, StatsBuildConfig(h=2, molp_h=2)
     )
     shapes_templates = {
         **templates.acyclic_templates((6, 7, 8)),

@@ -243,7 +243,7 @@ def image_catalog(renaming_graph, tmp_path_factory):
     """The graph-free, mmap'd degree catalog of a complete h=3 image."""
     directory = tmp_path_factory.mktemp("renaming-image")
     build_statistics(
-        renaming_graph, StatsBuildConfig(h=3, molp_h=3, baselines=False)
+        renaming_graph, StatsBuildConfig(h=3, molp_h=3)
     ).save(directory)
     return StatisticsStore.load(directory, mmap=True).degrees
 

@@ -113,12 +113,8 @@ class TestUpdatesReplayAndCompact:
         report = json.loads(out)
         assert report["generation"] == 1
         assert [d["generation"] for d in report["deltas"]] == [1]
-        assert report["verified"] == {
-            "markov": True,
-            "degrees": True,
-            "characteristic_sets": True,
-        }
-        assert report["skipped"] == ["sumrdf"]
+        assert report["verified"] == {"markov": True, "degrees": True}
+        assert report["skipped"] == []
 
     def test_delta_file_is_lineage_and_update_log_only(
         self, capsys, artifact_dir, updates_file
@@ -162,6 +158,18 @@ class TestUpdatesReplayAndCompact:
         )
         assert code == 0
         assert all(json.loads(out)["verified"].values())
+
+    def test_replay_verify_checks_image_digests(self, capsys, artifact_dir):
+        path = artifact_dir / "gen-0000" / "catalogs.npz"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        code, _, err = run_cli(
+            capsys, "updates", "replay", "--stats-dir", str(artifact_dir),
+            "--verify",
+        )
+        assert code == 2
+        assert f"{path}: sha256" in err
 
     def test_replay_detects_tampered_log(
         self, capsys, artifact_dir, updates_file

@@ -68,18 +68,6 @@ def mutated_graph(base, batch):
 def assert_catalogs_bit_identical(maintained, cold):
     assert maintained.markov.to_artifact() == cold.markov.to_artifact()
     assert degree_images_equal(maintained.degrees, cold.degrees)
-    if maintained.characteristic_sets is not None:
-        assert (
-            maintained.characteristic_sets.to_artifact()
-            == cold.characteristic_sets.to_artifact()
-        )
-    if maintained.sumrdf is not None:
-        # Same process, same seed: bucketing is reproducible here.
-        fresh = maintained.sumrdf.to_artifact()
-        against = cold.sumrdf.to_artifact()
-        assert fresh["labels"] == against["labels"]
-        assert (fresh["sizes"] == against["sizes"]).all()
-        assert (fresh["matrices"] == against["matrices"]).all()
 
 
 def assert_estimates_identical(maintained, cold, queries=QUERIES):
@@ -122,12 +110,12 @@ class TestDifferentialGate:
         # B->A paths do not exist in the example graph; inserting an A
         # edge out of the B layer creates the two-atom pattern, which a
         # complete artifact must discover.
-        store = example_store(baselines=False)
+        store = example_store()
         batch = UpdateBatch([["+", 5, 3, "A"]])
         apply_updates(store, batch, compact_threshold=NO_COMPACT)
         cold = build_statistics(
             mutated_graph(running_example_graph(), batch),
-            StatsBuildConfig(h=2, molp_h=2, baselines=False),
+            StatsBuildConfig(h=2, molp_h=2),
         )
         assert_catalogs_bit_identical(store, cold)
         query = parse_pattern("x -[B]-> y -[A]-> z")
@@ -140,7 +128,7 @@ class TestDifferentialGate:
         # Deleting every C edge empties all C-containing patterns; a
         # complete artifact must drop them (cold builds never store 0).
         graph = running_example_graph()
-        store = example_store(baselines=False)
+        store = example_store()
         batch = UpdateBatch(
             [["-", s, d, label] for s, d, label in graph.triples()
              if label == "C"]
@@ -148,7 +136,7 @@ class TestDifferentialGate:
         apply_updates(store, batch, compact_threshold=NO_COMPACT)
         cold = build_statistics(
             mutated_graph(graph, batch),
-            StatsBuildConfig(h=2, molp_h=2, baselines=False),
+            StatsBuildConfig(h=2, molp_h=2),
         )
         assert_catalogs_bit_identical(store, cold)
         assert all(
@@ -158,18 +146,18 @@ class TestDifferentialGate:
         assert_estimates_identical(store, cold)
 
     def test_new_label_extends_universe(self):
-        store = example_store(baselines=False)
+        store = example_store()
         batch = UpdateBatch([["+", 0, 1, "ZX"], ["+", 1, 3, "ZX"]])
         apply_updates(store, batch, compact_threshold=NO_COMPACT)
         cold = build_statistics(
             mutated_graph(running_example_graph(), batch),
-            StatsBuildConfig(h=2, molp_h=2, baselines=False),
+            StatsBuildConfig(h=2, molp_h=2),
         )
         assert store.markov.labels == cold.graph.labels
         assert_catalogs_bit_identical(store, cold)
 
     def test_noop_batch_changes_nothing(self):
-        store = example_store(baselines=False)
+        store = example_store()
         before = store.markov.to_artifact()
         outcome = apply_updates(
             store,
@@ -203,7 +191,7 @@ class TestDifferentialGate:
             apply_updates(store, UpdateBatch([["+", 0, 5, "B"]]))
 
     def test_graph_free_store_refuses_maintenance(self, tmp_path):
-        store = example_store(baselines=False)
+        store = example_store()
         store.save(tmp_path)
         loaded = StatisticsStore.load(tmp_path)
         with pytest.raises(DatasetError, match="base graph"):
@@ -220,7 +208,7 @@ class TestWorkloadDirectedStores:
 
     def test_maintains_exactly_the_stored_keys(self):
         graph = running_example_graph()
-        config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+        config = StatsBuildConfig(h=2, molp_h=2)
         store = build_statistics(graph, config, workload=self.workload())
         batch = UpdateBatch(
             [["-", 3, 5, "B"], ["+", 0, 5, "B"], ["+", 12, 0, "A"]]
@@ -237,7 +225,7 @@ class TestWorkloadDirectedStores:
 
     def test_zero_counts_stay_stored(self):
         graph = running_example_graph()
-        config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+        config = StatsBuildConfig(h=2, molp_h=2)
         store = build_statistics(graph, config, workload=self.workload())
         batch = UpdateBatch(
             [["-", s, d, label] for s, d, label in graph.triples()
@@ -277,7 +265,7 @@ class TestRefreshedCatalogs:
         store = build_statistics(
             graph,
             StatsBuildConfig(
-                h=2, molp_h=2, baselines=False, cycle_rates=True,
+                h=2, molp_h=2, cycle_rates=True,
                 entropy=True, cycle_seed=3,
             ),
             workload=workload,
@@ -382,7 +370,7 @@ class TestDeltaChainsOnDisk:
         loaded image are written back verbatim while rebuilt and new
         ones come from fresh match tables.
         """
-        config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+        config = StatsBuildConfig(h=2, molp_h=2)
         graph = running_example_graph()
         artifact = tmp_path / "artifact"
         build_statistics(graph, config, dataset_name="example").save(artifact)
@@ -446,7 +434,7 @@ class TestDeltaChainsOnDisk:
             (0, 0, "L"), (1, 1, "L"), (2, 0, "M"), (3, 0, "M"), (2, 1, "M"),
         ]
         graph = LabeledDiGraph.from_triples(triples, num_vertices=5)
-        config = StatsBuildConfig(h=2, molp_h=2, baselines=False)
+        config = StatsBuildConfig(h=2, molp_h=2)
         store = build_statistics(graph, config)
         store.save(tmp_path / "maintained")
         outcome = apply_updates(
@@ -466,7 +454,7 @@ class TestDeltaChainsOnDisk:
         """directory=None persists no update log; a later save() still
         publishes a complete image that loads on its own."""
         graph = running_example_graph()
-        store = example_store(baselines=False)
+        store = example_store()
         apply_updates(
             store,
             UpdateBatch([["+", 0, 5, "B"]]),
@@ -482,7 +470,7 @@ class TestDeltaChainsOnDisk:
 
     def test_fingerprint_checked_against_mutated_graph(self, tmp_path):
         graph = running_example_graph()
-        store = example_store(baselines=False)
+        store = example_store()
         store.save(tmp_path)
         store = StatisticsStore.load(tmp_path, graph=graph)
         apply_updates(
@@ -498,7 +486,7 @@ class TestDeltaChainsOnDisk:
 
     def test_broken_lineage_is_rejected(self, tmp_path):
         graph = running_example_graph()
-        store = example_store(baselines=False)
+        store = example_store()
         store.save(tmp_path)
         store = StatisticsStore.load(tmp_path, graph=graph)
         apply_updates(

@@ -64,7 +64,7 @@ def snapshot(store):
 def test_insert_then_delete_same_edges_restores_catalogs(triples):
     graph = running_example_graph()
     store = build_statistics(
-        graph, StatsBuildConfig(h=2, molp_h=2, baselines=False)
+        graph, StatsBuildConfig(h=2, molp_h=2)
     )
     before = snapshot(store)
     batch = UpdateBatch(
@@ -97,7 +97,7 @@ def test_mixed_batch_then_exact_inverse_restores_catalogs(adds, removes):
     operations, which is exactly what set semantics dictates)."""
     graph = running_example_graph()
     store = build_statistics(
-        graph, StatsBuildConfig(h=2, molp_h=2, baselines=False)
+        graph, StatsBuildConfig(h=2, molp_h=2)
     )
     before = snapshot(store)
     batch = UpdateBatch(

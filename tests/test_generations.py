@@ -396,6 +396,27 @@ class TestOldFormats:
         with pytest.raises(DatasetError, match="repro stats build"):
             StoreRegistry().load("t", directory)
 
+    def test_format_1_image_names_both_versions(self, artifact_dir):
+        """An image of format 1 (metadata version 1, no recorded
+        digests) is refused as old, not as corrupt."""
+        image = artifact_dir / "gen-0000"
+        meta_path = image / "catalogs.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        for manifest_path in (image / "manifest.json",
+                              artifact_dir / "manifest.json"):
+            payload = json.loads(manifest_path.read_text())
+            del payload["digests"]
+            manifest_path.write_text(json.dumps(payload))
+        expected = "image format 1, but this build reads format 2"
+        with pytest.raises(DatasetError, match=expected) as raised:
+            StatisticsStore.load(artifact_dir)
+        assert "repro stats build" in str(raised.value)
+        assert "corrupt" not in str(raised.value)
+        with pytest.raises(DatasetError, match=expected):
+            StoreRegistry().load("t", artifact_dir)
+
 
 class TestRetiredVerbs:
     @pytest.mark.parametrize(

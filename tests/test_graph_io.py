@@ -177,7 +177,7 @@ class TestNpz:
         path = tmp_path / "g.npz"
         save_npz(graph, path, compressed=False)
         mapped = load_npz(path, mmap=True)
-        config = StatsBuildConfig(h=1, molp_h=1, baselines=False)
+        config = StatsBuildConfig(h=1, molp_h=1)
         a = build_statistics(graph, config)
         b = build_statistics(mapped, config)
         assert a.markov.to_artifact() == b.markov.to_artifact()

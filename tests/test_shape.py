@@ -4,6 +4,7 @@ import networkx as nx
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import ceg as ceg_oracle
 from oracles import shape as oracle
 from repro.query import QueryPattern, shape, templates
 
@@ -48,8 +49,8 @@ class TestCycles:
         assert not shape.has_only_triangles(templates.diamond_with_chord())
 
     def test_large_cycle_classification(self):
-        assert shape.is_cyclic_with_large_cycles(templates.cycle(4), h=3)
-        assert not shape.is_cyclic_with_large_cycles(templates.triangle(), h=3)
+        assert shape.largest_cycle_length(templates.cycle(4)) > 3
+        assert shape.largest_cycle_length(templates.triangle()) == 3
         # K4: every 4-cycle contains a chord triangle, but the 4-cycles
         # still exist as simple cycles, so K4 counts as "large" here; the
         # workload split in the paper keys on whether all cycles are
@@ -75,6 +76,29 @@ class TestDepth:
                 assert shape.depth(tree) == d, (k, d)
 
 
+class TestCycleCompletions:
+    """The rule ``CEG_OCR`` prices (§4.3), on the bitmask form the CEG
+    oracle applies: an atom completes a cycle longer than ``h`` when it
+    is the cycle's single atom outside the covered subset."""
+
+    @staticmethod
+    def completions(pattern, covered, h):
+        query_cycles = [
+            (sum(1 << atom for atom in cycle), len(cycle))
+            for cycle in shape.cycles(pattern)
+        ]
+        return ceg_oracle._cycle_completions(covered, query_cycles, h)
+
+    def test_four_cycle_missing_one_edge(self):
+        assert self.completions(templates.cycle(4), 0b0111, h=3) == {3: 0b1111}
+
+    def test_not_triggered_when_two_missing(self):
+        assert self.completions(templates.cycle(4), 0b0011, h=3) == {}
+
+    def test_not_triggered_for_small_cycles(self):
+        assert self.completions(templates.triangle(), 0b011, h=3) == {}
+
+
 class TestSpanningDecomposition:
     def test_acyclic_has_no_closures(self):
         tree, closures = shape.spanning_tree_and_closures(templates.path(4))
@@ -96,21 +120,6 @@ class TestSpanningDecomposition:
             assert edge.src in bound or edge.dst in bound
             bound.update(edge.variables())
         assert bound == set(pattern.variables)
-
-
-class TestCycleCompletions:
-    def test_four_cycle_missing_one_edge(self):
-        pattern = templates.cycle(4)
-        completions = shape.cycle_completions(pattern, frozenset({0, 1, 2}), h=3)
-        assert completions == {3: frozenset({0, 1, 2, 3})}
-
-    def test_not_triggered_when_two_missing(self):
-        pattern = templates.cycle(4)
-        assert shape.cycle_completions(pattern, frozenset({0, 1}), h=3) == {}
-
-    def test_not_triggered_for_small_cycles(self):
-        pattern = templates.triangle()
-        assert shape.cycle_completions(pattern, frozenset({0, 1}), h=3) == {}
 
 
 @st.composite

@@ -8,16 +8,17 @@ without copying.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from repro.catalog.degrees import pair_table
 from repro.datasets.presets import running_example_graph
 from repro.errors import DatasetError
 from repro.query.parser import parse_pattern
 from repro.stats import StatisticsStore, StatsBuildConfig, build_statistics
 from repro.stats import flatpack
+from repro.stats.artifact import file_digest
 from repro.stats.flatpack import degree_images_equal, write_stored_npz
 
 QUERIES = [
@@ -145,18 +146,68 @@ class TestWideVocab:
 
 
 def _rewrite_degree_arrays(image, edit):
-    """Rewrite an image's ``catalogs.npz`` after ``edit(arrays)``."""
+    """Rewrite an image's ``catalogs.npz`` after ``edit(arrays)``.
+
+    The new file's digest is recorded in both manifests, as a writer
+    would, so a load gets past the digest check to the structural one.
+    """
     path = image / "catalogs.npz"
     with np.load(path) as data:
         arrays = {name: np.array(data[name]) for name in data.files}
     edit(arrays)
     write_stored_npz(path, arrays)
+    for manifest_path in (image / "manifest.json", image.parent / "manifest.json"):
+        payload = json.loads(manifest_path.read_text())
+        payload["digests"]["catalogs.npz"] = file_digest(path)
+        manifest_path.write_text(json.dumps(payload))
     return path
+
+
+class TestImageDigests:
+    """The frozen manifest records every image file's sha256, and a load
+    refuses a flipped or truncated file, naming it."""
+
+    FILES = ["catalogs.npz", "catalogs.meta.json"]
+
+    def test_manifest_records_every_image_file(self, built_store, tmp_path):
+        built_store.save(tmp_path / "art")
+        image = tmp_path / "art" / "gen-0000"
+        frozen = json.loads((image / "manifest.json").read_text())
+        root = json.loads((tmp_path / "art" / "manifest.json").read_text())
+        assert frozen["digests"] == root["digests"]
+        assert frozen["digests"] == {
+            path.name: file_digest(path)
+            for path in image.iterdir()
+            if path.name != "manifest.json"
+        }
+
+    def refused(self, directory, path, mmap=False):
+        with pytest.raises(
+            DatasetError, match=re.escape(f"{path}: sha256")
+        ):
+            StatisticsStore.load(directory, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("name", FILES)
+    def test_flipped_byte_refused(self, built_store, tmp_path, name, mmap):
+        built_store.save(tmp_path / "art")
+        path = tmp_path / "art" / "gen-0000" / name
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        self.refused(tmp_path / "art", path, mmap)
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_truncated_file_refused(self, built_store, tmp_path, name):
+        built_store.save(tmp_path / "art")
+        path = tmp_path / "art" / "gen-0000" / name
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        self.refused(tmp_path / "art", path)
 
 
 class TestDegreeBlockVerification:
     """A mapped relation is a slice read by position alone, so a load
-    checks every block's length and masks against its arity's table."""
+    checks that every block holds ``3^arity`` values."""
 
     def _first_block(self, arrays, arity):
         keys = arrays["degrees::keys"]
@@ -166,33 +217,13 @@ class TestDegreeBlockVerification:
                 return int(start)
         raise AssertionError(f"no arity-{arity} relation")
 
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_swapped_masks_refused(self, built_store, tmp_path, mmap):
-        built_store.save(tmp_path / "art")
-        x_masks, y_masks = pair_table(2)
-        # Two pairs with the same Y = {v0, v1} and different X.
-        first, second = np.flatnonzero(y_masks == 0b11)[:2]
-        assert x_masks[first] != x_masks[second]
-
-        def swap(arrays):
-            start = self._first_block(arrays, 2)
-            deg_x = arrays["degrees::deg_x"]
-            deg_x[[start + first, start + second]] = deg_x[
-                [start + second, start + first]
-            ]
-
-        path = _rewrite_degree_arrays(tmp_path / "art" / "gen-0000", swap)
-        with pytest.raises(DatasetError, match=str(path)):
-            StatisticsStore.load(tmp_path / "art", mmap=mmap)
-
     def test_block_length_refused(self, built_store, tmp_path):
         built_store.save(tmp_path / "art")
 
         def grow(arrays):
             start = self._first_block(arrays, 2)
-            for name in ("deg_x", "deg_y", "deg_value"):
-                column = arrays[f"degrees::{name}"]
-                arrays[f"degrees::{name}"] = np.insert(column, start, column[start])
+            column = arrays["degrees::deg_value"]
+            arrays["degrees::deg_value"] = np.insert(column, start, column[start])
             offsets = arrays["degrees::offsets"]
             offsets[np.flatnonzero(offsets > start)] += 1
 

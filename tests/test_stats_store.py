@@ -11,8 +11,6 @@ import json
 
 import pytest
 
-from repro.baselines.characteristic_sets import CharacteristicSetsEstimator
-from repro.baselines.sumrdf import SumRdfEstimator
 from repro.catalog.cycle_rates import CycleClosingRates
 from repro.catalog.degrees import DegreeCatalog
 from repro.catalog.entropy import EntropyCatalog
@@ -226,27 +224,6 @@ class TestEntropyArtifact:
             loaded.irregularity(pattern.subpattern([0]), frozenset({"zzz"}))
 
 
-class TestBaselineArtifacts:
-    def test_characteristic_sets_round_trip(self, cyclic_graph, cyclic_pool):
-        fresh = CharacteristicSetsEstimator(cyclic_graph)
-        loaded = CharacteristicSetsEstimator.from_artifact(fresh.to_artifact())
-        assert loaded.graph is None
-        for query in cyclic_pool:
-            assert loaded.estimate(query) == fresh.estimate(query)
-
-    def test_sumrdf_round_trip(self, cyclic_graph, cyclic_pool, tmp_path):
-        import numpy as np
-
-        fresh = SumRdfEstimator(cyclic_graph, num_buckets=16, seed=2)
-        path = tmp_path / "sumrdf.npz"
-        np.savez_compressed(path, **fresh.to_artifact())
-        with np.load(path) as data:
-            loaded = SumRdfEstimator.from_artifact(dict(data.items()))
-        assert loaded.graph is None
-        for query in cyclic_pool:
-            assert loaded.estimate(query) == fresh.estimate(query)
-
-
 # ----------------------------------------------------------------------
 # The store: bulk build, persistence, graph-free serving
 # ----------------------------------------------------------------------
@@ -315,18 +292,22 @@ class TestStorePersistence:
         with pytest.raises(DatasetError, match="catalogs.npz"):
             StatisticsStore.load(directory)
 
-    def test_load_missing_sumrdf_npz_is_friendly(self, saved):
+    def test_load_missing_npz_member_is_friendly(self, saved):
+        from repro.stats.artifact import file_digest
         from repro.stats.flatpack import read_npz_arrays, write_stored_npz
 
         _, directory = saved
         path = directory / "gen-0000" / "catalogs.npz"
         arrays = read_npz_arrays(path)
-        assert any(name.startswith("sumrdf::") for name in arrays)
-        write_stored_npz(path, {
-            name: array for name, array in arrays.items()
-            if not name.startswith("sumrdf::")
-        })
-        with pytest.raises(DatasetError, match="sumrdf::"):
+        del arrays["degrees::cardinality"]
+        write_stored_npz(path, arrays)
+        # Re-record the digest, as a writer would, so the load reaches
+        # the member lookup.
+        manifest_path = directory / "manifest.json"
+        payload = json.loads(manifest_path.read_text())
+        payload["digests"]["catalogs.npz"] = file_digest(path)
+        manifest_path.write_text(json.dumps(payload))
+        with pytest.raises(DatasetError, match="degrees::cardinality"):
             StatisticsStore.load(directory)
 
     @pytest.fixture()
