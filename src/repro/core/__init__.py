@@ -12,7 +12,7 @@ from repro.core.ceg import CEG, CEGEdge
 from repro.core.ceg_m import MOLP_MAX_ATTRIBUTES, MolpEdge, molp_bound, molp_min_path
 from repro.core.compiled import compile_ceg
 from repro.core.ceg_entropy import LowestEntropyEstimator, lowest_entropy_estimate
-from repro.core.ceg_o import build_ceg_o, build_ceg_ocr
+from repro.core.ceg_o import CEG_O_MAX_EDGES, build_ceg_o, build_ceg_ocr
 from repro.core.dbplp import (
     best_dbplp_bound,
     dbplp_bound,
@@ -42,6 +42,7 @@ __all__ = [
     "compile_ceg",
     "build_ceg_o",
     "build_ceg_ocr",
+    "CEG_O_MAX_EDGES",
     "MOLP_MAX_ATTRIBUTES",
     "MolpEdge",
     "molp_bound",

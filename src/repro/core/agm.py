@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import EstimationError
 from repro.graph.digraph import LabeledDiGraph
@@ -22,6 +21,8 @@ __all__ = ["agm_bound"]
 
 def agm_bound(query: QueryPattern, graph: LabeledDiGraph) -> float:
     """``min_x Π |R_i|^{x_i}`` over fractional edge covers of the query."""
+    from scipy.optimize import linprog  # only the LP baselines load scipy
+
     cardinalities = [graph.cardinality(edge.label) for edge in query.edges]
     if any(c == 0 for c in cardinalities):
         return 0.0

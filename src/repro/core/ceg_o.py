@@ -32,7 +32,11 @@ popcount layer at a time, and the reached subsets and their edges are
 laid out directly in the order contract of :mod:`repro.core.compiled`.
 The lattice shares MOLP's bound: a query over
 :data:`~repro.core.ceg_m.MOLP_MAX_ATTRIBUTES` atoms gets
-:class:`EstimationError` before any lattice exists.
+:class:`EstimationError` before any lattice exists.  Within that bound a
+wide star still reaches millions of edges (a 16-star keeps about 3.9M at
+``h = 2``), so the walk also stops with :class:`EstimationError` as soon
+as the kept edges pass :data:`CEG_O_MAX_EDGES`, before it allocates the
+next chunk.
 
 The extensions' cardinalities are read once, by canonical key through
 :func:`repro.query.canonical.subpattern_form`.  ``CEG_OCR`` issues its
@@ -56,7 +60,12 @@ from repro.query.canonical import subpattern_form
 from repro.query.pattern import QueryPattern
 from repro.query.shape import _bits, cycle_masks
 
-__all__ = ["build_ceg_o", "build_ceg_ocr"]
+__all__ = ["CEG_O_MAX_EDGES", "build_ceg_o", "build_ceg_ocr"]
+
+#: Most edges one ``CEG_O`` may keep.  Above every 12-atom G-CARE
+#: template at ``h = 3`` (the 12-star keeps 668,800) and the 14-star at
+#: ``h = 2`` (745,381); the 15- and 16-stars stop here.
+CEG_O_MAX_EDGES = 1 << 20
 
 
 def build_ceg_o(
@@ -241,6 +250,7 @@ class _Lattice:
         reached = np.zeros(1 << n, dtype=bool)
         reached[0] = True
         parts = []
+        kept = 0
         step = max(1, ceg_m._CHUNK_CELLS // len(self.columns))
         # The full set (the last node) has no extensions left.
         for begin in range(0, full, step):
@@ -262,6 +272,12 @@ class _Lattice:
                 (sources[live], columns,
                  None if calls is None else calls[rows, columns])
             )
+            kept += len(columns)
+            if kept > CEG_O_MAX_EDGES:
+                raise EstimationError(
+                    f"CEG_O is limited to {CEG_O_MAX_EDGES} edges; the "
+                    f"query's {n}-atom lattice keeps more"
+                )
         sources, columns, calls = parts[0] if len(parts) == 1 else (
             None if arrays[0] is None else np.concatenate(arrays)
             for arrays in zip(*parts)

@@ -17,7 +17,6 @@ import math
 from itertools import combinations, product
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.catalog.degrees import DegreeCatalog
 from repro.errors import EstimationError
@@ -67,6 +66,8 @@ def dbplp_bound(
     query: QueryPattern, catalog: DegreeCatalog, cover: Cover | None = None
 ) -> float:
     """The DBPLP bound ``2^{Σ v_a}`` for one cover."""
+    from scipy.optimize import linprog  # only the LP baselines load scipy
+
     if cover is None:
         cover = default_cover(query)
     variables = list(query.variables)

@@ -20,8 +20,6 @@ import math
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from repro.catalog.degrees import DegreeCatalog
 from repro.errors import EstimationError
@@ -38,6 +36,9 @@ def molp_lp_bound(
     include_projections: bool = False,
 ) -> float:
     """The MOLP optimum ``2^{s_A}`` solved numerically."""
+    from scipy.optimize import linprog  # only the LP baselines load scipy
+    from scipy.sparse import csr_matrix
+
     attrs = tuple(sorted(query.variables))
     n = len(attrs)
     if n > _MAX_LP_ATTRS:

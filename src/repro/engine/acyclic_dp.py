@@ -3,9 +3,10 @@
 An acyclic join query over binary relations is a tree of variables; its
 homomorphism count factorises over the tree.  Rooting the tree anywhere,
 the number of homomorphisms that map variable ``x`` to data vertex ``v``
-is the product over ``x``'s child edges of a sparse matrix-vector product
-with the child's count vector.  Total time is ``O(|Q| · |E|)`` regardless
-of the (possibly astronomical) output size.
+is the product over ``x``'s child edges of the child's count vector
+summed along that edge's relation: one ``np.bincount`` over the
+relation's src-sorted edge arrays per message.  Total time is
+``O(|Q| · |E|)`` regardless of the (possibly astronomical) output size.
 
 Counts are returned as ``float64``; they are exact below 2**53 and a
 faithful magnitude above (the evaluation only ever takes q-error ratios).
@@ -81,11 +82,19 @@ def tree_weight_array(
     for parent, child, index in _children_structure(pattern, root):
         edge = pattern.edges[index]
         child_vec = vector_for(child)
-        matrix = graph.adjacency_csr(edge.label)
-        if edge.src == parent:
-            message = matrix @ child_vec
+        if edge.label in graph:
+            relation = graph.relation(edge.label)
+            # Summing in src-sorted edge order adds each vertex's terms in
+            # the order a CSR mat-vec (or its transpose) does: same bits.
+            if edge.src == parent:
+                sources, targets = relation.src_by_src, relation.dst_by_src
+            else:
+                sources, targets = relation.dst_by_src, relation.src_by_src
+            message = np.bincount(
+                sources, weights=child_vec[targets], minlength=n
+            )
         else:
-            message = matrix.T @ child_vec
+            message = np.zeros(n, dtype=np.float64)
         parent_vec = vector_for(parent)
         counts[parent] = parent_vec * message
     return vector_for(root)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import DatasetError
 
@@ -171,8 +170,6 @@ class LabeledDiGraph:
                     f">= num_vertices={self._num_vertices}"
                 )
             self._relations[str(label)] = relation
-        self._csr_cache: dict[str, sparse.csr_matrix] = {}
-        self._csc_cache: dict[str, sparse.csc_matrix] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -205,8 +202,6 @@ class LabeledDiGraph:
                     f">= num_vertices={graph._num_vertices}"
                 )
             graph._relations[str(label)] = relation
-        graph._csr_cache = {}
-        graph._csc_cache = {}
         return graph
 
     @classmethod
@@ -303,23 +298,6 @@ class LabeledDiGraph:
         if relation is None:
             return 0
         return int(len(np.unique(relation.dst_by_src)))
-
-    def adjacency_csr(self, label: str) -> sparse.csr_matrix:
-        """0/1 adjacency matrix of ``label`` as CSR (cached)."""
-        cached = self._csr_cache.get(label)
-        if cached is not None:
-            return cached
-        relation = self._relations.get(label)
-        n = self._num_vertices
-        if relation is None:
-            matrix = sparse.csr_matrix((n, n), dtype=np.int64)
-        else:
-            data = np.ones(relation.size, dtype=np.int64)
-            matrix = sparse.csr_matrix(
-                (data, (relation.src_by_src, relation.dst_by_src)), shape=(n, n)
-            )
-        self._csr_cache[label] = matrix
-        return matrix
 
     def summary(self) -> dict[str, int]:
         """Dataset description in the style of Table 2."""

@@ -15,8 +15,9 @@ This module provides the shape predicates used throughout the library:
 * :func:`largest_cycle_length` and :func:`has_only_triangles` — the
   classification used to pick between Figures 9/10/11 regimes;
 * :func:`depth` — the template "depth" used by the Acyclic workload of
-  §6.1 (eccentricity of the pattern's center, i.e. stars have depth 2 and
-  paths of k edges have depth k, matching Figure 8's convention);
+  §6.1 (the diameter of the variable graph, i.e. stars have depth 2 and
+  paths of k edges have depth k, matching Figure 8's convention), found
+  by a breadth-first walk over variable bitmasks;
 * :func:`spanning_tree_and_closures` — splits a cyclic pattern's edges
   into a spanning tree plus cycle-closing edges (the join order of
   full match tables, WanderJoin's walk order).
@@ -24,12 +25,10 @@ This module provides the shape predicates used throughout the library:
 
 from __future__ import annotations
 
-import networkx as nx
-
+from repro.errors import PatternError
 from repro.query.pattern import QueryPattern
 
 __all__ = [
-    "to_multigraph",
     "two_core_edges",
     "is_acyclic",
     "cycles",
@@ -39,19 +38,6 @@ __all__ = [
     "depth",
     "spanning_tree_and_closures",
 ]
-
-
-def to_multigraph(pattern: QueryPattern) -> nx.MultiGraph:
-    """The undirected multigraph underlying a pattern.
-
-    Nodes are query variables; each atom becomes one edge keyed by its
-    index in ``pattern.edges``.
-    """
-    graph = nx.MultiGraph()
-    graph.add_nodes_from(pattern.variables)
-    for index, edge in enumerate(pattern.edges):
-        graph.add_edge(edge.src, edge.dst, key=index, label=edge.label)
-    return graph
 
 
 def two_core_edges(pattern: QueryPattern) -> frozenset[int]:
@@ -198,16 +184,32 @@ def depth(pattern: QueryPattern) -> int:
     Defined as the diameter of the underlying graph in edges; a k-star has
     depth 2 and a k-path has depth k, matching §6.1's description that
     "the minimum depth of any query is 2 (stars) and the maximum is k
-    (paths)".  Patterns with a single atom have depth 1.
+    (paths)".  Patterns with a single atom have depth 1.  Each variable's
+    eccentricity is a breadth-first walk over neighbour bitmasks; a
+    disconnected pattern has no diameter and raises :class:`PatternError`.
     """
-    graph = nx.Graph(to_multigraph(pattern))
-    if graph.number_of_nodes() <= 1:
-        return 0
-    if len(pattern) == 1:
-        return 1
-    return max(
-        nx.eccentricity(graph, v) for v in graph.nodes
-    )
+    position = {var: i for i, var in enumerate(pattern.variables)}
+    neighbours = [0] * len(position)
+    for edge in pattern.edges:
+        u, v = position[edge.src], position[edge.dst]
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    everything = (1 << len(position)) - 1
+    diameter = 0
+    for root in range(len(position)):
+        reached = frontier = 1 << root
+        eccentricity = -1
+        while frontier:
+            eccentricity += 1
+            step = 0
+            for var in _bits(frontier):
+                step |= neighbours[var]
+            frontier = step & ~reached
+            reached |= frontier
+        if reached != everything:
+            raise PatternError("a disconnected pattern has no depth")
+        diameter = max(diameter, eccentricity)
+    return diameter
 
 
 def spanning_tree_and_closures(pattern: QueryPattern) -> tuple[list[int], list[int]]:

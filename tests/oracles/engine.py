@@ -11,6 +11,11 @@
 * :func:`count_bruteforce` — every assignment of query variables to
   data vertices, checked atom by atom.  Exponential: use only on graphs
   with a handful of vertices.
+* :func:`adjacency_csr` and :func:`tree_weight_array_csr` — the 0/1
+  scipy CSR adjacency matrix of one label and the acyclic tree DP as the
+  sparse mat-vecs the library computed before
+  :func:`repro.engine.acyclic_dp.tree_weight_array` summed its messages
+  with ``np.bincount``.
 
 The differential tests compare the library's counts against them with
 exact float equality.
@@ -21,15 +26,70 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+from scipy import sparse
 
-from repro.engine.acyclic_dp import count_acyclic, tree_weight_array
+from repro.engine.acyclic_dp import (
+    _children_structure,
+    count_acyclic,
+    tree_weight_array,
+)
 from repro.engine.counter import _components, _hanging_trees
 from repro.errors import CountBudgetExceeded
 from repro.graph.digraph import LabeledDiGraph
 from repro.query.pattern import QueryPattern
 from repro.query.shape import two_core_edges
 
-__all__ = ["count_bruteforce", "count_general_backtracking"]
+__all__ = [
+    "adjacency_csr",
+    "count_bruteforce",
+    "count_general_backtracking",
+    "tree_weight_array_csr",
+]
+
+
+def adjacency_csr(graph: LabeledDiGraph, label: str) -> sparse.csr_matrix:
+    """0/1 adjacency matrix of ``label`` as CSR."""
+    relation = graph.relation(label) if label in graph else None
+    n = graph.num_vertices
+    if relation is None:
+        return sparse.csr_matrix((n, n), dtype=np.int64)
+    data = np.ones(relation.size, dtype=np.int64)
+    return sparse.csr_matrix(
+        (data, (relation.src_by_src, relation.dst_by_src)), shape=(n, n)
+    )
+
+
+def tree_weight_array_csr(
+    graph: LabeledDiGraph,
+    pattern: QueryPattern,
+    root: str,
+    leaf_weights: dict[str, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Per-vertex homomorphism counts of an acyclic pattern rooted at ``root``,
+    each message one CSR mat-vec (or its transpose)."""
+    n = graph.num_vertices
+    counts: dict[str, np.ndarray] = {}
+
+    def vector_for(var: str) -> np.ndarray:
+        vec = counts.get(var)
+        if vec is None:
+            vec = np.ones(n, dtype=np.float64)
+            if leaf_weights and var in leaf_weights:
+                vec = vec * leaf_weights[var]
+            counts[var] = vec
+        return vec
+
+    for parent, child, index in _children_structure(pattern, root):
+        edge = pattern.edges[index]
+        child_vec = vector_for(child)
+        matrix = adjacency_csr(graph, edge.label)
+        if edge.src == parent:
+            message = matrix @ child_vec
+        else:
+            message = matrix.T @ child_vec
+        parent_vec = vector_for(parent)
+        counts[parent] = parent_vec * message
+    return vector_for(root)
 
 
 def count_bruteforce(graph: LabeledDiGraph, pattern: QueryPattern) -> int:

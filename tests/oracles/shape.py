@@ -1,11 +1,13 @@
-"""Reference simple-cycle enumeration, kept verbatim as an oracle.
+"""Reference networkx shape analysis, kept verbatim as oracles.
 
-:func:`cycles` is the networkx version the library enumerated query
-cycles with before :func:`repro.query.shape.cycle_masks` walked atom
-bitmasks: self-loops and parallel pairs by hand, longer cycles from
-``networkx.simple_cycles`` on the simple variable graph, each expanded
-to every choice of parallel atoms.  The differential test compares the
-two lists for equality, order included.
+* :func:`cycles` is the networkx version the library enumerated query
+  cycles with before :func:`repro.query.shape.cycle_masks` walked atom
+  bitmasks: self-loops and parallel pairs by hand, longer cycles from
+  ``networkx.simple_cycles`` on the simple variable graph, each expanded
+  to every choice of parallel atoms.  The differential test compares the
+  two lists for equality, order included.
+* :func:`depth` is the networkx eccentricity version of
+  :func:`repro.query.shape.depth`, over :func:`to_multigraph`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,38 @@ import networkx as nx
 
 from repro.query.pattern import QueryPattern
 
-__all__ = ["cycles"]
+__all__ = ["cycles", "depth", "to_multigraph"]
+
+
+def to_multigraph(pattern: QueryPattern) -> nx.MultiGraph:
+    """The undirected multigraph underlying a pattern.
+
+    Nodes are query variables; each atom becomes one edge keyed by its
+    index in ``pattern.edges``.
+    """
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(pattern.variables)
+    for index, edge in enumerate(pattern.edges):
+        graph.add_edge(edge.src, edge.dst, key=index, label=edge.label)
+    return graph
+
+
+def depth(pattern: QueryPattern) -> int:
+    """Template depth as used by the Acyclic workload (Figure 8).
+
+    Defined as the diameter of the underlying graph in edges; a k-star has
+    depth 2 and a k-path has depth k, matching §6.1's description that
+    "the minimum depth of any query is 2 (stars) and the maximum is k
+    (paths)".  Patterns with a single atom have depth 1.
+    """
+    graph = nx.Graph(to_multigraph(pattern))
+    if graph.number_of_nodes() <= 1:
+        return 0
+    if len(pattern) == 1:
+        return 1
+    return max(
+        nx.eccentricity(graph, v) for v in graph.nodes
+    )
 
 
 def cycles(pattern: QueryPattern) -> list[frozenset[int]]:

@@ -4,11 +4,13 @@ import pytest
 
 from repro.catalog import CycleClosingRates, MarkovTable
 from repro.core import (
+    CEG_O_MAX_EDGES,
     OptimisticEstimator,
     PStarOracle,
     all_nine_estimators,
     build_ceg_o,
     build_ceg_ocr,
+    ceg_o,
     distinct_estimates,
     estimate_from_ceg,
 )
@@ -195,3 +197,84 @@ class TestCegOcr:
             build_ceg_ocr(query, markov, rates), "max", "max"
         )
         assert plain == pytest.approx(with_rates)
+
+
+def _star(atoms: int, labels) -> QueryPattern:
+    return templates.star(atoms).with_labels(
+        [labels[i % len(labels)] for i in range(atoms)]
+    )
+
+
+class TestEdgeBound:
+    """A query inside the atom bound can still keep millions of CEG_O
+    edges; the walk stops at ``CEG_O_MAX_EDGES`` with a typed error."""
+
+    def test_twelve_atom_gcare_templates_fit_at_h3(self, tiny_graph):
+        markov = MarkovTable(tiny_graph, h=3)
+        labels = list(tiny_graph.labels)
+        for name in ("gcare_12path", "gcare_12star", "gcare_12tree"):
+            base = templates.gcare_acyclic_templates()[name]
+            query = base.with_labels(
+                [labels[i % len(labels)] for i in range(len(base))]
+            )
+            assert build_ceg_o(query, markov).num_edges <= CEG_O_MAX_EDGES
+        assert build_ceg_o(_star(12, labels), markov).num_edges == 668_800
+
+    def test_sixteen_star_stops_before_the_next_chunk(
+        self, tiny_graph, monkeypatch
+    ):
+        chunks = []
+        cells = ceg_o._Lattice._cells
+
+        def counted(self, chunk, size_h_rule):
+            chunks.append(len(chunk))
+            return cells(self, chunk, size_h_rule)
+
+        monkeypatch.setattr(ceg_o._Lattice, "_cells", counted)
+        markov = MarkovTable(tiny_graph, h=2)
+        with pytest.raises(EstimationError, match="edges"):
+            build_ceg_o(_star(16, list(tiny_graph.labels)), markov)
+        # The 2^16 rows were not all evaluated: the walk stopped early.
+        assert sum(chunks) < (1 << 16) - 1
+
+    def test_over_bound_is_a_per_cell_error(self, tiny_graph):
+        from repro.service import EstimationSession
+
+        session = EstimationSession(tiny_graph, h=2, molp_h=2)
+        result = session.estimate_batch(
+            [_star(16, ["A", "B"]), templates.path(2).with_labels(["A", "B"])],
+            ["max-hop-max"],
+        )
+        assert result.item(0, "max-hop-max").error.startswith("EstimationError")
+        assert result.item(1, "max-hop-max").ok
+
+    def test_over_bound_over_the_wire(self, tiny_graph, tmp_path):
+        from repro.query.parser import format_pattern
+        from repro.server import EstimationClient, ServerConfig, StoreRegistry
+        from repro.server import ThreadedServer, protocol
+        from repro.stats import StatsBuildConfig, build_statistics
+
+        store = build_statistics(
+            tiny_graph, StatsBuildConfig(h=2, molp_h=2), dataset_name="tiny"
+        )
+        store.save(tmp_path / "tiny")
+        registry = StoreRegistry()
+        registry.load("tiny", tmp_path / "tiny")
+        with ThreadedServer(registry, ServerConfig(port=0)) as server:
+            with EstimationClient(server.host, server.port) as client:
+                response = client.request({
+                    "v": protocol.PROTOCOL_VERSION,
+                    "verb": "estimate",
+                    "tenant": "tiny",
+                    "query": format_pattern(_star(16, ["A", "B"])),
+                    "estimators": ["max-hop-max"],
+                })
+                assert response["ok"] is True
+                result = response["result"]
+                assert result["estimates"] == {}
+                assert result["errors"]["max-hop-max"].startswith(
+                    "EstimationError"
+                )
+                after = client.estimate("tiny", "a -[A]-> b -[B]-> c", ["max-hop-max"])
+        assert after["errors"] == {}
+        assert after["estimates"]["max-hop-max"] > 0

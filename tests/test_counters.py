@@ -3,16 +3,20 @@
 The acyclic DP and the core-based frame counter are validated against
 the brute-force oracle of ``tests/oracles/engine.py`` on small random
 graphs (hypothesis), and against hand-computed counts on the tiny
-fixture graph.
+fixture graph.  The DP's ``np.bincount`` messages are checked bit for
+bit against the scipy CSR mat-vec oracle of the same file.
 """
+
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles.engine import count_bruteforce
+from oracles.engine import adjacency_csr, count_bruteforce, tree_weight_array_csr
 from repro.engine import count_acyclic, count_general, count_pattern
+from repro.engine.acyclic_dp import tree_weight_array
 from repro.errors import CountBudgetExceeded
 from repro.graph import LabeledDiGraph
 from repro.query import QueryPattern, parse_pattern, templates
@@ -148,6 +152,67 @@ class TestAgainstBruteForce:
         assert count_acyclic(graph, pattern) == count_general(graph, pattern)
 
 
+@st.composite
+def tree_dp_cases(draw):
+    """A random graph (self-loops allowed), a random acyclic pattern whose
+    labels may be missing from the graph, a root and optional leaf weights."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    triples = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from(["A", "B", "C"]),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    graph = LabeledDiGraph.from_triples(triples, num_vertices=n)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tree = templates.random_tree(draw(st.integers(1, 6)), rng)
+    pattern = tree.with_labels(
+        [draw(st.sampled_from(["A", "B", "C", "Z"])) for _ in range(len(tree))]
+    )
+    root = draw(st.sampled_from(pattern.variables))
+    weighted = draw(st.lists(st.sampled_from(pattern.variables), unique=True))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    leaf_weights = {var: values.random(n) * 1e3 for var in weighted} or None
+    return graph, pattern, root, leaf_weights
+
+
+_FAN = LabeledDiGraph.from_triples(
+    [(0, 1, "A"), (0, 2, "A"), (0, 3, "A"), (1, 4, "A"), (2, 4, "A"), (3, 4, "A")],
+    num_vertices=5,
+)
+_TENTHS = {"y": np.array([0.0, 0.1, 0.2, 0.3, 0.0])}
+
+
+class TestTreeDpAgainstCsr:
+    @given(tree_dp_cases())
+    @settings(max_examples=150, deadline=None)
+    # Three-term sums whose float result depends on their order,
+    # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1: along A, then against it.
+    @example((_FAN, QueryPattern([("x", "y", "A")]), "x", _TENTHS))
+    @example((_FAN, QueryPattern([("y", "x", "A")]), "x", _TENTHS))
+    @example(
+        (
+            LabeledDiGraph.from_triples(
+                [(0, 0, "A"), (0, 1, "A"), (1, 1, "B")], num_vertices=3
+            ),
+            QueryPattern([("x", "y", "A"), ("z", "y", "B"), ("y", "w", "Z")]),
+            "y",
+            {"x": np.array([0.1, 0.7, 3.3]), "y": np.array([1.5, 0.25, 9.0])},
+        )
+    )
+    def test_bincount_messages_equal_csr_matvec_bit_for_bit(self, case):
+        graph, pattern, root, leaf_weights = case
+        got = tree_weight_array(graph, pattern, root, leaf_weights)
+        want = tree_weight_array_csr(graph, pattern, root, leaf_weights)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
 class TestClosedForms:
     def test_two_path_closed_form(self, medium_random_graph):
         """|A join B| == sum_v in_A(v) * out_B(v)."""
@@ -174,9 +239,9 @@ class TestClosedForms:
         graph = medium_random_graph
         la, lb, lc = graph.labels[0], graph.labels[1], graph.labels[2]
         product = (
-            graph.adjacency_csr(la)
-            @ graph.adjacency_csr(lb)
-            @ graph.adjacency_csr(lc)
+            adjacency_csr(graph, la)
+            @ adjacency_csr(graph, lb)
+            @ adjacency_csr(graph, lc)
         )
         expected = float(np.asarray(product.diagonal()).sum())
         pattern = templates.triangle().with_labels([la, lb, lc])

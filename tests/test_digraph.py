@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.engine import adjacency_csr
 from repro.errors import DatasetError
 from repro.graph import LabeledDiGraph, generate_graph, zipf_weights
 
@@ -70,11 +71,15 @@ class TestStatistics:
         assert tiny_graph.distinct_destinations("A") == 2
 
     def test_adjacency_csr(self, tiny_graph):
-        matrix = tiny_graph.adjacency_csr("A")
+        matrix = adjacency_csr(tiny_graph, "A")
         assert matrix.shape == (8, 8)
         assert matrix[0, 2] == 1 and matrix[2, 0] == 0
-        # Cached object is reused.
-        assert tiny_graph.adjacency_csr("A") is matrix
+        # The matrix is the relation's src-sorted edge arrays, entry for entry.
+        rows, cols = matrix.nonzero()
+        relation = tiny_graph.relation("A")
+        assert rows.tolist() == relation.src_by_src.tolist()
+        assert cols.tolist() == relation.dst_by_src.tolist()
+        assert adjacency_csr(tiny_graph, "Z").nnz == 0
 
     def test_summary(self, tiny_graph):
         summary = tiny_graph.summary()

@@ -1,12 +1,33 @@
 """Tests for query shape analysis (cycles, depth, decompositions)."""
 
 import networkx as nx
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import ceg as ceg_oracle
 from oracles import shape as oracle
+from repro.errors import PatternError
 from repro.query import QueryPattern, shape, templates
+
+
+@st.composite
+def multigraph_patterns(draw):
+    """Random patterns with self-loops, parallel atoms and several parts."""
+    variables = [f"x{i}" for i in range(draw(st.integers(1, 6)))]
+    atoms = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(variables),
+                st.sampled_from(variables),
+                st.sampled_from(["A", "B"]),
+            ),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    return QueryPattern(atoms)
 
 
 class TestCycles:
@@ -75,6 +96,32 @@ class TestDepth:
                 assert len(tree) == k
                 assert shape.depth(tree) == d, (k, d)
 
+    def test_every_template_matches_networkx(self):
+        inventories = (
+            templates.job_templates(),
+            templates.acyclic_templates(),
+            templates.cyclic_templates(),
+            templates.gcare_acyclic_templates(),
+            templates.gcare_cyclic_templates(),
+        )
+        for inventory in inventories:
+            for name, pattern in inventory.items():
+                assert shape.depth(pattern) == oracle.depth(pattern), name
+
+    @given(multigraph_patterns())
+    @settings(max_examples=300, deadline=None)
+    @example(QueryPattern([("a", "a", "A")]))
+    @example(QueryPattern([("a", "a", "A"), ("a", "b", "B")]))
+    @example(QueryPattern([("a", "b", "A"), ("b", "a", "A")]))
+    def test_matches_networkx_eccentricity(self, pattern):
+        if pattern.is_connected():
+            assert shape.depth(pattern) == oracle.depth(pattern)
+            return
+        with pytest.raises(PatternError):
+            shape.depth(pattern)
+        with pytest.raises(nx.NetworkXError):
+            oracle.depth(pattern)
+
 
 class TestCycleCompletions:
     """The rule ``CEG_OCR`` prices (§4.3), on the bitmask form the CEG
@@ -122,30 +169,11 @@ class TestSpanningDecomposition:
         assert bound == set(pattern.variables)
 
 
-@st.composite
-def multigraph_patterns(draw):
-    """Random patterns with self-loops, parallel atoms and several parts."""
-    variables = [f"x{i}" for i in range(draw(st.integers(1, 6)))]
-    atoms = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(variables),
-                st.sampled_from(variables),
-                st.sampled_from(["A", "B"]),
-            ),
-            min_size=1,
-            max_size=8,
-            unique=True,
-        )
-    )
-    return QueryPattern(atoms)
-
-
 class TestIsAcyclicAgainstNetworkx:
     @staticmethod
     def _find_cycle_says_acyclic(pattern: QueryPattern) -> bool:
         try:
-            nx.find_cycle(shape.to_multigraph(pattern))
+            nx.find_cycle(oracle.to_multigraph(pattern))
         except nx.NetworkXNoCycle:
             return True
         return False
