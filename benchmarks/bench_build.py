@@ -12,7 +12,9 @@ three things before reporting throughput:
   ``stop_after_level``, the deterministic stand-in for ``kill -9``)
   resumes from its checkpoint without recounting the completed level
   and still lands on identical bytes;
-* **speedup** — parallel vs serial wall-clock, gated only when the
+* **speedup** — parallel vs serial wall-clock, each side the best of
+  :data:`TIMED_BUILDS` builds (one build per side read 0.87-1.11x on a
+  2-vCPU VM whenever other load took a core), gated only when the
   machine actually has the cores: the bar (>= 3x at ``--jobs 8``;
   >= 1.5x at ``--jobs 2`` in ``--quick``) is recorded as *skipped*,
   not passed, on boxes with fewer cores than the job count.
@@ -42,6 +44,9 @@ from repro.stats import StatsBuildConfig, build_statistics  # noqa: E402
 #: plus its metadata sidecar, so these two cover markov/degrees.
 COMPARED_FILES = ["catalogs.npz", "catalogs.meta.json"]
 
+#: Builds timed per side; the speedup compares the fastest of each.
+TIMED_BUILDS = 3
+
 
 def _available_cores() -> int:
     try:
@@ -56,6 +61,20 @@ def _catalog_bytes(store, directory: Path) -> dict[str, bytes]:
     return {name: (image / name).read_bytes() for name in COMPARED_FILES}
 
 
+def _best_build(graph, config, jobs: int):
+    """``(store, seconds)`` of the fastest of :data:`TIMED_BUILDS` builds."""
+    best = None
+    for _ in range(TIMED_BUILDS):
+        started = time.perf_counter()
+        store = build_statistics(
+            graph, config, dataset_name="synth1m", jobs=jobs
+        )
+        seconds = time.perf_counter() - started
+        if best is None or seconds < best[1]:
+            best = (store, seconds)
+    return best
+
+
 def run(quick: bool = False) -> dict:
     import tempfile
 
@@ -65,15 +84,8 @@ def run(quick: bool = False) -> dict:
     config = StatsBuildConfig(h=2, molp_h=2)
     cores = _available_cores()
 
-    started = time.perf_counter()
-    serial = build_statistics(graph, config, dataset_name="synth1m")
-    serial_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    parallel = build_statistics(
-        graph, config, dataset_name="synth1m", jobs=jobs
-    )
-    parallel_seconds = time.perf_counter() - started
+    serial, serial_seconds = _best_build(graph, config, jobs=1)
+    parallel, parallel_seconds = _best_build(graph, config, jobs=jobs)
 
     work = Path(tempfile.mkdtemp(prefix="bench_build_"))
     serial_bytes = _catalog_bytes(serial, work / "serial")
@@ -132,6 +144,7 @@ def run(quick: bool = False) -> dict:
         "peak_level_width": serial.manifest.build_config["peak_level_width"],
         "byte_identical": True,
         "resume_no_recount": True,
+        "timed_builds": TIMED_BUILDS,
         "speedup": speedup,
         "speedup_bar": bar,
         "speedup_gate": "enforced" if gate_applicable else (

@@ -16,42 +16,22 @@ touched edges actually participate in, not to ``count(P)``.  All
 arithmetic is integer-valued float64, so ``old + Δ`` is bit-identical
 to a cold recount.
 
-:func:`discover_new_patterns` finds the canonical patterns a *complete*
-artifact must add after inserts: any pattern that was empty before and
-non-empty after has every new match using at least one inserted edge,
-so growing connected patterns around the insert relations (with the
-constrained frame as an emptiness prune) enumerates a superset of
-exactly the newly non-empty shapes.
+This module holds only that identity.  How a pattern grows by one atom
+and what a counted pattern stores belong to the offline builder
+(:mod:`repro.stats.build`); :mod:`repro.delta.maintain` discovers newly
+non-empty patterns and re-records touched ones through it.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-from repro.engine.frames import extend_frame, frame_from_edge, sorted_intersects
+from repro.engine.frames import extend_frame, frame_from_edge
 from repro.errors import PlanningError
 from repro.graph.digraph import LabeledDiGraph
-from repro.query.canonical import canonical_key
-from repro.query.pattern import QueryEdge, QueryPattern
+from repro.query.pattern import QueryPattern
 
-__all__ = [
-    "pattern_from_key",
-    "delta_count",
-    "delta_count_with_touch",
-    "discover_new_patterns",
-]
-
-
-def pattern_from_key(key: tuple) -> QueryPattern:
-    """Rebuild the canonical pattern a catalog key encodes.
-
-    Canonical keys are sorted tuples of ``(src_pos, dst_pos, label)``;
-    naming positions ``v0, v1, ...`` reproduces exactly
-    :func:`repro.query.canonical.canonical_pattern`'s output.
-    """
-    return QueryPattern((f"v{s}", f"v{d}", label) for s, d, label in key)
+__all__ = ["delta_count_with_touch"]
 
 
 def _connected_order(pattern: QueryPattern, start: int) -> list[int]:
@@ -137,133 +117,3 @@ def delta_count_with_touch(
             delta -= term
             support_changed = support_changed or term != 0.0
     return delta, support_changed
-
-
-def delta_count(
-    pattern: QueryPattern,
-    old_graph: LabeledDiGraph,
-    new_graph: LabeledDiGraph,
-    insert_graph: LabeledDiGraph | None,
-    delete_graph: LabeledDiGraph | None,
-    max_rows: int | None = None,
-) -> float:
-    """``count_{new}(pattern) − count_{old}(pattern)`` (see above)."""
-    return delta_count_with_touch(
-        pattern, old_graph, new_graph, insert_graph, delete_graph, max_rows
-    )[0]
-
-
-def _fresh_name(variables: tuple[str, ...]) -> str:
-    taken = set(variables)
-    index = len(taken)
-    while f"f{index}" in taken:
-        index += 1
-    return f"f{index}"
-
-
-def _candidate_extensions(pattern, values, labels, unique_src, unique_dst):
-    """One-atom extensions that can keep a constrained frame non-empty.
-
-    Mirrors the offline builder's candidate generation: labels are
-    pruned against the frame's bound-variable value sets (a necessary
-    condition, so pruning never loses a viable extension); ``values``
-    of None (frame overflow) disables pruning.
-    """
-    variables = pattern.variables
-    existing = set(pattern.edges)
-    fresh = _fresh_name(variables)
-    for var in variables:
-        for label in labels:
-            if values is None or sorted_intersects(unique_src[label], values[var]):
-                yield QueryEdge(var, fresh, label)
-            if values is None or sorted_intersects(unique_dst[label], values[var]):
-                yield QueryEdge(fresh, var, label)
-    for src in variables:
-        for dst in variables:
-            for label in labels:
-                edge = QueryEdge(src, dst, label)
-                if edge in existing:
-                    continue
-                if values is None or (
-                    sorted_intersects(unique_src[label], values[src])
-                    and sorted_intersects(unique_dst[label], values[dst])
-                ):
-                    yield edge
-
-
-def discover_new_patterns(
-    new_graph: LabeledDiGraph,
-    insert_graph: LabeledDiGraph,
-    h_enum: int,
-    known: set[tuple],
-    max_rows: int | None = None,
-) -> dict[tuple, QueryPattern]:
-    """Canonical patterns (≤ ``h_enum`` atoms) that may be newly non-empty.
-
-    Grows connected patterns whose first atom is constrained to the
-    insert relations, with every other atom over the mutated graph; a
-    pattern whose constrained frame is empty cannot support any child
-    with a match through this seed, so the subtree is pruned.  Returns
-    candidates absent from ``known`` (the currently stored keys) — a
-    superset of the newly non-empty patterns; callers count each on the
-    mutated graph and keep the non-zero ones.
-    """
-    labels = new_graph.labels
-    unique_src = {
-        label: np.unique(new_graph.relation(label).src_by_src)
-        for label in labels
-    }
-    unique_dst = {
-        label: np.unique(new_graph.relation(label).dst_by_src)
-        for label in labels
-    }
-    candidates: dict[tuple, QueryPattern] = {}
-
-    def note(pattern: QueryPattern) -> None:
-        key = canonical_key(pattern)
-        if key not in known and key not in candidates:
-            candidates[key] = pattern
-
-    level: list[tuple[QueryPattern, object]] = []
-    for label in insert_graph.labels:
-        for pattern in (
-            QueryPattern([("v0", "v1", label)]),
-            QueryPattern([("v0", "v0", label)]),
-        ):
-            frame = frame_from_edge(insert_graph, pattern.edges[0])
-            if frame.size == 0:
-                continue
-            note(pattern)
-            level.append((pattern, frame))
-
-    size = 1
-    while size < h_enum and level:
-        next_level: list[tuple[QueryPattern, object]] = []
-        for pattern, frame in level:
-            if frame is None:
-                values = None
-            else:
-                values = {
-                    var: np.unique(frame.column(var))
-                    for var in pattern.variables
-                }
-            for edge in _candidate_extensions(
-                pattern, values, labels, unique_src, unique_dst
-            ):
-                child = QueryPattern(pattern.edges + (edge,))
-                child_frame = None
-                if frame is not None:
-                    try:
-                        child_frame, _ = extend_frame(
-                            new_graph, frame, edge, max_rows=max_rows
-                        )
-                    except PlanningError:
-                        child_frame = None  # unknown: keep growing unpruned
-                    else:
-                        if child_frame.size == 0:
-                            continue
-                note(child)
-                next_level.append((child, child_frame))
-        level = next_level
-        size += 1
-    return candidates

@@ -11,11 +11,14 @@ mutated graph — without rebuilding from scratch:
   :mod:`repro.delta.counting`: only patterns over touched labels are
   visited, and each is recounted by joining outward from the (tiny)
   insert/delete relations.  Complete artifacts additionally *discover*
-  newly non-empty patterns around the inserts and drop patterns whose
-  count reached zero (cold enumeration never stores zeros).
+  newly non-empty patterns around the inserts (with the builder's level
+  step) and drop patterns whose count reached zero (cold enumeration
+  never stores zeros).
 * **Degree relations** are rebuilt only for shapes whose match support
-  actually changed (the seeded joins double as exact change detectors);
-  untouched relations are carried over byte-identically.
+  actually changed (the seeded joins double as exact change detectors)
+  or whose relation is missing after a ``max_rows`` overflow; untouched
+  relations are carried over byte-identically.  Every recounted or
+  discovered pattern is stored by the builder's own rule.
 * **Cycle rates** are resampled and **entropy** irregularities
   recomputed for touched shapes.  The *staleness ledger* records which
   catalogs are exact vs merely refreshed.
@@ -36,36 +39,36 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.catalog.cycle_rates import CycleClosingRates
-from repro.catalog.degrees import StatRelation, materialise_table
 from repro.catalog.entropy import EntropyCatalog
-from repro.delta.counting import (
-    delta_count_with_touch,
-    discover_new_patterns,
-    pattern_from_key,
-)
+from repro.delta.counting import delta_count_with_touch
 from repro.delta.deltafile import DELTA_FORMAT_VERSION, read_delta, write_delta
 from repro.delta.overlay import MutableGraphOverlay
 from repro.delta.updates import UpdateBatch
-from repro.engine.counter import count_pattern
-from repro.errors import DatasetError, PlanningError, ReproError
+from repro.errors import DatasetError, ReproError
 from repro.graph.digraph import LabeledDiGraph
 from repro.obs.offline import JobTelemetry
+from repro.query.canonical import key_pattern
 from repro.stats.artifact import (
     StoreManifest,
     dataset_fingerprint,
     delta_file_name,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.stats.store import StatisticsStore
+from repro.stats.build import (
+    StatsBuildConfig,
+    _level_step,
+    _materialise_and_record,
+    _TaskResult,
+    build_statistics,
+)
+from repro.stats.store import StatisticsStore
 
 __all__ = [
     "MaintenanceOutcome",
     "config_from_manifest",
     "apply_updates",
+    "discover_new_patterns",
     "replay_graph",
 ]
 
@@ -174,17 +177,6 @@ def _subgraph(
     return LabeledDiGraph.from_triples(triples, num_vertices=num_vertices)
 
 
-def _cold_count(
-    graph: LabeledDiGraph, pattern, max_rows: int | None
-) -> tuple[float, object | None]:
-    """Exact count on ``graph`` plus the match table when it fits."""
-    try:
-        table = materialise_table(graph, pattern, max_rows)
-    except PlanningError:
-        return float(count_pattern(graph, pattern)), None
-    return float(table.size), table
-
-
 def _resample_cycle_rates(
     old: CycleClosingRates, graph: LabeledDiGraph
 ) -> CycleClosingRates:
@@ -236,7 +228,7 @@ def _recompute_entropy(
         labels = {label for _, _, label in pattern_key}
         if labels & touched:
             value = fresh._compute(
-                pattern_from_key(pattern_key), frozenset(variables)
+                key_pattern(pattern_key), frozenset(variables)
             )
             recomputed += 1
         fresh._cache[(pattern_key, variables)] = value
@@ -245,8 +237,6 @@ def _recompute_entropy(
 
 def config_from_manifest(manifest: StoreManifest):
     """Reconstruct the build configuration an artifact records."""
-    from repro.stats.build import StatsBuildConfig
-
     known = StatsBuildConfig.__dataclass_fields__
     kwargs = {
         key: value
@@ -257,7 +247,7 @@ def config_from_manifest(manifest: StoreManifest):
 
 
 def apply_updates(
-    store: "StatisticsStore",
+    store: StatisticsStore,
     batch: UpdateBatch,
     directory: str | Path | None = None,
     compact_threshold: float = 0.2,
@@ -422,28 +412,70 @@ def apply_updates(
     return outcome
 
 
+def discover_new_patterns(
+    new_graph: LabeledDiGraph,
+    insert_graph: LabeledDiGraph,
+    h_enum: int,
+    known: set[tuple],
+    max_rows: int | None = None,
+) -> set[tuple]:
+    """Canonical keys (≤ ``h_enum`` atoms) that may be newly non-empty.
+
+    Every new match uses an inserted edge, so the builder's level step
+    grows connected patterns with the first atom bound to the insert
+    relations and every other atom to the mutated graph; a child whose
+    seeded table is empty has no new match through that seed, so its
+    subtree is pruned.  Returns the keys absent from ``known`` (the
+    stored keys): a superset of the newly non-empty patterns.
+    """
+    found: set[tuple] = set()
+    seen: set = set()
+    labels = insert_graph.labels
+    level = None
+    for _ in range(h_enum):
+        grown = []
+        for child, key, table in _level_step(
+            insert_graph, new_graph, labels, level, max_rows, seen
+        ):
+            if table is not None and table.size == 0:
+                continue
+            if key not in known:
+                found.add(key)
+            grown.append((child, table))
+        if not grown:
+            break
+        level, labels = grown, new_graph.labels
+    return found
+
+
 def _maintain_incremental(
-    store: "StatisticsStore",
+    store: StatisticsStore,
     old_graph: LabeledDiGraph,
     new_graph: LabeledDiGraph,
     overlay: MutableGraphOverlay,
     outcome: MaintenanceOutcome,
 ) -> None:
-    """The incremental path: patch catalogs key by key."""
+    """The incremental path: patch catalogs key by key.
+
+    Counts move by the delta-join identity.  A touched key whose count
+    or support changed, or whose relation is missing (its table
+    overflowed ``max_rows``), is stored again by the builder's rule
+    (:func:`~repro.stats.build._materialise_and_record`), as is every
+    newly discovered key of a complete store.
+    """
     touched = overlay.touched_labels()
     n = new_graph.num_vertices
     insert_graph = _subgraph(overlay.pending_inserts, n)
     delete_graph = _subgraph(overlay.pending_deletes, n)
-    h = store.markov.h
-    molp_h = store.degrees.h
-    h_enum = max(h, molp_h)
-    max_rows = store.degrees.max_rows
+    config = StatsBuildConfig(
+        h=store.markov.h,
+        molp_h=store.degrees.h,
+        max_rows=store.degrees.max_rows,
+    )
     complete = store.markov.complete
+    markov = store.markov._cache
+    degrees = store.degrees._cache
 
-    markov_set: dict[tuple, float] = {}
-    markov_delete: list[tuple] = []
-    degrees_set: dict[tuple, StatRelation] = {}
-    degrees_delete: list[tuple] = []
     counters = {
         "updated": 0,
         "added": 0,
@@ -453,19 +485,18 @@ def _maintain_incremental(
         "recounted_cold": 0,
     }
     degree_counters = {"rebuilt": 0, "removed": 0, "added": 0, "kept": 0}
+    result = _TaskResult()
+    recorded: list[tuple] = []
 
-    stored_keys = set(store.markov._cache) | set(store.degrees._cache)
+    stored_keys = set(markov) | set(degrees)
     for key in sorted(stored_keys):
         if not {label for _, _, label in key} & touched:
             counters["skipped_untouched"] += 1
-            if key in store.degrees._cache:
-                degree_counters["kept"] += 1
+            degree_counters["kept"] += key in degrees
             continue
-        pattern = pattern_from_key(key)
-        old_count = store.markov._cache.get(key)
-        if old_count is None:
-            old_count = store.degrees._cache[key].cardinality
-        table = None
+        old_count = markov[key] if key in markov else degrees[key].cardinality
+        pattern = key_pattern(key)
+        count: float | None
         try:
             delta, support_changed = delta_count_with_touch(
                 pattern,
@@ -473,73 +504,78 @@ def _maintain_incremental(
                 new_graph,
                 insert_graph,
                 delete_graph,
-                max_rows=max_rows,
+                max_rows=config.max_rows,
             )
-            new_count = old_count + delta
+            count = old_count + delta
         except ReproError:
             counters["recounted_cold"] += 1
-            new_count, table = _cold_count(new_graph, pattern, max_rows)
-            support_changed = True
-        if complete and new_count == 0.0:
-            counters["removed"] += 1
-            if key in store.markov._cache:
-                markov_delete.append(key)
-            if key in store.degrees._cache:
-                degrees_delete.append(key)
-                degree_counters["removed"] += 1
-            continue
-        if key in store.markov._cache and new_count != old_count:
-            markov_set[key] = new_count
-            counters["updated"] += 1
-        elif not support_changed:
+            count, support_changed = None, True
+        if not support_changed and (
+            len(key) > config.molp_h or key in degrees
+        ):
+            # No delta term matched: count and relation are unchanged.
             counters["unchanged_support"] += 1
-        if key in store.degrees._cache:
-            if support_changed:
-                if table is None:
-                    table = materialise_table(new_graph, pattern, max_rows)
-                degrees_set[key] = StatRelation.from_table(pattern, table, n)
-                degree_counters["rebuilt"] += 1
-            else:
-                degree_counters["kept"] += 1
+            degree_counters["kept"] += key in degrees
+            continue
+        _materialise_and_record(
+            new_graph, config, pattern, key, result,
+            store_zeros=not complete, count=count,
+        )
+        recorded.append(key)
 
     if complete and insert_graph is not None:
-        candidates = discover_new_patterns(
-            new_graph, insert_graph, h_enum, known=stored_keys,
-            max_rows=max_rows,
+        found = discover_new_patterns(
+            new_graph, insert_graph, max(config.h, config.molp_h),
+            known=stored_keys, max_rows=config.max_rows,
         )
-        for key in sorted(candidates):
-            pattern = pattern_from_key(key)
-            count, table = _cold_count(new_graph, pattern, max_rows)
-            if count == 0.0:
-                continue
-            if len(key) <= h:
-                markov_set[key] = count
-                counters["added"] += 1
-            if len(key) <= molp_h:
-                if table is None:
-                    # Count known but the table overflowed: mirror the
-                    # cold builder, which marks the degree catalog
-                    # incomplete rather than storing a partial relation.
-                    store.degrees.complete = False
-                else:
-                    degrees_set[key] = StatRelation.from_table(
-                        pattern, table, n
-                    )
-                    degree_counters["added"] += 1
+        for key in sorted(found):
+            _materialise_and_record(
+                new_graph, config, key_pattern(key), key, result,
+                store_zeros=False,
+            )
+            recorded.append(key)
 
-    for key, count in markov_set.items():
-        store.markov._cache[key] = count
-    for key in markov_delete:
-        store.markov._cache.pop(key, None)
+    counts = dict(result.records)
+    relations = {relation.key: relation for relation in result.relations}
+    for key in recorded:
+        count = counts.get(key)
+        if count is None:  # a complete store drops what reached zero
+            counters["removed"] += key in markov or key in degrees
+            markov.pop(key, None)
+        elif len(key) <= config.h:
+            if key not in markov:
+                counters["added"] += 1
+            elif markov[key] != count:
+                counters["updated"] += 1
+            markov[key] = count
+        relation = relations.get(key)
+        if relation is not None:
+            degree_counters["rebuilt" if key in degrees else "added"] += 1
+            degrees[key] = relation
+        elif degrees.pop(key, None) is not None:
+            degree_counters["removed"] += 1
     store.markov.labels = new_graph.labels
-    for key, relation in degrees_set.items():
-        store.degrees._cache[key] = relation
-    for key in degrees_delete:
-        store.degrees._cache.pop(key, None)
+    store.markov.complete &= result.markov_complete
+    if store.markov.complete and config.molp_h <= config.h:
+        # Every pattern a relation is due for has a Markov key, so the
+        # overflowed ones are exactly the keys without a relation.
+        store.degrees.complete = all(
+            key in degrees for key in markov if len(key) <= config.molp_h
+        )
+    else:
+        store.degrees.complete &= result.degrees_complete
 
     outcome.markov = counters
     outcome.degrees = degree_counters
     ledger = {"markov": "exact", "degrees": "exact"}
+    if complete and not store.degrees.complete:
+        ledger["degrees"] = (
+            "incomplete: a relation whose match table overflows max_rows "
+            "is dropped, and whether a table overflows depends on the join "
+            "order (a pattern of more than h atoms that overflowed is "
+            "stored nowhere, so maintenance cannot tell whether it fits "
+            "now); the stored relations may differ from a cold rebuild's"
+        )
 
     if store.entropy is not None:
         store.entropy, recomputed = _recompute_entropy(
@@ -558,13 +594,11 @@ def _maintain_incremental(
 
 
 def _rebuild_cold(
-    store: "StatisticsStore",
+    store: StatisticsStore,
     new_graph: LabeledDiGraph,
     outcome: MaintenanceOutcome,
 ) -> None:
     """The compaction path: a cold rebuild replacing every catalog."""
-    from repro.stats.build import build_statistics
-
     config = config_from_manifest(store.manifest)
     built = build_statistics(
         new_graph,

@@ -60,7 +60,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,8 +91,10 @@ from repro.graph.digraph import LabeledDiGraph
 from repro.obs.offline import JobTelemetry
 from repro.query.canonical import (
     canonical_key,
+    canonical_order,
     canonical_pattern,
     key_from_json,
+    key_pattern,
     key_to_json,
 )
 from repro.query.pattern import QueryEdge, QueryPattern
@@ -139,7 +141,10 @@ class StatsBuildConfig:
 
 
 # ----------------------------------------------------------------------
-# Shared enumeration primitives
+# Shared enumeration primitives: how a pattern grows by one atom
+# (:func:`_level_step`) and what a counted pattern stores
+# (:func:`_record_pattern`).  Delta maintenance discovers new patterns
+# and re-records touched ones through these same functions.
 # ----------------------------------------------------------------------
 
 def _fresh_name(variables: Iterable[str]) -> str:
@@ -148,12 +153,6 @@ def _fresh_name(variables: Iterable[str]) -> str:
     while f"f{index}" in taken:
         index += 1
     return f"f{index}"
-
-
-def _pattern_from_key(key: tuple) -> QueryPattern:
-    """The canonical pattern a canonical key denotes (a fixed point:
-    ``canonical_key(_pattern_from_key(k)) == k``)."""
-    return QueryPattern((f"v{s}", f"v{d}", label) for s, d, label in key)
 
 
 def _candidate_edges(
@@ -244,6 +243,90 @@ def _unique_endpoint_sets(
     return unique_src, unique_dst
 
 
+def _table_or_none(
+    graph: LabeledDiGraph, pattern: QueryPattern, max_rows: int | None
+) -> Frame | None:
+    """The pattern's match table, or ``None`` when it overflows ``max_rows``."""
+    try:
+        return materialise_table(graph, pattern, max_rows)
+    except PlanningError:
+        return None
+
+
+def _seeded_identity(child: QueryPattern, key: tuple) -> tuple:
+    """``key`` plus where the seed atom (``child.edges[0]``) sits in it.
+
+    Two seeded children with equal keys have different tables when the
+    seed atom lands on different canonical atoms, so only children that
+    agree on both may be merged.
+    """
+    position = {var: i for i, var in enumerate(canonical_order(child))}
+    seed = child.edges[0]
+    return key, (position[seed.src], position[seed.dst], seed.label)
+
+
+def _level_step(
+    seed_graph: LabeledDiGraph,
+    growth_graph: LabeledDiGraph,
+    labels: tuple[str, ...],
+    parents: Iterable[tuple[QueryPattern, Frame | None]] | None,
+    max_rows: int | None,
+    seen: set,
+) -> Iterator[tuple[QueryPattern, tuple, Frame | None]]:
+    """One level of pattern growth, as ``(child, canonical key, table)``.
+
+    ``parents is None`` yields each label's two one-atom seeds with
+    their tables over ``seed_graph``.  Otherwise every parent
+    ``(pattern, table)`` grows by each candidate atom over ``labels``,
+    and the child's table is the parent's extended over
+    ``growth_graph``.  The table is ``None`` when the parent had none or
+    the join passes ``max_rows``: such a child is yielded anyway and
+    grows unpruned.
+
+    A cold build passes one graph as both: a child is then skipped when
+    its canonical key is in ``seen``.  Seeded growth (the seed atom
+    bound to ``seed_graph``, every other atom to ``growth_graph``) keys
+    ``seen`` by :func:`_seeded_identity` instead.
+    """
+    seeded = seed_graph is not growth_graph
+
+    def first_visit(child: QueryPattern, key: tuple) -> bool:
+        identity = _seeded_identity(child, key) if seeded else key
+        if identity in seen:
+            return False
+        seen.add(identity)
+        return True
+
+    if parents is None:
+        for label in labels:
+            for seed in (
+                QueryPattern([("v0", "v1", label)]),
+                QueryPattern([("v0", "v0", label)]),
+            ):
+                key = canonical_key(seed)
+                if first_visit(seed, key):
+                    yield seed, key, frame_from_edge(seed_graph, seed.edges[0])
+        return
+    unique_src, unique_dst = _unique_endpoint_sets(growth_graph, labels)
+    for pattern, table in parents:
+        for edge in _candidate_edges(
+            pattern, table, labels, unique_src, unique_dst
+        ):
+            child = QueryPattern(pattern.edges + (edge,))
+            key = canonical_key(child)
+            if not first_visit(child, key):
+                continue
+            child_table = None
+            if table is not None:
+                try:
+                    child_table, _ = extend_frame(
+                        growth_graph, table, edge, max_rows=max_rows
+                    )
+                except PlanningError:
+                    pass  # unknown size: the child grows unpruned
+            yield child, key, child_table
+
+
 # ----------------------------------------------------------------------
 # Level tasks (run inline for jobs=1, in pool workers otherwise)
 # ----------------------------------------------------------------------
@@ -289,17 +372,22 @@ def _record_pattern(
     table: Frame | None,
     result: _TaskResult,
     store_zeros: bool,
+    count: float | None = None,
 ) -> float | None:
-    """Count one pattern, store its statistics into ``result``.
+    """Count one pattern (unless its ``count`` is known), store its
+    statistics into ``result``.
 
     Returns the count (``None`` when counting itself failed)."""
-    try:
-        count = _budgeted_count(graph, pattern, table, config.count_budget)
-    except ReproError:
-        # Unknown count: neither artifact can claim completeness.
-        result.markov_complete = False
-        result.degrees_complete = False
-        return None
+    if count is None:
+        try:
+            count = _budgeted_count(
+                graph, pattern, table, config.count_budget
+            )
+        except ReproError:
+            # Unknown count: neither artifact can claim completeness.
+            result.markov_complete = False
+            result.degrees_complete = False
+            return None
     if count == 0.0 and not store_zeros:
         return 0.0
     result.records.append((key, count))
@@ -320,6 +408,28 @@ def _record_pattern(
     return count
 
 
+def _materialise_and_record(
+    graph: LabeledDiGraph,
+    config: StatsBuildConfig,
+    pattern: QueryPattern,
+    key: tuple,
+    result: _TaskResult,
+    store_zeros: bool,
+    count: float | None = None,
+) -> float | None:
+    """:func:`_record_pattern` for a pattern whose table is not at hand.
+
+    The match table is materialised only when a degree relation is due
+    (at most ``molp_h`` atoms); ``None`` records an overflow.
+    """
+    table: Frame | None = None
+    if len(pattern) <= config.molp_h:
+        table = _table_or_none(graph, pattern, config.max_rows)
+    return _record_pattern(
+        graph, config, pattern, key, table, result, store_zeros, count
+    )
+
+
 def _full_shard_task(
     graph: LabeledDiGraph,
     config: StatsBuildConfig,
@@ -334,56 +444,24 @@ def _full_shard_task(
     by one atom over the shard's allowed labels.
     """
     labels = graph.labels
-    shard_labels = labels[shard_index:]
+    parents = None
+    if frontier is None:
+        labels = labels[shard_index:shard_index + 1]
+    else:
+        labels = labels[shard_index:]
+        parents = (
+            (pattern, _table_or_none(graph, pattern, config.max_rows))
+            for pattern in map(key_pattern, frontier)
+        )
     result = _TaskResult()
     seen: set[tuple] = set()
-
-    if frontier is None:
-        label = labels[shard_index]
-        for pattern in (
-            QueryPattern([("v0", "v1", label)]),
-            QueryPattern([("v0", "v0", label)]),
+    for child, key, table in _level_step(
+        graph, graph, labels, parents, config.max_rows, seen
+    ):
+        if _record_pattern(
+            graph, config, child, key, table, result, store_zeros=False
         ):
-            key = canonical_key(pattern)
-            if key in seen:
-                continue
-            seen.add(key)
-            table = frame_from_edge(graph, pattern.edges[0])
-            if _record_pattern(
-                graph, config, pattern, key, table, result, store_zeros=False
-            ):
-                result.frontier.append(key)
-        result.examined = len(seen)
-        return result
-
-    unique_src, unique_dst = _unique_endpoint_sets(graph, shard_labels)
-    for parent_key in frontier:
-        pattern = _pattern_from_key(parent_key)
-        try:
-            table = materialise_table(graph, pattern, config.max_rows)
-        except PlanningError:
-            table = None  # too big: prune nothing, count via the engine
-        for edge in _candidate_edges(
-            pattern, table, shard_labels, unique_src, unique_dst
-        ):
-            child = QueryPattern(pattern.edges + (edge,))
-            key = canonical_key(child)
-            if key in seen:
-                continue
-            seen.add(key)
-            child_table: Frame | None = None
-            if table is not None:
-                try:
-                    child_table, _ = extend_frame(
-                        graph, table, edge, max_rows=config.max_rows
-                    )
-                except PlanningError:
-                    child_table = None
-            if _record_pattern(
-                graph, config, child, key, child_table, result,
-                store_zeros=False,
-            ):
-                result.frontier.append(key)
+            result.frontier.append(key)
     result.examined = len(seen)
     return result
 
@@ -401,15 +479,8 @@ def _workload_chunk_task(
     """
     result = _TaskResult()
     for key in keys:
-        pattern = _pattern_from_key(key)
-        table: Frame | None = None
-        if len(pattern) <= config.molp_h:
-            try:
-                table = materialise_table(graph, pattern, config.max_rows)
-            except PlanningError:
-                table = None
-        _record_pattern(
-            graph, config, pattern, key, table, result, store_zeros=True
+        _materialise_and_record(
+            graph, config, key_pattern(key), key, result, store_zeros=True
         )
     result.examined = len(keys)
     # Workload-directed artifacts never claim completeness.

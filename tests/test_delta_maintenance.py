@@ -84,27 +84,97 @@ def assert_estimates_identical(maintained, cold, queries=QUERIES):
                 assert a.estimate == b.estimate, (text, name)
 
 
+def gate_cases():
+    """Seeds 0-7 under each (h, molp_h); h=3 grows discovery past one
+    level, where seeded children with equal keys must not be merged."""
+    for h, molp_h in ((2, 2), (3, 3), (3, 2), (2, 3)):
+        for seed in range(8):
+            name = str(seed) if h == molp_h == 2 else f"h{h}-molp{molp_h}-{seed}"
+            yield pytest.param(h, molp_h, seed, id=name)
+
+
 class TestDifferentialGate:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_randomized_batches_match_cold_rebuild(self, seed):
+    @pytest.mark.parametrize("h, molp_h, seed", gate_cases())
+    def test_randomized_batches_match_cold_rebuild(self, h, molp_h, seed):
         rng = random.Random(seed)
         graph = running_example_graph()
-        store = example_store()
+        config = StatsBuildConfig(h=h, molp_h=molp_h)
+        store = build_statistics(graph, config, dataset_name="example")
         batch = random_update_batch(
             graph, rng, num_inserts=5, num_deletes=5, new_label_rate=0.2
         )
         outcome = apply_updates(store, batch, compact_threshold=NO_COMPACT)
         assert outcome.mode == "incremental"
         cold = build_statistics(
-            mutated_graph(graph, batch),
-            StatsBuildConfig(h=2, molp_h=2),
-            dataset_name="example",
+            mutated_graph(graph, batch), config, dataset_name="example"
         )
         assert store.manifest.dataset_fingerprint == dataset_fingerprint(
             cold.graph
         )
         assert_catalogs_bit_identical(store, cold)
         assert_estimates_identical(store, cold)
+
+    def test_random_small_graph_at_h3_matches_cold_rebuild(self):
+        rng = random.Random(9)
+        triples = {
+            (rng.randrange(8), rng.randrange(8), rng.choice("ABC"))
+            for _ in range(18)
+        }
+        graph = LabeledDiGraph.from_triples(sorted(triples), num_vertices=8)
+        config = StatsBuildConfig(h=3, molp_h=3)
+        store = build_statistics(graph, config)
+        batch = random_update_batch(
+            graph, random.Random(9), num_inserts=4, num_deletes=3,
+            new_label_rate=0.2,
+        )
+        apply_updates(store, batch, compact_threshold=NO_COMPACT)
+        cold = build_statistics(mutated_graph(graph, batch), config)
+        assert_catalogs_bit_identical(store, cold)
+
+    def test_overflowing_table_after_insert_matches_cold_rebuild(self):
+        # Under max_rows=8 the inserted A edge pushes a two-atom match
+        # table past the cap: the relation is dropped and the catalog
+        # marked incomplete, exactly as a cold build does.
+        config = StatsBuildConfig(h=2, molp_h=2, max_rows=8)
+        graph = running_example_graph()
+        store = build_statistics(graph, config)
+        batch = UpdateBatch([["+", 2, 3, "A"]])
+        outcome = apply_updates(store, batch, compact_threshold=NO_COMPACT)
+        cold = build_statistics(mutated_graph(graph, batch), config)
+        assert not cold.degrees.complete
+        assert_catalogs_bit_identical(store, cold)
+        assert not store.manifest.complete
+        assert outcome.ledger["degrees"] != "exact"
+
+    def test_overflowed_relation_returns_once_its_table_fits(self):
+        config = StatsBuildConfig(h=2, molp_h=2, max_rows=8)
+        base = running_example_graph()
+        grown = mutated_graph(base, UpdateBatch([["+", 2, 3, "A"]]))
+        store = build_statistics(grown, config)
+        assert not store.degrees.complete
+        outcome = apply_updates(
+            store, UpdateBatch([["-", 2, 3, "A"]]),
+            compact_threshold=NO_COMPACT,
+        )
+        cold = build_statistics(base, config)
+        assert cold.degrees.complete
+        assert_catalogs_bit_identical(store, cold)
+        assert store.manifest.complete
+        assert outcome.ledger["degrees"] == "exact"
+
+    def test_unknown_overflows_of_larger_patterns_are_ledgered(self):
+        # molp_h > h: a three-atom pattern whose table overflowed has no
+        # Markov key, so maintenance cannot revisit it and must not
+        # claim the relations match a cold rebuild.
+        config = StatsBuildConfig(h=2, molp_h=3, max_rows=8)
+        store = build_statistics(running_example_graph(), config)
+        assert store.markov.complete and not store.degrees.complete
+        outcome = apply_updates(
+            store, UpdateBatch([["+", 5, 3, "A"]]),
+            compact_threshold=NO_COMPACT,
+        )
+        assert not store.degrees.complete
+        assert "cannot tell" in outcome.ledger["degrees"]
 
     def test_insert_makes_pattern_appear(self):
         # B->A paths do not exist in the example graph; inserting an A
