@@ -1,8 +1,8 @@
 """Ablations of the CEG_O construction rules and the §8 entropy extension.
 
-DESIGN.md calls out two design choices inherited from prior work — the
-size-h-numerator rule and the early-cycle-closing rule — plus the
-paper's future-work idea of entropy-weighted path selection.  This
+CEG_O inherits two design choices from prior work — the
+size-h-numerator rule and the early-cycle-closing rule — and the
+paper's future work sketches entropy-weighted path selection.  This
 bench measures each against the default max-hop-max estimator.
 """
 

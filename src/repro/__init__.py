@@ -5,8 +5,8 @@ Estimation Through the Lens of Cardinality Estimation Graphs" (VLDB 2022):
 the CEG framework, the optimistic estimator space over CEG_O/CEG_OCR, the
 pessimistic MOLP/CBS estimators over CEG_M, the bound-sketch optimization,
 all evaluation baselines, and a benchmark harness regenerating every table
-and figure of the paper's evaluation.  See README.md for a tour and
-DESIGN.md for the system inventory.
+and figure of the paper's evaluation.  See README.md for a tour; its
+*Layout* table maps each subpackage.
 """
 
 from repro.baselines import (

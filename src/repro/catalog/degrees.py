@@ -69,9 +69,9 @@ def materialise_table(
     """The full match table of a pattern (spanning tree, then closures).
 
     The one join-order recipe shared by graph-backed catalogs, the
-    entropy catalog, the offline bulk builder and delta maintenance —
-    every plane must produce the same rows or bit-identity between them
-    breaks.  ``max_rows`` aborts an oversized intermediate with
+    offline bulk builder and delta maintenance — every plane must
+    produce the same rows or bit-identity between them breaks.
+    ``max_rows`` aborts an oversized intermediate with
     :class:`~repro.errors.PlanningError`.
     """
     tree, closures = spanning_tree_and_closures(pattern)

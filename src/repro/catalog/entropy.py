@@ -12,6 +12,9 @@ included), the irregularity is ``log2(n_I) - H(c / Σc)`` — exactly 0
 when every ``I``-match extends equally often (the uniformity assumption
 is then *exact*) and growing with skew.  Summing it along a path scores
 how much trust the path's uniformity assumptions deserve.
+
+The catalog measures the base graph on demand and is never persisted:
+it backs the §8 ablation bench, not the served statistics.
 """
 
 from __future__ import annotations
@@ -23,23 +26,12 @@ import numpy as np
 from repro.catalog.degrees import materialise_table
 from repro.engine.counter import count_pattern
 from repro.engine.frames import encode_columns
-from repro.errors import (
-    MissingStatisticError,
-    PlanningError,
-    check_format_version,
-)
+from repro.errors import PlanningError
 from repro.graph.digraph import LabeledDiGraph
-from repro.query.canonical import canonical_key, canonical_pattern
+from repro.query.canonical import canonical_key, canonical_order
 from repro.query.pattern import QueryPattern
 
-__all__ = ["EntropyCatalog", "degree_irregularity", "ENTROPY_FORMAT_VERSION"]
-
-# Version 2: cache entries are keyed by *canonical* variable names (see
-# _canonical_vars) so they are recomputable from the key alone.  Version-1
-# artifacts keyed entries by request variable names; loading one would
-# silently miss on every lookup, so the version check rejects them with
-# the standard "rebuild the artifact" error instead.
-ENTROPY_FORMAT_VERSION = 2
+__all__ = ["EntropyCatalog", "degree_irregularity"]
 
 
 def degree_irregularity(counts: np.ndarray, num_groups: float) -> float:
@@ -64,27 +56,19 @@ def _canonical_vars(
     Entries are keyed by ``(canonical pattern key, canonical variable
     names)`` so the cache is purely shape-addressed: isomorphic
     requests under different variable namings share one entry
-    (irregularity is renaming-invariant), and the dynamic-graph
-    maintainer can recompute any stored entry from its key alone.
+    (irregularity is renaming-invariant).  ``canonical_order(...)[i]``
+    plays ``v{i}``.
     """
-    canon = canonical_pattern(extension)
-    if canon == extension:
-        return tuple(sorted(intersection_vars))
-    mapping = _isomorphism(extension, canon)
-    return tuple(sorted(mapping.get(v, v) for v in intersection_vars))
+    position = {var: i for i, var in enumerate(canonical_order(extension))}
+    return tuple(sorted(f"v{position[var]}" for var in intersection_vars))
 
 
 class EntropyCatalog:
-    """Cached per-(E, I) degree-irregularity statistics.
-
-    ``graph`` may be None for a catalog loaded from an artifact; a
-    statistic absent from the artifact then raises
-    :class:`MissingStatisticError` rather than silently scoring 0.
-    """
+    """Cached per-(E, I) degree-irregularity statistics of ``graph``."""
 
     def __init__(
         self,
-        graph: LabeledDiGraph | None,
+        graph: LabeledDiGraph,
         max_rows: int | None = 5_000_000,
     ):
         self.graph = graph
@@ -109,11 +93,6 @@ class EntropyCatalog:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if self.graph is None:
-            raise MissingStatisticError(
-                "statistics artifact does not cover entropy for "
-                f"{extension!r} on {sorted(intersection_vars)}"
-            )
         value = self._compute(extension, intersection_vars)
         self._cache[key] = value
         return value
@@ -170,94 +149,3 @@ class EntropyCatalog:
     def num_entries(self) -> int:
         """Number of cached irregularity statistics."""
         return len(self._cache)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def to_artifact(self) -> dict:
-        """JSON-serialisable snapshot of the cached irregularities."""
-        return {
-            "format_version": ENTROPY_FORMAT_VERSION,
-            "kind": "entropy",
-            "entries": [
-                {
-                    "key": [list(atom) for atom in pattern_key],
-                    "vars": list(variables),
-                    "value": value,
-                }
-                for (pattern_key, variables), value in sorted(
-                    self._cache.items()
-                )
-            ],
-        }
-
-    @classmethod
-    def from_artifact(
-        cls,
-        payload: dict,
-        graph: LabeledDiGraph | None = None,
-        max_rows: int | None = 5_000_000,
-    ) -> "EntropyCatalog":
-        """Rebuild a catalog from :meth:`to_artifact` output."""
-        check_format_version(payload, ENTROPY_FORMAT_VERSION, "entropy catalog")
-        catalog = cls(graph, max_rows=max_rows)
-        for entry in payload["entries"]:
-            pattern_key = tuple(
-                (int(src), int(dst), str(label))
-                for src, dst, label in entry["key"]
-            )
-            catalog._cache[
-                (pattern_key, tuple(str(v) for v in entry["vars"]))
-            ] = float(entry["value"])
-        return catalog
-
-
-def _isomorphism(source: QueryPattern, target: QueryPattern) -> dict[str, str]:
-    """A variable mapping turning ``source`` into ``target``.
-
-    Both patterns are small (≤ h atoms) and known to share a canonical
-    key, so a backtracking search over atom correspondences terminates
-    immediately.
-    """
-    target_edges = list(target.edges)
-
-    def backtrack(
-        index: int, mapping: dict[str, str], used: set[int]
-    ) -> dict[str, str] | None:
-        if index == len(source.edges):
-            return dict(mapping)
-        edge = source.edges[index]
-        for position, candidate in enumerate(target_edges):
-            if position in used or candidate.label != edge.label:
-                continue
-            bound_src = mapping.get(edge.src)
-            bound_dst = mapping.get(edge.dst)
-            if bound_src not in (None, candidate.src):
-                continue
-            if bound_dst not in (None, candidate.dst):
-                continue
-            if bound_src is None and candidate.src in mapping.values():
-                if edge.src not in mapping:
-                    conflict = any(
-                        mapping.get(k) == candidate.src for k in mapping
-                    )
-                    if conflict:
-                        continue
-            mapping2 = dict(mapping)
-            mapping2[edge.src] = candidate.src
-            mapping2[edge.dst] = candidate.dst
-            if len(set(mapping2.values())) != len(mapping2):
-                continue
-            used.add(position)
-            found = backtrack(index + 1, mapping2, used)
-            if found is not None:
-                return found
-            used.discard(position)
-        return None
-
-    found = backtrack(0, {}, set())
-    if found is None:
-        raise MissingStatisticError(
-            "internal error: cached pattern is not isomorphic to request"
-        )
-    return found

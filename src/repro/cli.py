@@ -622,8 +622,8 @@ def build_updates_apply_parser() -> argparse.ArgumentParser:
                              "effective update volume "
                              "exceeds this fraction of the graph's edges "
                              "(default 0.2; artifacts with workload-primed "
-                             "cycle rates/entropy stay incremental — the "
-                             "report's ledger says so)")
+                             "cycle rates stay incremental — the report's "
+                             "ledger says so)")
     parser.add_argument("--indent", action="store_true",
                         help="pretty-print the JSON report")
     _add_job_telemetry_flags(parser)
@@ -776,15 +776,10 @@ def run_updates(argv: list[str]) -> int:
         report["verified"] = checks
         # Catalogs present in the artifact that a cross-process cold
         # rebuild cannot reproduce byte-for-byte are listed explicitly,
-        # never silently passed: cycle rates are a resampled statistic;
-        # entropy entries are primed in workload order the artifact
-        # does not record.
-        skipped = []
-        if loaded.cycle_rates is not None:
-            skipped.append("cycle_rates")
-        if loaded.entropy is not None:
-            skipped.append("entropy")
-        report["skipped"] = skipped
+        # never silently passed: cycle rates are a resampled statistic.
+        report["skipped"] = (
+            ["cycle_rates"] if loaded.cycle_rates is not None else []
+        )
         if not all(checks.values()):
             exit_code = 1
     telemetry.finish(

@@ -5,7 +5,7 @@ The paper evaluates on IMDb, YAGO, DBLP, WatDiv, Hetionet and Epinions
 seeded generator configuration that reproduces the qualitative profile
 that drives estimator behaviour — label count, degree skew, label
 correlation, and cycle density — at a scale where exact ground truth is
-computable (see DESIGN.md §1 for the substitution argument).  Epinions
+computable.  Epinions
 mirrors the paper's control: labels assigned independently at random
 (``label_correlation = 0``), "guaranteed to not have any correlations
 between edge labels".

@@ -19,9 +19,8 @@ mutated graph — without rebuilding from scratch:
   or whose relation is missing after a ``max_rows`` overflow; untouched
   relations are carried over byte-identically.  Every recounted or
   discovered pattern is stored by the builder's own rule.
-* **Cycle rates** are resampled and **entropy** irregularities
-  recomputed for touched shapes.  The *staleness ledger* records which
-  catalogs are exact vs merely refreshed.
+* **Cycle rates** are resampled on the new graph.  The *staleness
+  ledger* records which catalogs are exact vs merely refreshed.
 
 When the effective update volume crosses ``compact_threshold`` of the
 graph, incremental bookkeeping stops paying for itself and
@@ -41,7 +40,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.catalog.cycle_rates import CycleClosingRates
-from repro.catalog.entropy import EntropyCatalog
 from repro.delta.counting import delta_count_with_touch
 from repro.delta.deltafile import DELTA_FORMAT_VERSION, read_delta, write_delta
 from repro.delta.overlay import MutableGraphOverlay
@@ -210,31 +208,6 @@ def _resample_cycle_rates(
     return fresh
 
 
-def _recompute_entropy(
-    old: EntropyCatalog,
-    graph: LabeledDiGraph,
-    touched: frozenset[str],
-) -> tuple[EntropyCatalog, int]:
-    """Entropy catalog for the new graph, and how many entries changed.
-
-    Touched shapes are recomputed.  Entries are keyed by canonical
-    pattern key + canonical variable names (see
-    :mod:`repro.catalog.entropy`), so every stored entry is recomputable
-    from its key alone.
-    """
-    fresh = EntropyCatalog(graph, max_rows=old.max_rows)
-    recomputed = 0
-    for (pattern_key, variables), value in sorted(old._cache.items()):
-        labels = {label for _, _, label in pattern_key}
-        if labels & touched:
-            value = fresh._compute(
-                key_pattern(pattern_key), frozenset(variables)
-            )
-            recomputed += 1
-        fresh._cache[(pattern_key, variables)] = value
-    return fresh, recomputed
-
-
 def config_from_manifest(manifest: StoreManifest):
     """Reconstruct the build configuration an artifact records."""
     known = StatsBuildConfig.__dataclass_fields__
@@ -319,15 +292,11 @@ def apply_updates(
 
     # A threshold-crossing batch falls back to a cold rebuild — but only
     # when a workload-free rebuild can actually reproduce every catalog:
-    # cycle rates and entropy are primed from a workload the artifact
-    # does not record, and an incomplete Markov table means absence is
-    # not emptiness.  Such artifacts stay on the incremental path and
+    # cycle rates are primed from a workload the artifact does not
+    # record, and an incomplete Markov table means absence is not
+    # emptiness.  Such artifacts stay on the incremental path and
     # the ledger says why, so --compact-threshold is never silently inert.
-    compactable = (
-        store.markov.complete
-        and store.cycle_rates is None
-        and store.entropy is None
-    )
+    compactable = store.markov.complete and store.cycle_rates is None
     over_threshold = (
         overlay.pending > compact_threshold * max(new_graph.num_edges, 1)
     )
@@ -341,7 +310,7 @@ def apply_updates(
         if over_threshold:
             outcome.ledger["compaction"] = (
                 "skipped despite crossing compact_threshold: the artifact "
-                "holds workload-primed catalogs (cycle rates/entropy) or "
+                "holds workload-primed cycle rates or "
                 "an incomplete Markov table that a workload-free cold "
                 "rebuild cannot reproduce"
             )
@@ -577,11 +546,6 @@ def _maintain_incremental(
             "now); the stored relations may differ from a cold rebuild's"
         )
 
-    if store.entropy is not None:
-        store.entropy, recomputed = _recompute_entropy(
-            store.entropy, new_graph, touched
-        )
-        ledger["entropy"] = f"recomputed {recomputed} touched-shape entries"
     if store.cycle_rates is not None:
         store.cycle_rates = _resample_cycle_rates(
             store.cycle_rates, new_graph

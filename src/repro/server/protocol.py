@@ -54,6 +54,8 @@ the identical bits, so a served estimate equals the in-process
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -222,6 +224,24 @@ def _require_str(payload: dict, key: str, verb: str) -> str:
     return value
 
 
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name} is not JSON")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows a double")
+    return value
+
+
+#: Request decoder: standard JSON only, so every number a request
+#: carries is finite (Python's default accepts ``NaN``/``Infinity``).
+_REQUEST_DECODER = json.JSONDecoder(
+    parse_constant=_reject_constant, parse_float=_finite_float
+)
+
+
 def parse_request(line: str | bytes) -> Request:
     """Parse one request line, raising :class:`ProtocolError` on misuse."""
     if isinstance(line, bytes):
@@ -232,8 +252,9 @@ def parse_request(line: str | bytes) -> Request:
                 INVALID_REQUEST, f"request is not valid UTF-8: {error}"
             )
     try:
-        payload = json.loads(line)
-    except ValueError as error:
+        payload = _REQUEST_DECODER.decode(line)
+    except (ValueError, RecursionError) as error:
+        # RecursionError: nesting deeper than the decoder's stack.
         raise ProtocolError(
             INVALID_REQUEST, f"request is not valid JSON: {error}"
         )
@@ -275,9 +296,13 @@ def parse_request(line: str | bytes) -> Request:
             )
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is not None:
-            if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+            # type(), not isinstance(): JSON true is no duration.
+            if type(deadline_ms) not in (int, float) or not (
+                0 < deadline_ms <= sys.float_info.max
+            ):
                 raise ProtocolError(
-                    INVALID_REQUEST, "'deadline_ms' must be a positive number"
+                    INVALID_REQUEST,
+                    "'deadline_ms' must be a positive finite number",
                 )
             deadline_ms = float(deadline_ms)
         return Request(
@@ -351,7 +376,7 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
     """Parse one response line into a dict (raises ``ProtocolError``)."""
     try:
         payload = json.loads(line)
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
         raise ProtocolError(
             INVALID_REQUEST, f"response is not valid JSON: {error}"
         )

@@ -12,7 +12,6 @@ published state, plus the manifest naming the current one::
         catalogs.npz              # markov/degrees as aligned arrays
         catalogs.meta.json        # vocabularies, flags, irregular fallbacks
         cycle_rates.json          # optional: CycleClosingRates.to_artifact()
-        entropy.json              # optional: EntropyCatalog.to_artifact()
       gen-0002/                   # the previous image (in-flight readers)
       deltas/0001.json ...        # lineage: one update log per generation
 
@@ -104,11 +103,10 @@ CATALOG_ARRAYS_FILE = "catalogs.npz"
 CATALOG_META_FILE = "catalogs.meta.json"
 
 #: Small dict-shaped catalogs kept as JSON sidecar files of an image
-#: (they are dwarfed by the array-backed ones).
-SIDECAR_FILES = {
-    "cycle_rates": "cycle_rates.json",
-    "entropy": "entropy.json",
-}
+#: (they are dwarfed by the array-backed ones).  A load reads and
+#: digest-checks only the catalogs named here, so a catalog an older
+#: image lists but this build no longer serves is ignored.
+SIDECAR_FILES = {"cycle_rates": "cycle_rates.json"}
 
 _IMAGE_NAME = re.compile(r"^gen-(\d+)$")
 

@@ -41,8 +41,8 @@ Both modes run through one **level-synchronous, sharded** coordinator:
   of recounting.
 
 Degree statistics for the MOLP catalog are extracted from the same
-match tables in bulk, and cycle-closing rates and entropy weights are
-primed by building each workload query's CEG once.
+match tables in bulk, and cycle-closing rates are primed by building
+each cyclic workload query's CEG once.
 
 Every stored number is produced by the same deterministic integer
 arithmetic the lazy path uses, so estimates served from a built (or
@@ -70,9 +70,7 @@ from repro.catalog.degrees import (
     StatRelation,
     materialise_table,
 )
-from repro.catalog.entropy import EntropyCatalog
 from repro.catalog.markov import MarkovTable
-from repro.core.ceg_entropy import lowest_entropy_estimate
 from repro.core.ceg_o import build_ceg_o
 from repro.engine.counter import count_pattern
 from repro.engine.frames import (
@@ -133,7 +131,6 @@ class StatsBuildConfig:
     cycle_rates: bool = False
     cycle_seed: int = 0
     cycle_samples: int = 1000
-    entropy: bool = False
 
     def as_dict(self) -> dict:
         """JSON-friendly form recorded in the artifact manifest."""
@@ -1036,14 +1033,12 @@ def _populate_degrees(
 
 
 def _prime_from_workload(
-    graph: LabeledDiGraph,
     markov: MarkovTable,
     workload: Sequence[QueryPattern],
-    cycle_rates: CycleClosingRates | None,
-    entropy: EntropyCatalog | None,
+    cycle_rates: CycleClosingRates,
     h: int,
 ) -> None:
-    """Populate walk-sampled rates / entropy weights one CEG per shape."""
+    """Populate walk-sampled cycle rates, one CEG per cyclic shape."""
     primed: set[tuple] = set()
     for query in workload:
         key = canonical_key(query)
@@ -1051,11 +1046,10 @@ def _prime_from_workload(
             continue
         primed.add(key)
         shape = canonical_pattern(query)
+        if largest_cycle_length(shape) <= h:
+            continue
         try:
-            if cycle_rates is not None and largest_cycle_length(shape) > h:
-                build_ceg_o(shape, markov, cycle_rates=cycle_rates)
-            if entropy is not None:
-                lowest_entropy_estimate(shape, markov, entropy)
+            build_ceg_o(shape, markov, cycle_rates=cycle_rates)
         except ReproError:
             continue
 
@@ -1179,13 +1173,8 @@ def build_statistics(
         if config.cycle_rates
         else None
     )
-    entropy = (
-        EntropyCatalog(graph, max_rows=config.max_rows)
-        if config.entropy
-        else None
-    )
-    if workload is not None and (rates is not None or entropy is not None):
-        _prime_from_workload(graph, markov, workload, rates, entropy, config.h)
+    if workload is not None and rates is not None:
+        _prime_from_workload(markov, workload, rates, config.h)
 
     manifest = StoreManifest(
         dataset_fingerprint=dataset_fingerprint(graph),
@@ -1211,7 +1200,6 @@ def build_statistics(
         markov=markov,
         degrees=degrees,
         cycle_rates=rates,
-        entropy=entropy,
         graph=graph,
     )
 
@@ -1244,13 +1232,8 @@ def extend_statistics(
     _populate_markov(store.markov, enumeration, config.h)
     for key, relation in enumeration.degree_relations.items():
         store.degrees._cache.setdefault(key, relation)
-    if store.cycle_rates is not None or store.entropy is not None:
+    if store.cycle_rates is not None:
         _prime_from_workload(
-            graph,
-            store.markov,
-            workload,
-            store.cycle_rates,
-            store.entropy,
-            config.h,
+            store.markov, workload, store.cycle_rates, config.h
         )
     return store

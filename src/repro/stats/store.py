@@ -1,10 +1,10 @@
 """The :class:`StatisticsStore` facade: one object, every summary.
 
 A store bundles everything the estimation plane reads — Markov table,
-MOLP degree catalog, optional cycle-closing rates and entropy weights —
-behind a single save/load surface, and nothing else: the comparison
-baselines of Figure 13 are never served, so their figure driver builds
-them from the graph.  The build plane produces a store
+MOLP degree catalog and optional cycle-closing rates — behind a single
+save/load surface, and nothing else: the comparison baselines of
+Figure 13 are never served, so their figure driver builds them from
+the graph.  The build plane produces a store
 (:func:`repro.stats.build.build_statistics`), :meth:`StatisticsStore.save`
 publishes it as an immutable generation image of an artifact directory
 (see :mod:`repro.stats.artifact`), and :meth:`StatisticsStore.load`
@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 from repro.catalog.cycle_rates import CycleClosingRates
 from repro.catalog.degrees import DegreeCatalog
-from repro.catalog.entropy import EntropyCatalog
 from repro.catalog.markov import MarkovTable
 from repro.errors import DatasetError
 from repro.graph.digraph import LabeledDiGraph
@@ -75,7 +74,6 @@ class StatisticsStore:
     markov: MarkovTable
     degrees: DegreeCatalog
     cycle_rates: CycleClosingRates | None = None
-    entropy: EntropyCatalog | None = None
     graph: LabeledDiGraph | None = None
 
     @property
@@ -106,8 +104,8 @@ class StatisticsStore:
         """Publish this store as the artifact's newest generation image.
 
         The image (deterministic, uncompressed, mmap-able
-        ``catalogs.npz`` plus ``catalogs.meta.json``, the dict-shaped
-        catalogs as JSON sidecars and a frozen manifest recording each
+        ``catalogs.npz`` plus ``catalogs.meta.json``, the cycle rates
+        as a JSON sidecar and a frozen manifest recording each
         file's sha256) is written to a temporary directory, fsynced and
         renamed to ``gen-NNNN``;
         only then is the root ``manifest.json`` atomically replaced to
@@ -130,13 +128,12 @@ class StatisticsStore:
         write_stored_npz(staging / CATALOG_ARRAYS_FILE, arrays)
         fsync_file(staging / CATALOG_ARRAYS_FILE)
         _write_json(staging / CATALOG_META_FILE, meta, sort_keys=True)
-        sidecars = {"cycle_rates": self.cycle_rates, "entropy": self.entropy}
-        for catalog, value in sidecars.items():
-            if value is not None:
-                catalogs.append(catalog)
-                _write_json(
-                    staging / SIDECAR_FILES[catalog], value.to_artifact()
-                )
+        if self.cycle_rates is not None:
+            catalogs.append("cycle_rates")
+            _write_json(
+                staging / SIDECAR_FILES["cycle_rates"],
+                self.cycle_rates.to_artifact(),
+            )
         self.manifest.catalogs = sorted(catalogs)
         self.manifest.image = name
         self.manifest.digests = {
@@ -254,12 +251,6 @@ class StatisticsStore:
         if "cycle_rates" in manifest.catalogs:
             store.cycle_rates = CycleClosingRates.from_artifact(
                 _read_json(image / SIDECAR_FILES["cycle_rates"]), graph
-            )
-        if "entropy" in manifest.catalogs:
-            store.entropy = EntropyCatalog.from_artifact(
-                _read_json(image / SIDECAR_FILES["entropy"]),
-                graph,
-                max_rows=max_rows,
             )
         return store
 

@@ -316,7 +316,7 @@ class TestWorkloadDirectedStores:
 
 
 class TestRefreshedCatalogs:
-    """Cycle rates and entropy: refreshed deterministically, ledger'd.
+    """Cycle rates: refreshed deterministically, ledger'd.
 
     These statistics cannot be patched bit-identically to a cold
     workload-order rebuild (sampling order / CEG exploration depend on
@@ -334,14 +334,10 @@ class TestRefreshedCatalogs:
         graph = running_example_graph()
         store = build_statistics(
             graph,
-            StatsBuildConfig(
-                h=2, molp_h=2, cycle_rates=True,
-                entropy=True, cycle_seed=3,
-            ),
+            StatsBuildConfig(h=2, molp_h=2, cycle_rates=True, cycle_seed=3),
             workload=workload,
         )
         assert store.cycle_rates is not None and store.cycle_rates.num_entries
-        assert store.entropy is not None and store.entropy.num_entries
         return graph, store
 
     def test_refresh_is_deterministic_and_ledgered(self):
@@ -352,13 +348,9 @@ class TestRefreshedCatalogs:
         out_b = apply_updates(store_b, batch, compact_threshold=NO_COMPACT)
         assert out_a.mode == "incremental"
         assert "resampled" in out_a.ledger["cycle_rates"]
-        assert "recomputed" in out_a.ledger["entropy"]
         assert (
             store_a.cycle_rates.to_artifact()
             == store_b.cycle_rates.to_artifact()
-        )
-        assert (
-            store_a.entropy.to_artifact() == store_b.entropy.to_artifact()
         )
         # The rate specs (walk shapes) survive; only values resample.
         _, fresh = self.build()
@@ -388,7 +380,6 @@ class TestRefreshedCatalogs:
             reloaded.cycle_rates.to_artifact()
             == store.cycle_rates.to_artifact()
         )
-        assert reloaded.entropy.to_artifact() == store.entropy.to_artifact()
         assert reloaded.markov.to_artifact() == store.markov.to_artifact()
         # '+ocr' estimates serve identically from the replayed artifact.
         query = parse_pattern("a -[A]-> b -[B]-> c -[C]-> d, a -[E]-> d")

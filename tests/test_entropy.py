@@ -45,6 +45,22 @@ class TestEntropyCatalog:
         catalog.irregularity(pattern, frozenset({"y"}))
         assert catalog.num_entries == entries
 
+    def test_renamed_extension_shares_one_entry(self, medium_random_graph):
+        """Isomorphic requests under other variable names hit the entry
+        the first one stored, and only the matching variable does."""
+        labels = list(medium_random_graph.labels)
+        catalog = EntropyCatalog(medium_random_graph)
+        pattern = QueryPattern([("x", "y", labels[0]), ("y", "z", labels[1])])
+        value = catalog.irregularity(pattern, frozenset({"y"}))
+        assert value > 0.0
+        # Here the middle variable sorts first: a mapping by name order
+        # would miss.
+        renamed = QueryPattern([("b", "a", labels[0]), ("a", "c", labels[1])])
+        assert catalog.irregularity(renamed, frozenset({"a"})) == value
+        assert catalog.num_entries == 1
+        catalog.irregularity(renamed, frozenset({"b"}))
+        assert catalog.num_entries == 2
+
     def test_uniform_relation_scores_zero(self):
         """A perfectly regular graph (every vertex degree 1) has exactly
         uniform extension degrees: irregularity 0."""

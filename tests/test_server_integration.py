@@ -15,6 +15,7 @@ The ISSUE's acceptance gates live here:
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -161,6 +162,28 @@ class TestErrors:
             assert response["error"]["code"] == "unsupported_version"
             # The connection survives a bad request.
             assert client.ping()["pong"] is True
+
+    def test_hostile_frames_get_typed_errors_on_one_connection(self, server):
+        """Frames the JSON decoder cannot take (nesting deeper than its
+        stack, non-finite numbers) are invalid requests, and the
+        connection keeps answering."""
+        frames = [
+            b"[" * 200_000 + b"]" * 200_000,
+            b'{"v": 1, "verb": "estimate", "tenant": "example", '
+            b'"query": "a -[A]-> b", "deadline_ms": NaN}',
+            b'{"v": 1, "verb": "ping", "id": Infinity}',
+        ]
+        with socket.create_connection((server.host, server.port), 10) as sock:
+            with sock.makefile("rb") as reader:
+                for frame in frames:
+                    sock.sendall(frame + b"\n")
+                    response = json.loads(reader.readline())
+                    assert response["ok"] is False
+                    assert response["error"]["code"] == "invalid_request"
+                    assert response["error"]["exit_code"] == 2
+                sock.sendall(b'{"v": 1, "verb": "ping", "id": 5}\n')
+                response = json.loads(reader.readline())
+        assert response["id"] == 5 and response["result"]["pong"] is True
 
 
 def _slow_estimate(monkeypatch, seconds):

@@ -4,9 +4,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.server import protocol
-from repro.server.protocol import ProtocolError, parse_request
+from repro.server.protocol import ProtocolError, Request, parse_request
 
 
 def estimate_payload(**overrides):
@@ -130,8 +132,83 @@ class TestParseErrors:
             is protocol.INVALID_REQUEST
         )
 
+    @pytest.mark.parametrize(
+        "deadline",
+        [
+            float("nan"),
+            float("inf"),
+            True,
+            pytest.param(10**400, id="int-over-a-double"),
+        ],
+    )
+    def test_deadline_must_be_finite_and_not_bool(self, deadline):
+        # NaN expired at once as a retryable deadline_exceeded, Infinity
+        # switched the deadline off and true meant 1 ms.
+        line = estimate_payload(deadline_ms=deadline)
+        assert self.error_code(line) is protocol.INVALID_REQUEST
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers_are_not_json(self, number):
+        # Echoing such an id would put non-standard JSON on the wire.
+        line = f'{{"v": 1, "verb": "ping", "id": {number}}}'
+        assert self.error_code(line) is protocol.INVALID_REQUEST
+
+    def test_nesting_deeper_than_the_decoder_stack(self):
+        line = "[" * 200_000 + "]" * 200_000
+        assert self.error_code(line) is protocol.INVALID_REQUEST
+        with pytest.raises(ProtocolError):
+            protocol.decode_line(line)
+
     def test_invalid_utf8(self):
         assert self.error_code(b"\xff\xfe{}") is protocol.INVALID_REQUEST
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+FIELDS = (
+    "v", "verb", "id", "tenant", "query", "estimators", "deadline_ms",
+    "path", "allow_fingerprint_change", "scope", "trace_id",
+)
+
+
+def well_formed_envelopes():
+    """Valid-looking requests whose fields hold arbitrary JSON values."""
+    base = st.fixed_dictionaries(
+        {"v": st.just(1), "verb": st.sampled_from(protocol.VERBS)}
+    )
+    return st.tuples(
+        base, st.dictionaries(st.sampled_from(FIELDS), JSON_VALUES, max_size=4)
+    ).map(lambda parts: json.dumps({**parts[0], **parts[1]}))
+
+
+class TestHostileFrames:
+    """Any frame yields a Request or a ProtocolError, nothing else."""
+
+    @staticmethod
+    def check(line):
+        try:
+            assert isinstance(parse_request(line), Request)
+        except ProtocolError as error:
+            assert error.code.exit_code == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, line):
+        self.check(line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(well_formed_envelopes())
+    def test_envelopes_with_arbitrary_fields(self, line):
+        self.check(line)
 
 
 class TestErrorTaxonomy:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.catalog.cycle_rates import CycleClosingRates
 from repro.catalog.degrees import DegreeCatalog
-from repro.catalog.entropy import EntropyCatalog
 from repro.catalog.markov import MarkovTable
 from repro.core.ceg_m import molp_bound
 from repro.core.estimators import (
@@ -32,6 +31,7 @@ from repro.stats import (
     StatsBuildConfig,
     build_statistics,
     extend_statistics,
+    inspect_artifact,
 )
 from repro.stats.flatpack import degrees_from_flat, degrees_to_flat
 
@@ -209,21 +209,6 @@ class TestCycleRatesArtifact:
         assert loaded.rate(triangle, frozenset({0, 1, 2}), 2) is None
 
 
-class TestEntropyArtifact:
-    def test_round_trip_and_graph_free_miss(self, cyclic_graph, cyclic_pool):
-        catalog = EntropyCatalog(cyclic_graph)
-        pattern = cyclic_pool[0]
-        sub = pattern.subpattern([0, 1])
-        variables = frozenset({sub.edges[0].src, sub.edges[0].dst}) & frozenset(
-            sub.variables
-        )
-        value = catalog.irregularity(sub, variables)
-        loaded = EntropyCatalog.from_artifact(catalog.to_artifact())
-        assert loaded.irregularity(sub, variables) == value
-        with pytest.raises(MissingStatisticError):
-            loaded.irregularity(pattern.subpattern([0]), frozenset({"zzz"}))
-
-
 # ----------------------------------------------------------------------
 # The store: bulk build, persistence, graph-free serving
 # ----------------------------------------------------------------------
@@ -379,6 +364,20 @@ class TestStorePersistence:
         manifest_path.write_text(json.dumps(payload))
         with pytest.raises(DatasetError, match="format_version"):
             StatisticsStore.load(directory)
+
+    def test_sidecar_this_build_does_not_serve_is_ignored(self, saved):
+        """Older images may list an ``entropy.json`` sidecar: a load
+        reads and digest-checks only the sidecars it serves."""
+        _, directory = saved
+        (directory / "gen-0000" / "entropy.json").write_text("not json")
+        manifest_path = directory / "manifest.json"
+        payload = json.loads(manifest_path.read_text())
+        payload["catalogs"] = sorted(payload["catalogs"] + ["entropy"])
+        payload["digests"]["entropy.json"] = "0" * 64
+        manifest_path.write_text(json.dumps(payload))
+        loaded = StatisticsStore.load(directory)
+        assert loaded.cycle_rates is not None
+        assert "entropy" not in inspect_artifact(directory)["catalogs_sizes"]
 
     def test_serving_never_touches_the_engine(
         self, saved, cyclic_pool, monkeypatch
