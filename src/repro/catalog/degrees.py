@@ -44,12 +44,12 @@ from repro.graph.digraph import LabeledDiGraph
 from repro.query.canonical import (
     canonical_key,
     canonical_order,
+    growth_order,
     key_from_json,
     key_pattern,
     key_to_json,
 )
 from repro.query.pattern import QueryPattern
-from repro.query.shape import spanning_tree_and_closures
 
 __all__ = [
     "StatRelation",
@@ -66,16 +66,16 @@ __all__ = [
 def materialise_table(
     graph, pattern: QueryPattern, max_rows: int | None
 ) -> Frame:
-    """The full match table of a pattern (spanning tree, then closures).
+    """The full match table of a pattern, grown along its growth order.
 
-    The one join-order recipe shared by graph-backed catalogs, the
-    offline bulk builder and delta maintenance — every plane must
-    produce the same rows or bit-identity between them breaks.
-    ``max_rows`` aborts an oversized intermediate with
-    :class:`~repro.errors.PlanningError`.
+    Atoms join in :func:`~repro.query.canonical.growth_order`, the order
+    the cold builder grows the pattern's canonical parent chain in, so
+    whether a table passes ``max_rows`` depends only on the key, the
+    graph and ``max_rows``: graph-backed catalogs, the bulk builder and
+    delta maintenance store the same relations.  ``max_rows`` aborts an
+    oversized expanding step with :class:`~repro.errors.PlanningError`.
     """
-    tree, closures = spanning_tree_and_closures(pattern)
-    order = tree + closures
+    order = growth_order(pattern)
     frame = frame_from_edge(graph, pattern.edges[order[0]])
     for index in order[1:]:
         frame, _ = extend_frame(

@@ -7,42 +7,26 @@ find the necessary subqueries"); a graph-backed table mirrors that by
 populating entries lazily — a pattern's count is computed through the
 exact engine on first request and cached under its canonical key.
 
-Tables are persistable through the uniform artifact protocol
-(:meth:`MarkovTable.to_artifact` / :meth:`MarkovTable.from_artifact`,
-with :meth:`save` / :meth:`load` as file-level conveniences): in a
-deployment the statistics are computed offline by
-:mod:`repro.stats.build` and shipped to the optimizer, exactly as the
-paper's sub-MB tables are.  A table loaded *without* a graph serves
-purely from its stored entries: a miss returns 0 when the table is
-``complete`` over a known label universe (bulk enumeration stores every
-non-empty pattern, so absence means emptiness) and raises
-:class:`MissingStatisticError` otherwise — it never silently scans a
-base graph at estimation time.
+Tables persist as part of a statistics store's generation image
+(:mod:`repro.stats.flatpack`): in a deployment the statistics are
+computed offline by :mod:`repro.stats.build` and shipped to the
+optimizer, exactly as the paper's sub-MB tables are.  A table loaded
+*without* a graph serves purely from its stored entries: a miss returns
+0 when the table is ``complete`` over a known label universe (bulk
+enumeration stores every non-empty pattern, so absence means emptiness)
+and raises :class:`MissingStatisticError` otherwise — it never silently
+scans a base graph at estimation time.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.engine.counter import count_pattern
-from repro.errors import (
-    DatasetError,
-    MissingStatisticError,
-    check_format_version,
-)
+from repro.errors import MissingStatisticError
 from repro.graph.digraph import LabeledDiGraph
-from repro.query.canonical import (
-    canonical_key,
-    key_from_json,
-    key_pattern,
-    key_to_json,
-)
+from repro.query.canonical import canonical_key, key_pattern, key_to_json
 from repro.query.pattern import QueryPattern
 
-__all__ = ["MarkovTable", "MARKOV_FORMAT_VERSION"]
-
-MARKOV_FORMAT_VERSION = 1
+__all__ = ["MarkovTable"]
 
 
 class MarkovTable:
@@ -181,11 +165,9 @@ class MarkovTable:
             if self.contains(pattern):
                 self.cardinality(pattern)
 
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
     def to_artifact(self) -> dict:
-        """A JSON-serialisable snapshot of the table.
+        """A JSON-serialisable snapshot of the table, for comparisons
+        (``repro updates replay --verify``, the maintenance gates).
 
         Canonical keys are tuples of ``(src_index, dst_index, label)``
         triples; they serialise as nested lists.
@@ -195,8 +177,6 @@ class MarkovTable:
         if labels is None and self.graph is not None:
             labels = self.graph.labels
         return {
-            "format_version": MARKOV_FORMAT_VERSION,
-            "kind": "markov",
             "h": self.h,
             "complete": self.complete,
             "labels": list(labels) if labels is not None else None,
@@ -205,60 +185,3 @@ class MarkovTable:
                 for key, value in sorted(self._cache.items())
             ],
         }
-
-    @classmethod
-    def from_artifact(
-        cls,
-        payload: dict,
-        graph: LabeledDiGraph | None = None,
-        count_budget: int | None = None,
-    ) -> "MarkovTable":
-        """Rebuild a table from :meth:`to_artifact` output.
-
-        With a graph, entries absent from the artifact are computed
-        lazily as usual, so an artifact from a narrower workload remains
-        usable; without one the table serves purely from its entries.
-        """
-        check_format_version(payload, MARKOV_FORMAT_VERSION, "Markov table")
-        try:
-            h = int(payload["h"])
-            entries = payload["entries"]
-            labels = payload.get("labels")
-            complete = bool(payload.get("complete", False))
-        except (ValueError, KeyError, TypeError) as error:
-            raise DatasetError(f"invalid Markov table artifact: {error}")
-        table = cls(
-            graph,
-            h=h,
-            count_budget=count_budget,
-            labels=tuple(labels) if labels is not None else None,
-            complete=complete,
-        )
-        for entry in entries:
-            table._cache[key_from_json(entry["key"])] = float(entry["count"])
-        return table
-
-    def save(self, path: str | Path) -> None:
-        """Write the materialised entries as versioned JSON."""
-        Path(path).write_text(json.dumps(self.to_artifact()), encoding="utf-8")
-
-    @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        graph: LabeledDiGraph | None = None,
-        count_budget: int | None = None,
-    ) -> "MarkovTable":
-        """Rebuild a table from :meth:`save` output."""
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as error:
-            raise DatasetError(f"invalid Markov table file {path}: {error}")
-        if not isinstance(payload, dict):
-            raise DatasetError(
-                f"invalid Markov table file {path}: expected a JSON object"
-            )
-        try:
-            return cls.from_artifact(payload, graph, count_budget=count_budget)
-        except DatasetError as error:
-            raise DatasetError(f"{path}: {error}") from None

@@ -16,9 +16,10 @@ mutated graph — without rebuilding from scratch:
   never stores zeros).
 * **Degree relations** are rebuilt only for shapes whose match support
   actually changed (the seeded joins double as exact change detectors)
-  or whose relation is missing after a ``max_rows`` overflow; untouched
-  relations are carried over byte-identically.  Every recounted or
-  discovered pattern is stored by the builder's own rule.
+  or whose canonical parent's relation came or went (a table grows
+  along its parent chain, so a ``max_rows`` overflow is inherited);
+  untouched relations are carried over byte-identically.  Every
+  recounted or discovered pattern is stored by the builder's own rule.
 * **Cycle rates** are resampled on the new graph.  The *staleness
   ledger* records which catalogs are exact vs merely refreshed.
 
@@ -47,7 +48,7 @@ from repro.delta.updates import UpdateBatch
 from repro.errors import DatasetError, ReproError
 from repro.graph.digraph import LabeledDiGraph
 from repro.obs.offline import JobTelemetry
-from repro.query.canonical import key_pattern
+from repro.query.canonical import canonical_parent, key_pattern
 from repro.stats.artifact import (
     StoreManifest,
     dataset_fingerprint,
@@ -424,11 +425,11 @@ def _maintain_incremental(
     overlay: MutableGraphOverlay,
     outcome: MaintenanceOutcome,
 ) -> None:
-    """The incremental path: patch catalogs key by key.
+    """The incremental path: patch catalogs key by key, smallest first.
 
     Counts move by the delta-join identity.  A touched key whose count
-    or support changed, or whose relation is missing (its table
-    overflowed ``max_rows``), is stored again by the builder's rule
+    or support changed, or whose canonical parent's relation came or
+    went, is stored again by the builder's rule
     (:func:`~repro.stats.build._materialise_and_record`), as is every
     newly discovered key of a complete store.
     """
@@ -456,9 +457,13 @@ def _maintain_incremental(
     degree_counters = {"rebuilt": 0, "removed": 0, "added": 0, "kept": 0}
     result = _TaskResult()
     recorded: list[tuple] = []
+    # Keys whose relation came or went.  A table grows along its parent
+    # chain, so a child follows its parent's flip even with unchanged
+    # support; size order settles every parent before its children.
+    flipped: set[tuple] = set()
 
     stored_keys = set(markov) | set(degrees)
-    for key in sorted(stored_keys):
+    for key in sorted(stored_keys, key=lambda key: (len(key), key)):
         if not {label for _, _, label in key} & touched:
             counters["skipped_untouched"] += 1
             degree_counters["kept"] += key in degrees
@@ -480,17 +485,23 @@ def _maintain_incremental(
             counters["recounted_cold"] += 1
             count, support_changed = None, True
         if not support_changed and (
-            len(key) > config.molp_h or key in degrees
+            len(key) > config.molp_h
+            or not flipped
+            or canonical_parent(key) not in flipped
         ):
-            # No delta term matched: count and relation are unchanged.
+            # No delta term matched and the parent's relation stands:
+            # count and relation are unchanged.
             counters["unchanged_support"] += 1
             degree_counters["kept"] += key in degrees
             continue
+        relations_before = len(result.relations)
         _materialise_and_record(
             new_graph, config, pattern, key, result,
             store_zeros=not complete, count=count,
         )
         recorded.append(key)
+        if (len(result.relations) > relations_before) != (key in degrees):
+            flipped.add(key)
 
     if complete and insert_graph is not None:
         found = discover_new_patterns(
@@ -537,13 +548,12 @@ def _maintain_incremental(
     outcome.markov = counters
     outcome.degrees = degree_counters
     ledger = {"markov": "exact", "degrees": "exact"}
-    if complete and not store.degrees.complete:
+    if complete and config.molp_h > config.h and not store.degrees.complete:
         ledger["degrees"] = (
-            "incomplete: a relation whose match table overflows max_rows "
-            "is dropped, and whether a table overflows depends on the join "
-            "order (a pattern of more than h atoms that overflowed is "
-            "stored nowhere, so maintenance cannot tell whether it fits "
-            "now); the stored relations may differ from a cold rebuild's"
+            "incomplete: a pattern of more than h atoms whose match table "
+            "overflowed max_rows is stored nowhere, so maintenance cannot "
+            "tell whether it fits now; the stored relations may differ "
+            "from a cold rebuild's"
         )
 
     if store.cycle_rates is not None:

@@ -19,7 +19,9 @@ from repro.query.pattern import QueryEdge, QueryPattern
 __all__ = [
     "canonical_key",
     "canonical_order",
+    "canonical_parent",
     "canonical_pattern",
+    "growth_order",
     "key_pattern",
     "subpattern_form",
     "key_from_json",
@@ -28,9 +30,9 @@ __all__ = [
 
 _MAX_BRUTE_FORCE_VARS = 8
 
-#: Entries of the :func:`subpattern_form` memo.  An entry is a shape and
-#: its canonical form, never a statistic, so it stays valid across data
-#: changes and generation swaps.
+#: Entries of the :func:`subpattern_form` and :func:`canonical_parent`
+#: memos.  An entry is a shape and its canonical form or parent, never a
+#: statistic, so it stays valid across data changes and generation swaps.
 SUBPATTERN_MEMO_SIZE = 8192
 
 
@@ -128,6 +130,58 @@ def _numbered_form(atoms: tuple) -> tuple[tuple, tuple[int, ...]]:
     pattern = QueryPattern((str(s), str(d), label) for s, d, label in atoms)
     key = canonical_key(pattern)
     return key, tuple(int(var) for var in canonical_order(pattern))
+
+
+@functools.lru_cache(maxsize=SUBPATTERN_MEMO_SIZE)
+def canonical_parent(key: tuple) -> tuple | None:
+    """The one pattern a canonical key grows from (``None`` for one atom).
+
+    Among the connected subpatterns one atom smaller that keep the key's
+    smallest label, the one with the smallest canonical key — a pure
+    function of the key, so every table of a pattern grows along the
+    same chain of ancestors (canonical augmentation: McKay 1998; gSpan's
+    single generating parent).  Keeping the smallest label keeps the
+    parent in the min-label shard of a full build.
+    """
+    return _parent_step(key_pattern(key), list(range(len(key))))[0]
+
+
+def growth_order(pattern: QueryPattern) -> list[int]:
+    """``pattern``'s atom indexes in the order its parent chain adds them.
+
+    Prefix ``i`` of the order is a subpattern whose canonical key is the
+    key's ancestor of ``i`` atoms under :func:`canonical_parent`, so two
+    renamings or atom orders of one pattern join isomorphic prefixes.
+    """
+    remaining = list(range(len(pattern)))
+    added: list[int] = []
+    while len(remaining) > 1:
+        added.append(remaining.pop(_parent_step(pattern, remaining)[1]))
+    return remaining + added[::-1]
+
+
+def _parent_step(
+    pattern: QueryPattern, atoms: list[int]
+) -> tuple[tuple | None, int]:
+    """Canonical parent of the subpattern made of ``atoms`` (indexes into
+    ``pattern``), and the position in ``atoms`` of the atom it lacks.
+
+    The one rule behind :func:`canonical_parent` and :func:`growth_order`.
+    """
+    if len(atoms) == 1:
+        return None, 0
+    smallest = min(pattern.edges[i].label for i in atoms)
+    parent, lacks = None, 0
+    for position in range(len(atoms)):
+        rest = atoms[:position] + atoms[position + 1:]
+        if smallest not in (pattern.edges[i].label for i in rest):
+            continue
+        if not pattern.is_connected_subset(rest):
+            continue
+        key, _ = subpattern_form(pattern.edges[i] for i in rest)
+        if parent is None or key < parent:
+            parent, lacks = key, position
+    return parent, lacks
 
 
 def key_to_json(key: tuple) -> list:

@@ -19,8 +19,8 @@ This module provides the shape predicates used throughout the library:
   paths of k edges have depth k, matching Figure 8's convention), found
   by a breadth-first walk over variable bitmasks;
 * :func:`spanning_tree_and_closures` — splits a cyclic pattern's edges
-  into a spanning tree plus cycle-closing edges (the join order of
-  full match tables, WanderJoin's walk order).
+  into a spanning tree plus cycle-closing edges (WanderJoin's and the
+  sampler's walk order).
 """
 
 from __future__ import annotations

@@ -321,14 +321,18 @@ def parse_request(line: str | bytes) -> Request:
             raise ProtocolError(
                 INVALID_REQUEST, "'path' must be a string when given"
             )
+        allow_change = payload.get("allow_fingerprint_change", False)
+        if not isinstance(allow_change, bool):
+            raise ProtocolError(
+                INVALID_REQUEST,
+                "'allow_fingerprint_change' must be true or false when given",
+            )
         return Request(
             verb=verb,
             id=request_id,
             tenant=_require_str(payload, "tenant", verb),
             path=path,
-            allow_fingerprint_change=bool(
-                payload.get("allow_fingerprint_change", False)
-            ),
+            allow_fingerprint_change=allow_change,
             scope=scope,
             trace_id=trace_id,
         )

@@ -90,6 +90,7 @@ from repro.obs.offline import JobTelemetry
 from repro.query.canonical import (
     canonical_key,
     canonical_order,
+    canonical_parent,
     canonical_pattern,
     key_from_json,
     key_pattern,
@@ -280,10 +281,12 @@ def _level_step(
     the join passes ``max_rows``: such a child is yielded anyway and
     grows unpruned.
 
-    A cold build passes one graph as both: a child is then skipped when
-    its canonical key is in ``seen``.  Seeded growth (the seed atom
-    bound to ``seed_graph``, every other atom to ``growth_graph``) keys
-    ``seen`` by :func:`_seeded_identity` instead.
+    A cold build passes one graph as both: a child is then kept only
+    when it grows from its canonical parent (so its table grows along
+    :func:`materialise_table`'s chain) and its key is not in ``seen``.
+    Seeded growth (the seed atom bound to ``seed_graph``, every other
+    atom to ``growth_graph``) keeps every child and keys ``seen`` by
+    :func:`_seeded_identity` instead.
     """
     seeded = seed_graph is not growth_graph
 
@@ -306,11 +309,14 @@ def _level_step(
         return
     unique_src, unique_dst = _unique_endpoint_sets(growth_graph, labels)
     for pattern, table in parents:
+        parent_key = canonical_key(pattern)
         for edge in _candidate_edges(
             pattern, table, labels, unique_src, unique_dst
         ):
             child = QueryPattern(pattern.edges + (edge,))
             key = canonical_key(child)
+            if not seeded and canonical_parent(key) != parent_key:
+                continue
             if not first_visit(child, key):
                 continue
             child_table = None
@@ -437,8 +443,9 @@ def _full_shard_task(
 
     ``frontier is None`` seeds level 1 (the shard label's two one-atom
     canonical patterns); otherwise each frontier pattern's match table
-    is re-materialised (deterministic spanning-tree recipe) and extended
-    by one atom over the shard's allowed labels.
+    is re-materialised along its growth order and extended by one atom
+    over the shard's allowed labels, keeping the children it is the
+    canonical parent of.
     """
     labels = graph.labels
     parents = None

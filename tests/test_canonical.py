@@ -1,11 +1,16 @@
-"""Tests for canonical pattern keys (renaming invariance)."""
+"""Tests for canonical pattern keys (renaming invariance) and the one
+growth order each key has."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog.degrees import materialise_table
+from repro.engine.counter import count_pattern
+from repro.graph import LabeledDiGraph
 from repro.query import QueryPattern, canonical_key, canonical_pattern, templates
+from repro.query.canonical import canonical_parent, growth_order
 
 
 class TestCanonicalKey:
@@ -77,3 +82,47 @@ class TestCanonicalProperty:
         rng.shuffle(names)
         mapping = dict(zip(pattern.variables, names))
         assert canonical_key(pattern) == canonical_key(pattern.rename(mapping))
+
+
+def _growth_graph() -> LabeledDiGraph:
+    """30 random triples over labels A-C on 8 vertices, self-loops allowed."""
+    rng = random.Random(4)
+    triples = {
+        (rng.randrange(8), rng.randrange(8), rng.choice("ABC"))
+        for _ in range(30)
+    }
+    return LabeledDiGraph.from_triples(sorted(triples), num_vertices=8)
+
+
+GROWTH_GRAPH = _growth_graph()
+
+
+class TestGrowthOrder:
+    @given(small_patterns(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_one_order_per_key(self, pattern, rng):
+        names = [f"w{i}" for i in range(len(pattern.variables))]
+        rng.shuffle(names)
+        edges = list(pattern.rename(dict(zip(pattern.variables, names))))
+        rng.shuffle(edges)
+        variant = QueryPattern(edges)
+        smallest = min(pattern.labels)
+        chains = []
+        for candidate in (pattern, variant):
+            order = growth_order(candidate)
+            assert sorted(order) == list(range(len(candidate)))
+            prefixes = [
+                QueryPattern(candidate.edges[i] for i in order[:size])
+                for size in range(1, len(order) + 1)
+            ]
+            for prefix in prefixes:
+                assert prefix.is_connected()
+                assert min(prefix.labels) == smallest
+            chains.append([canonical_key(prefix) for prefix in prefixes])
+        assert chains[0] == chains[1]
+        # Each prefix is its successor's canonical parent.
+        for parent, child in zip(chains[0], chains[0][1:]):
+            assert canonical_parent(child) == parent
+        assert canonical_parent(chains[0][0]) is None
+        table = materialise_table(GROWTH_GRAPH, variant, None)
+        assert table.size == count_pattern(GROWTH_GRAPH, variant)

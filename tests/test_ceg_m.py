@@ -131,37 +131,3 @@ class TestMolpEdge:
             rate=5.0,
         )
         assert not edge.is_bound
-
-
-class TestMarkovPersistence:
-    def test_roundtrip(self, tiny_graph, tmp_path):
-        from repro.catalog import MarkovTable
-
-        table = MarkovTable(tiny_graph, h=2)
-        table.cardinality(parse_pattern("x -[A]-> y"))
-        table.cardinality(parse_pattern("x -[A]-> y -[B]-> z"))
-        path = tmp_path / "markov.json"
-        table.save(path)
-        loaded = MarkovTable.load(path, tiny_graph)
-        assert loaded.h == 2
-        assert loaded.num_entries == table.num_entries
-        assert loaded.cardinality(parse_pattern("x -[A]-> y")) == 3
-
-    def test_loaded_table_still_lazy(self, tiny_graph, tmp_path):
-        from repro.catalog import MarkovTable
-
-        table = MarkovTable(tiny_graph, h=2)
-        path = tmp_path / "markov.json"
-        table.save(path)
-        loaded = MarkovTable.load(path, tiny_graph)
-        assert loaded.num_entries == 0
-        assert loaded.cardinality(parse_pattern("x -[B]-> y")) == 3
-
-    def test_invalid_file_rejected(self, tiny_graph, tmp_path):
-        from repro.catalog import MarkovTable
-        from repro.errors import DatasetError
-
-        path = tmp_path / "broken.json"
-        path.write_text("not json")
-        with pytest.raises(DatasetError):
-            MarkovTable.load(path, tiny_graph)

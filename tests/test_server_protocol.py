@@ -62,6 +62,34 @@ class TestParseRequest:
         assert request.path == "stats/v2"
         assert request.allow_fingerprint_change is True
 
+    @pytest.mark.parametrize("value", [False, True])
+    def test_reload_fingerprint_flag_is_a_boolean(self, value):
+        request = parse_request(
+            json.dumps(
+                {
+                    "v": 1,
+                    "verb": "reload",
+                    "tenant": "example",
+                    "allow_fingerprint_change": value,
+                }
+            )
+        )
+        assert request.allow_fingerprint_change is value
+
+    @pytest.mark.parametrize("value", ["false", "true", [0], 1, 0, None, {}])
+    def test_reload_fingerprint_flag_rejects_non_booleans(self, value):
+        payload = json.dumps(
+            {
+                "v": 1,
+                "verb": "reload",
+                "tenant": "example",
+                "allow_fingerprint_change": value,
+            }
+        )
+        with pytest.raises(ProtocolError) as info:
+            parse_request(payload)
+        assert info.value.code is protocol.INVALID_REQUEST
+
     def test_reload_path_optional(self):
         request = parse_request(
             json.dumps({"v": 1, "verb": "reload", "tenant": "example"})

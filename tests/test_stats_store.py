@@ -33,6 +33,7 @@ from repro.stats import (
     extend_statistics,
     inspect_artifact,
 )
+from repro.stats.artifact import StoreManifest, dataset_fingerprint
 from repro.stats.flatpack import degrees_from_flat, degrees_to_flat
 
 
@@ -64,60 +65,57 @@ def cyclic_pool(cyclic_graph):
 # Per-catalog artifact round-trips
 # ----------------------------------------------------------------------
 
+def _markov_round_trip(table, directory, graph=None):
+    """``table`` as a store save/load round trip reads it back."""
+    StatisticsStore(
+        manifest=StoreManifest(
+            dataset_fingerprint=dataset_fingerprint(table.graph),
+            h=table.h,
+            molp_h=1,
+        ),
+        markov=table,
+        degrees=DegreeCatalog(None),
+    ).save(directory)
+    return StatisticsStore.load(directory, graph=graph).markov
+
+
 class TestMarkovArtifact:
-    def test_round_trip_bit_identical(self, example_graph, q5f):
+    def test_round_trip_bit_identical(self, example_graph, q5f, tmp_path):
         table = MarkovTable(example_graph, h=2)
         fresh = all_nine_estimators(table)
         baseline = {
             name: est.estimate(q5f) for name, est in fresh.items()
         }
         table.prime([parse_pattern("x -[A]-> y -[B]-> z")])
-        loaded = MarkovTable.from_artifact(
-            table.to_artifact(), example_graph
-        )
+        loaded = _markov_round_trip(table, tmp_path, example_graph)
         assert loaded.num_entries == table.num_entries
         for name, est in all_nine_estimators(loaded).items():
             assert est.estimate(q5f) == baseline[name], name
 
-    def test_save_payload_has_format_version(self, example_graph, tmp_path):
+    def test_graph_attached_load_stays_lazy(self, example_graph, tmp_path):
         table = MarkovTable(example_graph, h=2)
-        path = tmp_path / "markov.json"
-        table.save(path)
-        payload = json.loads(path.read_text())
-        assert payload["format_version"] == 1
+        loaded = _markov_round_trip(table, tmp_path, example_graph)
+        assert loaded.num_entries == 0
+        assert loaded.cardinality(parse_pattern("x -[A]-> y")) == 4.0
 
-    def test_missing_version_is_friendly_dataset_error(
+    def test_graph_free_complete_serves_miss_as_zero(
         self, example_graph, tmp_path
     ):
-        path = tmp_path / "markov.json"
-        path.write_text(json.dumps({"h": 2, "entries": []}))
-        with pytest.raises(DatasetError, match="format_version"):
-            MarkovTable.load(path, example_graph)
-
-    def test_mismatched_version_is_friendly_dataset_error(
-        self, example_graph, tmp_path
-    ):
-        path = tmp_path / "markov.json"
-        path.write_text(
-            json.dumps({"format_version": 99, "h": 2, "entries": []})
-        )
-        with pytest.raises(DatasetError, match="format_version 99"):
-            MarkovTable.load(path, example_graph)
-
-    def test_graph_free_complete_serves_miss_as_zero(self, example_graph):
         table = MarkovTable(example_graph, h=2, labels=example_graph.labels,
                             complete=True)
         table.prime([parse_pattern("x -[A]-> y")])
-        loaded = MarkovTable.from_artifact(table.to_artifact())
+        loaded = _markov_round_trip(table, tmp_path)
         assert loaded.graph is None
         assert loaded.cardinality(parse_pattern("x -[A]-> y")) == 4.0
         # Complete table: an unstored (empty) join reads as 0.
         assert loaded.cardinality(parse_pattern("x -[C]-> y -[A]-> z")) == 0.0
 
-    def test_graph_free_incomplete_raises_on_miss(self, example_graph):
+    def test_graph_free_incomplete_raises_on_miss(
+        self, example_graph, tmp_path
+    ):
         table = MarkovTable(example_graph, h=2, labels=example_graph.labels)
         table.prime([parse_pattern("x -[A]-> y")])
-        loaded = MarkovTable.from_artifact(table.to_artifact())
+        loaded = _markov_round_trip(table, tmp_path)
         with pytest.raises(MissingStatisticError):
             loaded.cardinality(parse_pattern("x -[B]-> y"))
         # Unknown labels are empty relations even without completeness.
