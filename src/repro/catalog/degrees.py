@@ -56,6 +56,7 @@ __all__ = [
     "RelationView",
     "DegreeCatalog",
     "all_degree_pairs",
+    "two_atom_degree_pairs",
     "degree_grid",
     "materialise_table",
     "pair_table",
@@ -242,6 +243,132 @@ def _prefix_run_starts(
     return starts
 
 
+def two_atom_degree_pairs(
+    columns: tuple[np.ndarray, ...],
+    names: tuple[str, ...],
+    shared: str,
+    num_vertices: int,
+) -> np.ndarray:
+    """:func:`all_degree_pairs` of a two-atom, three-variable match table.
+
+    The atoms share exactly the variable ``shared`` (``b``); call the
+    others ``a`` and ``c``.  Graph relations are sets, so the table is
+    the union over ``b`` of ``A_b × {b} × C_b`` and its rows are
+    distinct.  Two sorts then give all 27 degrees where
+    :func:`all_degree_pairs` needs six:
+
+    * on ``(b, a, c)``: the ``(b, a)`` runs give ``|A_b|`` and the rows
+      per ``b``, hence ``|C_b| = rows_b / |A_b|``; the run starts are
+      the distinct ``(a, b)`` pairs, and the rows of each ``b``'s first
+      ``(b, a)`` run are its distinct ``(b, c)`` pairs;
+    * on ``(a, c)``: the runs are the distinct ``(a, c)`` pairs, their
+      lengths the pairs' multiplicities.
+
+    Vertex counts of ``a`` and ``c`` (alone, per distinct pair, or per
+    row) give the remaining degrees.  The radix keys must fit int64
+    (``num_vertices ** 3 < 2 ** 62``).  Values are the same exact tuple
+    counts as :func:`all_degree_pairs`, bit for bit.
+    """
+    column_of = dict(zip(names, columns))
+    a_name, c_name = (name for name in names if name != shared)
+    a, b, c = column_of[a_name], column_of[shared], column_of[c_name]
+    rows = len(b)
+    if rows == 0:
+        return np.zeros(27, dtype=np.float64)
+    n = int(num_vertices)
+
+    keys = _sorted_radix_keys([b, a, c], n)
+    ba = keys // n
+    c_sorted = keys - ba * n
+    ba_bounds = _run_bounds(ba)
+    ba_starts = ba_bounds[:-1]
+    pair_ab = ba[ba_starts]
+    b_of_ab = pair_ab // n
+    a_of_ab = pair_ab - b_of_ab * n
+    b_bounds = _run_bounds(b_of_ab)
+    a_count = b_bounds[1:] - b_bounds[:-1]
+    b_rows = ba_bounds[b_bounds[1:]] - ba_bounds[b_bounds[:-1]]
+    c_count = b_rows // a_count
+    first_run = np.zeros(len(ba_starts), dtype=bool)
+    first_run[b_bounds[:-1]] = True
+    pair_bc = c_sorted[np.repeat(first_run, ba_bounds[1:] - ba_starts)]
+
+    ac = _sorted_radix_keys([a, c], n)
+    ac_bounds = _run_bounds(ac)
+    pair_ac = ac[ac_bounds[:-1]]
+    a_of_ac = pair_ac // n
+    c_of_ac = pair_ac - a_of_ac * n
+
+    a_rows = _vertex_counts(a, n)
+    c_rows = _vertex_counts(c, n)
+    a_most, c_most = a_count.max(), c_count.max()
+    ranked = sorted(names)
+    bit_a, bit_b, bit_c = (
+        1 << ranked.index(name) for name in (a_name, shared, c_name)
+    )
+    ab, bc, ac_mask = bit_a | bit_b, bit_b | bit_c, bit_a | bit_c
+    abc = ab | bit_c
+    degrees = {
+        (0, bit_a): np.count_nonzero(a_rows),
+        (0, bit_b): len(a_count),
+        (0, bit_c): np.count_nonzero(c_rows),
+        (0, ab): len(pair_ab),
+        (bit_a, ab): _vertex_counts(a_of_ab, n).max(),
+        (bit_b, ab): a_most,
+        (0, bc): len(pair_bc),
+        (bit_b, bc): c_most,
+        (bit_c, bc): _vertex_counts(pair_bc, n).max(),
+        (0, ac_mask): len(pair_ac),
+        (bit_a, ac_mask): _vertex_counts(a_of_ac, n).max(),
+        (bit_c, ac_mask): _vertex_counts(c_of_ac, n).max(),
+        (0, abc): rows,
+        (bit_a, abc): a_rows.max(),
+        (bit_b, abc): b_rows.max(),
+        (bit_c, abc): c_rows.max(),
+        (ab, abc): c_most,
+        (bc, abc): a_most,
+        (ac_mask, abc): (ac_bounds[1:] - ac_bounds[:-1]).max(),
+    }
+    index = _pair_index(3)
+    x_masks, y_masks = pair_table(3)
+    values = np.where(x_masks == y_masks, 1.0, 0.0)
+    for (x_mask, y_mask), value in degrees.items():
+        values[index[y_mask << 3 | x_mask]] = value
+    return values
+
+
+def _sorted_radix_keys(columns: list[np.ndarray], num_vertices: int) -> np.ndarray:
+    """:func:`encode_columns`' int64 radix keys, sorted; held as int32
+    when they fit, which sorts in about half the time."""
+    keys = encode_columns(columns, num_vertices)
+    if num_vertices ** len(columns) <= 2 ** 31:
+        keys = keys.astype(np.int32)
+    keys.sort()
+    return keys
+
+
+def _run_bounds(ordered: np.ndarray) -> np.ndarray:
+    """The start of each run of equal values in a sorted array, then
+    the array's length: consecutive differences are the run lengths."""
+    change = np.empty(len(ordered) + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:-1])
+    return change.nonzero()[0]
+
+
+def _vertex_counts(values: np.ndarray, num_vertices: int) -> np.ndarray:
+    """The multiplicity of each vertex id in ``values``; ids absent from
+    ``values`` may read 0.
+
+    A bincount while the vertex range is small beside the array, a sort
+    otherwise; both are exact.
+    """
+    if num_vertices <= 4 * len(values) + 1024:
+        return np.bincount(values)
+    bounds = _run_bounds(np.sort(values))
+    return bounds[1:] - bounds[:-1]
+
+
 @functools.lru_cache(maxsize=None)
 def _sort_plan(width: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
     """Column orders whose prefix pairs cover every ``X ⊊ Y`` of a width.
@@ -311,15 +438,26 @@ class StatRelation:
         builds of one canonical pattern, however their tables were
         grown, store identical bytes.  Columns take canonical names by
         the order :func:`~repro.query.canonical.canonical_order` found
-        (degree values are renaming-invariant).
+        (degree values are renaming-invariant).  Two-atom,
+        three-variable patterns take :func:`two_atom_degree_pairs` while
+        their radix keys fit int64; every other table takes
+        :func:`all_degree_pairs`.  Both give the same bytes.
         """
         position = {var: i for i, var in enumerate(canonical_order(pattern))}
         names = tuple(f"v{position[var]}" for var in table.variables)
-        return cls(
-            canonical_key(pattern),
-            float(table.size),
-            all_degree_pairs(table.columns, names, num_vertices),
-        )
+        if (
+            len(pattern) == 2
+            and len(names) == 3
+            and num_vertices ** 3 < 2 ** 62
+        ):
+            first, second = pattern.edges
+            (shared,) = {first.src, first.dst} & {second.src, second.dst}
+            values = two_atom_degree_pairs(
+                table.columns, names, f"v{position[shared]}", num_vertices
+            )
+        else:
+            values = all_degree_pairs(table.columns, names, num_vertices)
+        return cls(canonical_key(pattern), float(table.size), values)
 
     def to_json(self) -> dict:
         """``{key, cardinality, values}`` for a build checkpoint or an
@@ -424,12 +562,12 @@ class DegreeCatalog:
         """
         relation = self._cache.get(key)
         if relation is None:
-            relation = self._fetch(
-                pattern if pattern is not None else key_pattern(key), key
-            )
+            relation = self._fetch(key, pattern)
         return relation
 
-    def _fetch(self, pattern: QueryPattern, key: tuple) -> StatRelation:
+    def _fetch(
+        self, key: tuple, pattern: QueryPattern | None
+    ) -> StatRelation:
         """A relation missing from ``_cache``: image, graph, or empty."""
         if self._flat is not None:
             relation = self._flat.lookup(key)
@@ -437,6 +575,8 @@ class DegreeCatalog:
                 self._cache[key] = relation
                 return relation
         if self.graph is not None:
+            if pattern is None:
+                pattern = key_pattern(key)
             table = materialise_table(self.graph, pattern, self.max_rows)
             relation = StatRelation.from_table(
                 pattern, table, self.graph.num_vertices
@@ -450,6 +590,8 @@ class DegreeCatalog:
             return StatRelation(
                 key, 0.0, np.zeros(3 ** key_arity(key), dtype=np.float64)
             )
+        if pattern is None:
+            pattern = key_pattern(key)
         raise MissingStatisticError(
             f"statistics artifact does not cover pattern {pattern!r} "
             "(graph-free degree catalog)"

@@ -237,10 +237,11 @@ def apply_updates(
     artifact's next generation image (:meth:`StatisticsStore.save`).
 
     ``telemetry`` (a silent bundle when omitted) records the apply as
-    an offline-plane trace — a ``maintain`` span (the IVM / cold-rebuild work), a
-    ``persist`` span (update log + generation image I/O), decision
-    counters and a lineage-age gauge — without perturbing the outcome or
-    any catalog bytes.
+    an offline-plane trace — a ``maintain`` span (the IVM / cold-rebuild
+    work; an incremental one carries its phase seconds as attributes,
+    see :func:`_maintain_incremental`), a ``persist`` span (update log +
+    generation image I/O), decision counters and a lineage-age gauge —
+    without perturbing the outcome or any catalog bytes.
     """
     if store.graph is None:
         raise DatasetError(
@@ -302,10 +303,11 @@ def apply_updates(
         overlay.pending > compact_threshold * max(new_graph.num_edges, 1)
     )
     maintain_began = time.perf_counter()
+    phases: dict[str, float] = {}
     if compactable and over_threshold:
         _rebuild_cold(store, new_graph, outcome)
     else:
-        _maintain_incremental(
+        phases = _maintain_incremental(
             store, old_graph, new_graph, overlay, outcome
         )
         if over_threshold:
@@ -323,6 +325,7 @@ def apply_updates(
         mode=outcome.mode,
         inserts=len(inserts),
         deletes=len(deletes),
+        **{name: round(seconds, 6) for name, seconds in phases.items()},
     )
 
     store.graph = new_graph
@@ -424,7 +427,7 @@ def _maintain_incremental(
     new_graph: LabeledDiGraph,
     overlay: MutableGraphOverlay,
     outcome: MaintenanceOutcome,
-) -> None:
+) -> dict[str, float]:
     """The incremental path: patch catalogs key by key, smallest first.
 
     Counts move by the delta-join identity.  A touched key whose count
@@ -432,7 +435,13 @@ def _maintain_incremental(
     went, is stored again by the builder's rule
     (:func:`~repro.stats.build._materialise_and_record`), as is every
     newly discovered key of a complete store.
+
+    Returns the seconds of its phases: ``delta_counts_s`` (the
+    delta-join counts of stored keys), ``rebuild_s`` (storing keys
+    again: match tables and degree relations) and ``discover_s`` (the
+    search for newly non-empty keys).
     """
+    phases = {"delta_counts_s": 0.0, "rebuild_s": 0.0, "discover_s": 0.0}
     touched = overlay.touched_labels()
     n = new_graph.num_vertices
     insert_graph = _subgraph(overlay.pending_inserts, n)
@@ -471,6 +480,7 @@ def _maintain_incremental(
         old_count = markov[key] if key in markov else degrees[key].cardinality
         pattern = key_pattern(key)
         count: float | None
+        began = time.perf_counter()
         try:
             delta, support_changed = delta_count_with_touch(
                 pattern,
@@ -484,6 +494,7 @@ def _maintain_incremental(
         except ReproError:
             counters["recounted_cold"] += 1
             count, support_changed = None, True
+        phases["delta_counts_s"] += time.perf_counter() - began
         if not support_changed and (
             len(key) > config.molp_h
             or not flipped
@@ -495,25 +506,31 @@ def _maintain_incremental(
             degree_counters["kept"] += key in degrees
             continue
         relations_before = len(result.relations)
+        began = time.perf_counter()
         _materialise_and_record(
             new_graph, config, pattern, key, result,
             store_zeros=not complete, count=count,
         )
+        phases["rebuild_s"] += time.perf_counter() - began
         recorded.append(key)
         if (len(result.relations) > relations_before) != (key in degrees):
             flipped.add(key)
 
     if complete and insert_graph is not None:
+        began = time.perf_counter()
         found = discover_new_patterns(
             new_graph, insert_graph, max(config.h, config.molp_h),
             known=stored_keys, max_rows=config.max_rows,
         )
+        phases["discover_s"] = time.perf_counter() - began
+        began = time.perf_counter()
         for key in sorted(found):
             _materialise_and_record(
                 new_graph, config, key_pattern(key), key, result,
                 store_zeros=False,
             )
             recorded.append(key)
+        phases["rebuild_s"] += time.perf_counter() - began
 
     counts = dict(result.records)
     relations = {relation.key: relation for relation in result.relations}
@@ -565,6 +582,7 @@ def _maintain_incremental(
             "RNG-stream-identical to a cold workload-order rebuild)"
         )
     outcome.ledger = ledger
+    return phases
 
 
 def _rebuild_cold(

@@ -30,9 +30,10 @@ __all__ = [
 
 _MAX_BRUTE_FORCE_VARS = 8
 
-#: Entries of the :func:`subpattern_form` and :func:`canonical_parent`
-#: memos.  An entry is a shape and its canonical form or parent, never a
-#: statistic, so it stays valid across data changes and generation swaps.
+#: Entries of the :func:`subpattern_form`, :func:`canonical_parent` and
+#: :func:`key_pattern` memos.  An entry is a shape and its canonical
+#: form, parent or pattern, never a statistic, so it stays valid across
+#: data changes and generation swaps.
 SUBPATTERN_MEMO_SIZE = 8192
 
 
@@ -90,12 +91,27 @@ def canonical_order(pattern: QueryPattern) -> tuple[str, ...]:
 
 
 def canonical_pattern(pattern: QueryPattern) -> QueryPattern:
-    """The pattern rebuilt with canonical variable names ``v0, v1, ...``."""
-    return key_pattern(canonical_key(pattern))
+    """The pattern rebuilt with canonical variable names ``v0, v1, ...``.
+
+    Built afresh rather than through the :func:`key_pattern` memo: the
+    serving path calls this for every new query shape, which a process
+    should not keep.
+    """
+    return _decode(canonical_key(pattern))
 
 
+@functools.lru_cache(maxsize=SUBPATTERN_MEMO_SIZE)
 def key_pattern(key: tuple) -> QueryPattern:
-    """The canonical pattern a canonical key denotes (``v0, v1, ...``)."""
+    """The canonical pattern a canonical key denotes (``v0, v1, ...``).
+
+    Memoized: patterns are immutable, and the one shared instance also
+    carries its memoized canonical key and order, so maintenance decodes
+    each stored key once per process.
+    """
+    return _decode(key)
+
+
+def _decode(key: tuple) -> QueryPattern:
     return QueryPattern((f"v{s}", f"v{d}", label) for s, d, label in key)
 
 

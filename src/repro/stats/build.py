@@ -195,7 +195,7 @@ def _candidate_edges(
 
 def _budgeted_count(
     graph: LabeledDiGraph,
-    pattern: QueryPattern,
+    key: tuple,
     table: Frame | None,
     count_budget: int | None,
 ) -> float:
@@ -208,11 +208,14 @@ def _budgeted_count(
     budget, defer to the engine so over-budget patterns raise
     ``CountBudgetExceeded`` exactly where a lazy Markov table would — a
     budgeted driver (Figure 12) must drop the same queries the old
-    per-figure tables dropped.
+    per-figure tables dropped.  The engine counts the key's canonical
+    pattern: its join plan, and so the drop, depends on atom order, and
+    must be a function of the key however the pattern was grown.
     """
-    if table is not None and (
-        count_budget is None or not two_core_edges(pattern)
-    ):
+    if table is not None and count_budget is None:
+        return float(table.size)
+    pattern = key_pattern(key)
+    if table is not None and not two_core_edges(pattern):
         return float(table.size)
     return float(count_pattern(graph, pattern, budget=count_budget))
 
@@ -383,9 +386,7 @@ def _record_pattern(
     Returns the count (``None`` when counting itself failed)."""
     if count is None:
         try:
-            count = _budgeted_count(
-                graph, pattern, table, config.count_budget
-            )
+            count = _budgeted_count(graph, key, table, config.count_budget)
         except ReproError:
             # Unknown count: neither artifact can claim completeness.
             result.markov_complete = False

@@ -1,6 +1,7 @@
 """Tests for canonical pattern keys (renaming invariance) and the one
 growth order each key has."""
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from repro.engine.counter import count_pattern
 from repro.graph import LabeledDiGraph
 from repro.query import QueryPattern, canonical_key, canonical_pattern, templates
 from repro.query.canonical import canonical_parent, growth_order
+from repro.stats import StatsBuildConfig
+from repro.stats.build import _record_pattern, _TaskResult
 
 
 class TestCanonicalKey:
@@ -126,3 +129,45 @@ class TestGrowthOrder:
         assert canonical_parent(chains[0][0]) is None
         table = materialise_table(GROWTH_GRAPH, variant, None)
         assert table.size == count_pattern(GROWTH_GRAPH, variant)
+
+
+class TestBudgetedDecision:
+    """Under a count budget, a build stores or drops a cyclic key the
+    same way whatever atom order or names its growth path gave it."""
+
+    TRIANGLE = ((1, 0, "C"), (2, 0, "C"), (2, 1, "C"))
+
+    def test_every_atom_order_gets_one_decision(self):
+        outcomes = set()
+        for seed in range(10):
+            rng = random.Random(seed)
+            graph = LabeledDiGraph.from_triples(
+                [
+                    (rng.randrange(8), rng.randrange(8), rng.choice("ABC"))
+                    for _ in range(18)
+                ],
+                num_vertices=8,
+            )
+            for budget in (5, 10, 20, 40):
+                config = StatsBuildConfig(h=3, molp_h=2, count_budget=budget)
+                decisions = set()
+                for atoms in itertools.permutations(self.TRIANGLE):
+                    for names in itertools.permutations("xyz"):
+                        pattern = QueryPattern(
+                            (names[src], names[dst], label)
+                            for src, dst, label in atoms
+                        )
+                        assert canonical_key(pattern) == self.TRIANGLE
+                        result = _TaskResult()
+                        _record_pattern(
+                            graph, config, pattern, self.TRIANGLE,
+                            materialise_table(graph, pattern, None),
+                            result, store_zeros=True,
+                        )
+                        decisions.add(
+                            (tuple(result.records), result.markov_complete)
+                        )
+                assert len(decisions) == 1, (seed, budget, decisions)
+                outcomes.add(decisions.pop()[1])
+        # The graphs exercise both decisions.
+        assert outcomes == {True, False}

@@ -1,6 +1,7 @@
 """Tests for max-degree statistics (StatRelation / DegreeCatalog)."""
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles.degrees import group_max_distinct
 
-from repro.catalog import DegreeCatalog
-from repro.catalog.degrees import all_degree_pairs, materialise_table, pair_table
+from repro.catalog import DegreeCatalog, degrees
+from repro.catalog.degrees import (
+    StatRelation,
+    all_degree_pairs,
+    materialise_table,
+    pair_table,
+)
 from repro.errors import MissingStatisticError
 from repro.graph import LabeledDiGraph
 from repro.query import QueryPattern, parse_pattern
+from repro.query.canonical import canonical_order
 from repro.stats import StatisticsStore, StatsBuildConfig, build_statistics
 
 
@@ -95,6 +102,88 @@ class TestAllDegreePairs:
 
         x_masks, y_masks = pair_table(len(names))
         for value, x_mask, y_mask in zip(got.tolist(), x_masks, y_masks):
+            expected = group_max_distinct(
+                rows, cols(x_mask), cols(y_mask), num_vertices
+            )
+            assert _float_bits(value) == _float_bits(expected), (x_mask, y_mask)
+
+
+#: The three two-atom shapes, by the atoms' ends around the shared ``b``.
+TWO_ATOM_SHAPES = {
+    "path": (("a", "b"), ("b", "c")),
+    "in-star": (("a", "b"), ("c", "b")),
+    "out-star": (("b", "a"), ("b", "c")),
+}
+#: ``n ** 3`` passes ``2 ** 62``: the kernel's radix keys would overflow.
+RADIX_OVERFLOW = 2**21 + 1
+
+
+@st.composite
+def two_atom_cases(draw):
+    """A random graph, a two-atom shape, its labels and its atom order.
+
+    Few vertices and two labels make projections collide, ``a`` and
+    ``c`` share vertices and both atoms often carry one label; label
+    ``C`` is never in the graph (an empty join).  Vertex counts reach
+    past the kernel's int64 radix range.
+    """
+    num_vertices = draw(st.sampled_from([1, 3, 6, 2**16 + 1, RADIX_OVERFLOW]))
+    palette = sorted(
+        v for v in {0, 1, 2, num_vertices // 2, num_vertices - 1}
+        if v < num_vertices
+    )
+    triples = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(palette),
+                st.sampled_from(palette),
+                st.sampled_from("AB"),
+            ),
+            max_size=24,
+        )
+    )
+    shape = draw(st.sampled_from(sorted(TWO_ATOM_SHAPES)))
+    labels = draw(st.tuples(st.sampled_from("ABC"), st.sampled_from("ABC")))
+    return num_vertices, triples, shape, labels, draw(st.booleans())
+
+
+class TestTwoAtomKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(two_atom_cases())
+    # An in-star whose a and c bind the same vertex, an empty join, and
+    # a table past the radix limit.
+    @example((3, [(0, 1, "A"), (2, 1, "A")], "in-star", ("A", "A"), False))
+    @example((6, [(0, 1, "A"), (1, 2, "B")], "path", ("A", "C"), True))
+    @example((RADIX_OVERFLOW, [(0, 1, "A"), (1, 2, "A"), (1, 1, "A")],
+              "path", ("A", "A"), False))
+    def test_matches_group_max_distinct_bit_for_bit(self, case):
+        num_vertices, triples, shape, labels, reverse = case
+        graph = LabeledDiGraph.from_triples(triples, num_vertices=num_vertices)
+        atoms = [
+            (src, dst, label)
+            for (src, dst), label in zip(TWO_ATOM_SHAPES[shape], labels)
+        ]
+        pattern = QueryPattern(atoms[::-1] if reverse else atoms)
+        table = materialise_table(graph, pattern, None)
+        with mock.patch.object(
+            degrees, "two_atom_degree_pairs",
+            wraps=degrees.two_atom_degree_pairs,
+        ) as kernel:
+            relation = StatRelation.from_table(pattern, table, num_vertices)
+        assert kernel.called == (num_vertices != RADIX_OVERFLOW)
+
+        rows = np.stack(table.columns, axis=1)
+        # Bit i of a mask is canonical v{i}, played by order[i].
+        order = canonical_order(pattern)
+
+        def cols(mask):
+            return [table.variables.index(order[i]) for i in range(3)
+                    if mask >> i & 1]
+
+        x_masks, y_masks = pair_table(3)
+        for value, x_mask, y_mask in zip(
+            relation.values.tolist(), x_masks, y_masks
+        ):
             expected = group_max_distinct(
                 rows, cols(x_mask), cols(y_mask), num_vertices
             )

@@ -358,6 +358,15 @@ class TestDeltaInstrumentation:
         assert applies.value(mode="incremental") == 1
         names = [span.name for span in telemetry.trace.spans]
         assert "maintain" in names and "persist" in names
+        # The incremental maintain span splits its seconds by phase.
+        (maintain,) = [
+            span for span in telemetry.trace.spans if span.name == "maintain"
+        ]
+        phases = ("delta_counts_s", "rebuild_s", "discover_s")
+        assert all(maintain.attrs[phase] >= 0.0 for phase in phases)
+        assert sum(maintain.attrs[phase] for phase in phases) <= (
+            maintain.ms / 1000.0 + 1e-5
+        )
         # First apply: no previous generation, so no lineage age yet.
         assert telemetry.registry.get("repro_delta_lineage_age_seconds") is None
 
@@ -728,7 +737,9 @@ class TestObsCli:
         record = json.loads(log.read_text().splitlines()[-1])
         assert record["verb"] == "updates.apply"
         assert record["mode"] == "incremental"
-        assert any(s["name"] == "maintain" for s in record["spans"])
+        (maintain,) = [s for s in record["spans"] if s["name"] == "maintain"]
+        for phase in ("delta_counts_s", "rebuild_s", "discover_s"):
+            assert isinstance(maintain[phase], float) and maintain[phase] >= 0
         exposition = parse_exposition(
             (tmp_path / "apply.prom").read_text()
         )
